@@ -3,7 +3,6 @@ distributions, jammer-impact reports and Pareto-front summaries."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -172,31 +171,40 @@ def pareto_summary(front: ParetoFront, of3_weights: Sequence[float] = (1 / 3, 1 
     return rows
 
 
+def select_row(
+    rows: Sequence[dict],
+    budget_cap: int | None = None,
+    weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3),
+) -> tuple | None:
+    """``(score, n_sensors, solution_id)`` of the ``pareto_summary`` row
+    minimizing the weighted normalized score, or None if no row fits.
+
+    Only rows within the sensor budget qualify; ties break toward fewer
+    sensors, then the lower solution id.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (3,) or np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
+        raise ValueError("preference weights must be non-negative and sum to 1")
+    return min(
+        (
+            (w[0] * row["of1_norm"] + w[1] * row["of2_norm"] + w[2] * row["of3_norm"],
+             row["n_sensors"], row["solution_id"])
+            for row in rows
+            if budget_cap is None or row["n_sensors"] <= budget_cap
+        ),
+        default=None,
+    )
+
+
 def select_solution(
     front: ParetoFront,
     budget_cap: int | None = None,
     weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3),
     of3_weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3),
 ) -> int:
-    """Pick the front member minimizing the weighted normalized score.
-
-    Only members within the sensor budget qualify; ties break toward
-    fewer sensors, then the lower solution id.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (3,) or np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError("preference weights must be non-negative and sum to 1")
-    rows = pareto_summary(front, of3_weights)
-    best: tuple | None = None
-    for row in rows:
-        if budget_cap is not None and row["n_sensors"] > budget_cap:
-            continue
-        score = (
-            w[0] * row["of1_norm"] + w[1] * row["of2_norm"] + w[2] * row["of3_norm"]
-        )
-        cand = (score, row["n_sensors"], row["solution_id"])
-        if best is None or cand < best:
-            best = cand
+    """Pick the front member minimizing the weighted normalized score
+    (see ``select_row``)."""
+    best = select_row(pareto_summary(front, of3_weights), budget_cap, weights)
     if best is None:
         raise NoFeasibleSolutionError("no front member satisfies the sensor budget")
     return best[2]

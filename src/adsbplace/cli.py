@@ -103,7 +103,6 @@ def _run_optimization(cfg: RunConfig, out_dir: Path, seed_override: int | None, 
         progress=_progress_writer(sys.stderr),
         threads=threads,
     )
-    front.config_hash = cfg.config_hash()
     _write_front(cfg, problem, front, out_dir)
     return EXIT_OK
 
@@ -137,47 +136,14 @@ def _read_sensor_file(path: Path):
             if "=" in body:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
-    rows = load_deployed_csv_like(path)
-    return rows, meta
-
-
-def load_deployed_csv_like(path: Path):
-    """Accept both deployed CSVs and emitted solution files."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            header = [h.strip() for h in line.split(",")]
-            break
-        else:
-            return []
-    if header[:4] == ["id", "lat_deg", "lon_deg", "alt_m"]:
-        rows = load_deployed_csv(path)
-        has_forced = len(header) > 4 and header[4] == "forced"
-        if has_forced:
-            out = []
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-                for rec in reader:
-                    out.append(
-                        (
-                            rec["id"],
-                            float(rec["lat_deg"]),
-                            float(rec["lon_deg"]),
-                            float(rec["alt_m"]),
-                            bool(int(rec.get("forced", "0") or 0)),
-                        )
-                    )
-            return out
-        return [(r[0], r[1], r[2], r[3], False) for r in rows]
-    raise DeployedFileError(1, "expected header id,lat_deg,lon_deg,alt_m[,forced]")
+    return load_deployed_csv(path), meta
 
 
 def _map_to_candidates(problem, rows) -> np.ndarray | None:
     """Chromosome over the problem's candidates, or None if rows do not
     correspond to candidate sites."""
     genes = np.zeros(problem.n_candidates, dtype=bool)
-    for _, lat, lon, _alt, _forced in rows:
+    for _, lat, lon, _alt in rows:
         close = np.flatnonzero(
             (np.abs(problem.cand_lat - lat) < 1e-6) & (np.abs(problem.cand_lon - lon) < 1e-6)
         )
@@ -203,7 +169,7 @@ def cmd_evaluate(args) -> int:
                 lat_count=cfg.lat_count,
                 lon_count=cfg.lon_count,
                 requirements=cfg.requirements,
-                sites=[(r[0], r[1], r[2], r[3]) for r in rows],
+                sites=rows,
                 jammers=problem.jammers,
             )
             chromosome = Chromosome(problem.forced_mask.copy(), problem.forced_mask)
@@ -301,7 +267,9 @@ def cmd_report(args) -> int:
         print(f"error: no pareto.csv in {front_dir}", file=sys.stderr)
         return EXIT_USAGE
     weights = [float(w) for w in args.weights.split(",")]
-    if len(weights) != 3 or any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+    try:
+        best = analysis.select_row(rows, args.budget, weights)
+    except ValueError:
         print("error: --weights must be three non-negative values summing to 1", file=sys.stderr)
         return EXIT_USAGE
 
@@ -310,18 +278,6 @@ def cmd_report(args) -> int:
     for row in rows:
         print(",".join(fmt(row[c]) for c in header))
 
-    best = None
-    for row in rows:
-        if args.budget is not None and row["n_sensors"] > args.budget:
-            continue
-        score = (
-            weights[0] * row["of1_norm"]
-            + weights[1] * row["of2_norm"]
-            + weights[2] * row["of3_norm"]
-        )
-        cand = (score, row["n_sensors"], row["solution_id"])
-        if best is None or cand < best:
-            best = cand
     if best is None:
         print("no feasible solution under the sensor budget", file=sys.stderr)
         return EXIT_NO_FEASIBLE

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geo import DegenerateGeometryError, EcefPosition, GeodeticPosition, direction_cosines
+from .geo import EcefPosition, GeodeticPosition, direction_cosines
 
 # Condition number above which the normal matrix counts as singular and
 # the GDOP is reported as infinite.

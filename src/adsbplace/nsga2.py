@@ -4,7 +4,7 @@ site-selection chromosomes."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,7 +87,6 @@ class ParetoFront:
     members: list[FrontMember]
     seed: int
     bounds: RunningBounds
-    config_hash: str = ""
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -103,33 +102,28 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return better
 
 
+def _dominance(vecs: np.ndarray) -> np.ndarray:
+    """Boolean matrix whose entry ``[p, q]`` is ``dominates(vecs[p], vecs[q])``."""
+    a, b = vecs[:, None, :], vecs[None, :, :]
+    return ~(a > b).any(axis=2) & (a < b).any(axis=2)
+
+
 def non_dominated_sort(objectives: Sequence[Sequence[float]]) -> list[list[int]]:
     """Partition indices into successive non-dominated fronts."""
-    n = len(objectives)
-    if n == 0:
+    if len(objectives) == 0:
         raise ValueError("empty population")
-    vecs = [np.asarray(o, dtype=float) for o in objectives]
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    dom_count = [0] * n
-    for p in range(n):
-        for q in range(p + 1, n):
-            if dominates(vecs[p], vecs[q]):
-                dominated_by[p].append(q)
-                dom_count[q] += 1
-            elif dominates(vecs[q], vecs[p]):
-                dominated_by[q].append(p)
-                dom_count[p] += 1
-    fronts = [[i for i in range(n) if dom_count[i] == 0]]
+    dom = _dominance(np.asarray(objectives, dtype=float))
+    # Unplaced dominators of each index; placed indices are marked -1.
+    count = dom.sum(axis=0)
+    front = np.flatnonzero(count == 0)
+    fronts = []
     while True:
-        nxt = []
-        for p in fronts[-1]:
-            for q in dominated_by[p]:
-                dom_count[q] -= 1
-                if dom_count[q] == 0:
-                    nxt.append(q)
-        if not nxt:
+        fronts.append(front.tolist())
+        count[front] = -1
+        count -= dom[front].sum(axis=0)
+        front = np.flatnonzero(count == 0)
+        if not front.size:
             return fronts
-        fronts.append(sorted(nxt))
 
 
 def crowding_distance(objectives: Sequence[Sequence[float]]) -> np.ndarray:
@@ -147,10 +141,8 @@ def crowding_distance(objectives: Sequence[Sequence[float]]) -> np.ndarray:
         spread = hi - lo
         if spread <= 0 or not math.isfinite(spread):
             continue
-        gaps = (vecs[order[2:], m] - vecs[order[:-2], m]) / spread
-        for i, g in zip(order[1:-1], gaps):
-            if math.isfinite(dist[i]):
-                dist[i] += g
+        # A finite spread means finite values, so boundary members stay inf.
+        dist[order[1:-1]] += (vecs[order[2:], m] - vecs[order[:-2], m]) / spread
     return dist
 
 
@@ -280,17 +272,9 @@ def _update_archive(archive: dict[bytes, Individual], population: list[Individua
     for ind in population:
         archive.setdefault(ind.chromosome.key(), ind)
     items = list(archive.items())
-    keep: dict[bytes, Individual] = {}
-    for i, (key, ind) in enumerate(items):
-        if any(
-            dominates(other.objectives, ind.objectives)
-            for j, (_, other) in enumerate(items)
-            if j != i
-        ):
-            continue
-        keep[key] = ind
+    dominated = _dominance(np.array([ind.objectives for _, ind in items])).any(axis=0)
     archive.clear()
-    archive.update(keep)
+    archive.update(item for item, d in zip(items, dominated) if not d)
 
 
 def evolve(
@@ -341,7 +325,6 @@ def evolve(
                 offspring.append(mutate(c2, mutation_rate, rng, n_max))
         children = evaluation.evaluate_batch(offspring)
         merged = population + children
-        _assign_ranks(merged)
         fronts = non_dominated_sort([ind.objectives for ind in merged])
         nxt: list[Individual] = []
         for front in fronts:

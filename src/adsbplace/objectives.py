@@ -294,8 +294,6 @@ class RunningBounds:
     it finishes so that archived fronts stay comparable.
     """
 
-    KEYS = ("of1", "of2", "of3", "d1", "d2", "d3")
-
     def __init__(self, initial: dict[str, tuple[float, float]] | None = None):
         self._bounds: dict[str, tuple[float, float]] = dict(initial or {})
 

@@ -191,19 +191,12 @@ class PlacementProblem:
     los_point_cand: np.ndarray | None = None
     dist_jam_cand: np.ndarray | None = None
     los_jam_cand: np.ndarray | None = None
-    dc_jam_cand: np.ndarray | None = None
     affected_jam_cand: np.ndarray | None = None
     dist_cand_cand: np.ndarray | None = None
 
     @property
     def n_candidates(self) -> int:
         return self.cand_lat.size
-
-    def candidate_positions(self) -> list[GeodeticPosition]:
-        return [
-            GeodeticPosition(float(la), float(lo), float(al))
-            for la, lo, al in zip(self.cand_lat, self.cand_lon, self.cand_alt)
-        ]
 
 
 def precompute(problem: PlacementProblem) -> PlacementProblem:
@@ -244,8 +237,6 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
         jdiff = cand_ecef[None, :, :] - jam_ecef[:, None, :]
         jned = np.einsum("kij,knj->kni", jrot, jdiff)
         jdist = np.sqrt((jned**2).sum(axis=-1))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            jdc = np.where(jdist[..., None] > 0.0, jned / jdist[..., None], 0.0)
         jground = geo.haversine_km_arrays(
             jam_lat[:, None], jam_lon[:, None],
             problem.cand_lat[None, :], problem.cand_lon[None, :],
@@ -264,12 +255,10 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
                     )
                 affected[l] &= ratio >= jam.jsr_threshold
         problem.dist_jam_cand = jdist
-        problem.dc_jam_cand = jdc
         problem.los_jam_cand = jlos
         problem.affected_jam_cand = affected
     else:
         problem.dist_jam_cand = np.zeros((0, problem.n_candidates))
-        problem.dc_jam_cand = np.zeros((0, problem.n_candidates, 3))
         problem.los_jam_cand = np.zeros((0, problem.n_candidates), dtype=bool)
         problem.affected_jam_cand = np.zeros((0, problem.n_candidates), dtype=bool)
 
@@ -300,18 +289,26 @@ class DeployedFileError(ValueError):
 
 
 def load_deployed_csv(path: str | Path) -> list[tuple[str, float, float, float]]:
-    """Parse a deployed-sensor CSV with header id,lat_deg,lon_deg,alt_m."""
+    """Parse a sensor CSV with header id,lat_deg,lon_deg,alt_m.
+
+    Lines starting with ``#`` and columns after the fourth are ignored,
+    so emitted solution files parse too. Rows repeating an earlier
+    position are skipped with a warning. Unparsable, non-finite or
+    out-of-range coordinates raise ``DeployedFileError``.
+    """
     rows: list[tuple[str, float, float, float]] = []
     seen: set[tuple[float, float, float]] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
+        # Comment lines become blank rows, so line_num stays the file's line.
+        reader = csv.reader("\n" if line.startswith("#") else line for line in fh)
+        header = next((row for row in reader if row), None)
         if header is None:
             return rows
         expected = ["id", "lat_deg", "lon_deg", "alt_m"]
         if [h.strip() for h in header[:4]] != expected:
-            raise DeployedFileError(1, f"expected header {','.join(expected)}")
-        for line_no, row in enumerate(reader, start=2):
+            raise DeployedFileError(reader.line_num, f"expected header {','.join(expected)}")
+        for row in reader:
+            line_no = reader.line_num
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < 4:
@@ -320,6 +317,12 @@ def load_deployed_csv(path: str | Path) -> list[tuple[str, float, float, float]]
                 lat, lon, alt = float(row[1]), float(row[2]), float(row[3])
             except ValueError as exc:
                 raise DeployedFileError(line_no, str(exc)) from exc
+            if not all(map(math.isfinite, (lat, lon, alt))):
+                raise DeployedFileError(line_no, "coordinates must be finite")
+            if not -90.0 <= lat <= 90.0:
+                raise DeployedFileError(line_no, f"latitude {lat} outside [-90, 90]")
+            if not -180.0 <= lon <= 180.0:
+                raise DeployedFileError(line_no, f"longitude {lon} outside [-180, 180]")
             key = (lat, lon, alt)
             if key in seen:
                 log.warning("deployed sensor on line %d duplicates an earlier row; skipped", line_no)

@@ -128,6 +128,19 @@ class TestAugment:
         assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["augment", "evaluate"])
+@pytest.mark.parametrize("row", ["x,nan,7.0,0", "x,48.0,inf,0", "x,95.0,7.0,0", "x,48.0,181.0,0"])
+def test_bad_sensor_coordinates_exit_2(config_file, tmp_path, capsys, command, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"id,lat_deg,lon_deg,alt_m\n{row}\n")
+    code = main([
+        command, "--config", str(config_file), "--sensors", str(bad),
+        "--out", str(tmp_path / "out"), "--threads", "1",
+    ])
+    assert code == EXIT_USAGE
+    assert "line 2:" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_fixture_scores_finite(self, config_file, tmp_path, capsys):
         out = tmp_path / "eval"

@@ -10,6 +10,8 @@ from adsbplace.nsga2 import (
     Chromosome,
     GaConfig,
     Individual,
+    _dominance,
+    _update_archive,
     crossover,
     crowding_distance,
     dominates,
@@ -57,6 +59,40 @@ class TestDominates:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             dominates((1,), (1, 2))
+
+
+class TestDominanceMatrix:
+    def test_matches_dominates_with_ties_inf_and_nan(self, rng):
+        values = np.array([0.0, 1.0, 2.0, math.inf, -math.inf, math.nan])
+        vecs = rng.choice(values, (40, 3))
+        dom = _dominance(vecs)
+        for p, q in itertools.product(range(len(vecs)), repeat=2):
+            assert dom[p, q] == dominates(vecs[p], vecs[q])
+
+
+class TestUpdateArchive:
+    @staticmethod
+    def individuals(vectors, start):
+        return [
+            Individual(chromosome=make_chromosome([int(b) for b in f"{start + i:08b}"]),
+                       raw=None, objectives=np.asarray(v, dtype=float))
+            for i, v in enumerate(vectors)
+        ]
+
+    def test_keeps_brute_force_non_dominated_set(self, rng):
+        values = np.array([0.0, 1.0, 2.0, 3.0, math.inf])
+        old = self.individuals(rng.choice(values, (20, 3)), 0)
+        new = self.individuals(rng.choice(values, (30, 3)), 20)
+        archive = {}
+        _update_archive(archive, old)
+        _update_archive(archive, new)
+        pool = {ind.chromosome.key(): ind for ind in old + new}
+        expected = [
+            key for key, ind in pool.items()
+            if not any(dominates(o.objectives, ind.objectives) for o in pool.values())
+        ]
+        assert list(archive) == expected
+        assert all(archive[key] is pool[key] for key in expected)
 
 
 class TestNonDominatedSort:

@@ -126,6 +126,22 @@ class TestDeployedCsv:
             load_deployed_csv(p)
         assert err.value.line_no == 3
 
+    @pytest.mark.parametrize("row", [
+        "s2,nan,7.0,0", "s2,48.0,inf,0", "s2,48.0,7.0,-inf",
+        "s2,95.0,7.0,0", "s2,48.0,181.0,0",
+    ])
+    def test_bad_coordinates_line_numbered(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"# seed=1\n# solution_id=0\nid,lat_deg,lon_deg,alt_m\ns1,48.0,7.0,0\n{row}\n")
+        with pytest.raises(DeployedFileError) as err:
+            load_deployed_csv(p)
+        assert err.value.line_no == 5
+
+    def test_trailing_columns_ignored(self, tmp_path):
+        p = tmp_path / "solution.csv"
+        p.write_text("# seed=1\nid,lat_deg,lon_deg,alt_m,forced\n3,48.0,7.0,0,yes\n")
+        assert load_deployed_csv(p) == [("3", 48.0, 7.0, 0.0)]
+
     def test_duplicates_skipped(self, tmp_path):
         p = tmp_path / "dup.csv"
         p.write_text("id,lat_deg,lon_deg,alt_m\na,48.0,7.0,0\nb,48.0,7.0,0\n")
