@@ -10,7 +10,7 @@ import numpy as np
 
 from .evaluator import Diagnostics, PlacementEvaluator
 from .nsga2 import Chromosome, ParetoFront
-from .objectives import ObjectiveScores, RunningBounds, of3_combined
+from .objectives import Normalization, ObjectiveScores, saturation_normalization
 from .scenario import PlacementProblem
 
 
@@ -59,34 +59,28 @@ def evaluate_placement(
     problem: PlacementProblem,
     chromosome: Chromosome,
     of3_weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3),
-    bounds: RunningBounds | None = None,
+    bounds: Normalization | None = None,
     gdop_subset_cap: int = 12,
 ) -> tuple[ObjectiveScores, CoverageGrid, JamReport]:
     """Score a placement and derive its diagnostic grids.
 
     Uses the same evaluator the optimizer runs, so the scores equal the
     GA-internal fitness for the same chromosome. ``bounds`` supplies the
-    frozen normalization of an archived run; without it the combined
-    anti-jamming score falls back to the raw weighted sum.
+    run's normalization; without it the sensor cap is the candidate count.
     """
     if chromosome.genes.size != problem.n_candidates:
         raise ValueError("chromosome length does not match the problem")
+    if bounds is None:
+        bounds = saturation_normalization(problem.requirements, problem.range_cap_km,
+                                          problem.n_candidates)
     evaluator = PlacementEvaluator(problem, gdop_subset_cap=gdop_subset_cap)
     raw, diag = evaluator.evaluate(chromosome.genes, diagnostics=True)
-    if bounds is not None:
-        d1n = bounds.normalize("d1", raw.d1)
-        d2n = bounds.normalize("d2", raw.d2)
-        d3n = bounds.normalize("d3", raw.d3)
-        of3 = of3_combined(d1n, d2n, d3n, of3_weights)
-        normalized = {
-            "of1": bounds.normalize("of1", raw.of1),
-            "of2": bounds.normalize("of2", raw.of2),
-            "of3": bounds.normalize("of3", of3),
-        }
-    else:
-        w = list(of3_weights)
-        of3 = w[0] * raw.d1 + w[1] * raw.d2 + w[2] * raw.d3
-        normalized = {}
+    of3 = bounds.of3(raw.d1, raw.d2, raw.d3, of3_weights)
+    normalized = {
+        "of1": bounds.normalize("of1", raw.of1),
+        "of2": bounds.normalize("of2", raw.of2),
+        "of3": bounds.normalize("of3", of3),
+    }
     scores = ObjectiveScores(
         of1=raw.of1,
         of2=raw.of2,
@@ -137,20 +131,17 @@ def fraction_gdop_above(coverage: CoverageGrid, threshold: float) -> float:
 def pareto_summary(front: ParetoFront, of3_weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> list[dict]:
     """One row per archived solution with raw and normalized scores.
 
-    The combined anti-jamming score is recomputed with the run's frozen
-    normalization bounds so all rows are mutually comparable.
+    OF3 is computed under the run's normalization, as the search computed
+    it: with the run's OF3 weights, each row's OF1, OF2 and OF3 blended
+    with its penalty are the member's objective vector, so the rows are
+    mutually non-dominated.
     """
     if not front.members:
         raise ValueError("empty pareto front")
     rows = []
     for sol_id, member in enumerate(front.members):
         raw = member.raw
-        of3 = of3_combined(
-            front.bounds.normalize("d1", raw.d1),
-            front.bounds.normalize("d2", raw.d2),
-            front.bounds.normalize("d3", raw.d3),
-            of3_weights,
-        )
+        of3 = front.bounds.of3(raw.d1, raw.d2, raw.d3, of3_weights)
         rows.append(
             {
                 "solution_id": sol_id,
@@ -183,7 +174,7 @@ def select_row(
     sensors, then the lower solution id.
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape != (3,) or np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
+    if w.shape != (3,) or not np.all(w >= 0) or not abs(float(w.sum()) - 1.0) <= 1e-9:
         raise ValueError("preference weights must be non-negative and sum to 1")
     return min(
         (

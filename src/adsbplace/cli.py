@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis
 from .config import ConfigError, RunConfig, load_config
 from .nsga2 import Chromosome, evolve
-from .objectives import RunningBounds
+from .objectives import InvalidConfigError, saturation_normalization
 from .scenario import DeployedFileError, build_problem_from_sites, load_deployed_csv
 
 EXIT_OK = 0
@@ -59,7 +59,6 @@ def _write_front(cfg: RunConfig, problem, front, out_dir: Path) -> None:
         "config_hash": config_hash,
         "seed": front.seed,
         "total_cells": problem.n_candidates,
-        "bounds": front.bounds.to_dict(),
     }
     (out_dir / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
@@ -70,14 +69,12 @@ def _write_front(cfg: RunConfig, problem, front, out_dir: Path) -> None:
         for row in rows:
             writer.writerow([fmt(row[c]) for c in PARETO_COLUMNS])
 
-    bounds_json = json.dumps(front.bounds.to_dict(), sort_keys=True)
     for row, member in zip(rows, front.members):
         sol_id = row["solution_id"]
         with open(out_dir / f"solution_{sol_id}.csv", "w", newline="", encoding="utf-8") as fh:
             fh.write(
                 f"# config_hash={config_hash}\n# seed={front.seed}\n"
                 f"# solution_id={sol_id}\n# total_cells={problem.n_candidates}\n"
-                f"# bounds={bounds_json}\n"
             )
             writer = csv.writer(fh)
             writer.writerow(["id", "lat_deg", "lon_deg", "alt_m", "forced"])
@@ -155,11 +152,12 @@ def _map_to_candidates(problem, rows) -> np.ndarray | None:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    out_dir = Path(args.out or cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows, meta = _read_sensor_file(Path(args.sensors))
 
     problem = cfg.build_problem()
+    n_max = cfg.ga_for_problem(problem).n_max
+    bounds = saturation_normalization(problem.requirements, problem.range_cap_km,
+                                      problem.n_candidates if n_max is None else n_max)
     genes = None if not rows else _map_to_candidates(problem, rows)
     if genes is None:
         # Free-standing placement: evaluate the file's sensors directly.
@@ -181,9 +179,6 @@ def cmd_evaluate(args) -> int:
         forced = problem.forced_mask
         chromosome = Chromosome(genes | forced, forced)
 
-    bounds = None
-    if "bounds" in meta:
-        bounds = RunningBounds.from_dict(json.loads(meta["bounds"]))
     scores, coverage, report = analysis.evaluate_placement(
         problem,
         chromosome,
@@ -192,6 +187,8 @@ def cmd_evaluate(args) -> int:
         gdop_subset_cap=cfg.ga.gdop_subset_cap,
     )
 
+    out_dir = Path(args.out or cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     config_hash = cfg.config_hash()
     seed = meta.get("seed", str(cfg.ga.rng_seed))
     payload = {
@@ -266,8 +263,8 @@ def cmd_report(args) -> int:
     except FileNotFoundError:
         print(f"error: no pareto.csv in {front_dir}", file=sys.stderr)
         return EXIT_USAGE
-    weights = [float(w) for w in args.weights.split(",")]
     try:
+        weights = [float(w) for w in args.weights.split(",")]
         best = analysis.select_row(rows, args.budget, weights)
     except ValueError:
         print("error: --weights must be three non-negative values summing to 1", file=sys.stderr)
@@ -332,7 +329,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, DeployedFileError) as exc:
+    except (ConfigError, DeployedFileError, InvalidConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except analysis.NoFeasibleSolutionError as exc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -27,6 +28,14 @@ class ConfigError(ValueError):
         self.field_path = field_path
 
 
+def _number(where: str, value) -> float:
+    if isinstance(value, int):
+        value = float(value)
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ConfigError(where, "expected a finite number")
+    return value
+
+
 def _get(data: dict, path: str, key: str, kind, default=None, required=False):
     where = f"{path}.{key}" if path else key
     if key not in data:
@@ -34,11 +43,20 @@ def _get(data: dict, path: str, key: str, kind, default=None, required=False):
             raise ConfigError(where, "missing required field")
         return default
     value = data[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(where, f"expected {getattr(kind, '__name__', kind)}")
+    if kind is float:
+        return _number(where, value)
+    if not isinstance(value, kind):
+        raise ConfigError(where, f"expected {kind.__name__}")
     return value
+
+
+def _numbers(data: dict, path: str, key: str, default=None, required=False) -> tuple[float, ...]:
+    """A non-empty list of finite numbers."""
+    where = f"{path}.{key}" if path else key
+    values = _get(data, path, key, list, default, required)
+    if not values:
+        raise ConfigError(where, "must not be empty")
+    return tuple(_number(f"{where}[{i}]", v) for i, v in enumerate(values))
 
 
 @dataclass
@@ -126,9 +144,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
             lat_up=_get(area, "area", "lat_up_deg", float, required=True),
             lon_low=_get(area, "area", "lon_low_deg", float, required=True),
             lon_up=_get(area, "area", "lon_up_deg", float, required=True),
-            altitude_levels_m=tuple(
-                float(a) for a in _get(area, "area", "altitudes_m", list, required=True)
-            ),
+            altitude_levels_m=_numbers(area, "area", "altitudes_m", required=True),
         )
     except InvalidConfigError as exc:
         raise ConfigError("area", str(exc)) from exc
@@ -151,10 +167,10 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
 
     jam = _get(data, "", "jammers", dict, default={})
     jammer_count = _get(jam, "jammers", "count", int, default=75)
-    heights = tuple(
-        float(h) for h in _get(jam, "jammers", "heights_m", list, default=[3000.0, 6000.0, 10000.0])
-    )
+    heights = _numbers(jam, "jammers", "heights_m", default=[3000.0, 6000.0, 10000.0])
     jammer_pattern = _get(jam, "jammers", "pattern", str, default="grid")
+    if jammer_pattern not in ("grid", "seeded-uniform"):
+        raise ConfigError("jammers.pattern", "must be grid or seeded-uniform")
     jammer_seed = _get(jam, "jammers", "seed", int)
     jammer_params = {}
     for src, dst, kind, dflt in (
@@ -167,6 +183,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         ("nominal_signal_distance_km", "nominal_signal_distance_km", float, 150.0),
     ):
         jammer_params[dst] = _get(jam, "jammers", src, kind, default=dflt)
+    if jammer_params["affect_rule"] not in ("los", "jsr"):
+        raise ConfigError("jammers.affect_rule", "must be los or jsr")
 
     req_data = _get(data, "", "requirements", dict, default={})
     req_kwargs = {}
@@ -176,11 +194,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         ("min_sensor_spacing_km", float),
         ("min_jammer_distance_km", float),
         ("max_sensors_in_jammer_los", int),
-        ("gdop_tolerance", float),
-        ("range_tolerance_km", float),
-        ("spacing_tolerance_km", float),
-        ("jammer_distance_tolerance_km", float),
-        ("jammer_los_tolerance", int),
         ("gdop_cap", float),
         ("range_cap_km", float),
     ):
@@ -192,7 +205,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     except InvalidConfigError as exc:
         raise ConfigError("requirements", str(exc)) from exc
 
-    weights = _get(data, "", "of3_weights", list, default=[1 / 3, 1 / 3, 1 / 3])
+    weights = _numbers(data, "", "of3_weights", default=[1 / 3, 1 / 3, 1 / 3])
     if len(weights) != 3 or any(w < 0 for w in weights):
         raise ConfigError("of3_weights", "must be three non-negative numbers")
     if abs(sum(weights) - 1.0) > 1e-9:
@@ -243,7 +256,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         jammer_seed=jammer_seed,
         jammer_params=jammer_params,
         requirements=requirements,
-        of3_weights=tuple(float(w) for w in weights),
+        of3_weights=weights,
         ga=ga,
         scenario_kind=kind,
         deployed_file=deployed_file,

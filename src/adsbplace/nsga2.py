@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .evaluator import PlacementEvaluator, RawScores
-from .objectives import InvalidConfigError, RunningBounds, of3_combined, weighted_fitness
+from .objectives import InvalidConfigError, Normalization, saturation_normalization, weighted_fitness
 from .scenario import PlacementProblem
 
 
@@ -71,6 +71,8 @@ class GaConfig:
             raise InvalidConfigError("mutation_rate must lie in [0, 1]")
         if self.tournament_size < 1:
             raise InvalidConfigError("tournament_size must be >= 1")
+        if self.gdop_subset_cap < 4:
+            raise InvalidConfigError("gdop_subset_cap must be >= 4")
 
 
 @dataclass
@@ -86,7 +88,7 @@ class ParetoFront:
 
     members: list[FrontMember]
     seed: int
-    bounds: RunningBounds
+    bounds: Normalization
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -198,18 +200,20 @@ def mutate(
 
 
 class _Evaluation:
-    """Shared evaluation cache with frozen-at-evaluation objectives.
+    """Shared evaluation cache.
 
-    Each chromosome is scored once; its dominance vector never changes
-    afterwards, which keeps the archive monotone across generations.
+    Each chromosome is scored once. Its objective vector is a pure
+    function of its raw scores under a fixed normalization, so it never
+    changes afterwards and the archive stays monotone across generations.
     """
 
-    def __init__(self, evaluator: PlacementEvaluator, config: GaConfig, of3_weights, threads: int = 1):
+    def __init__(self, evaluator: PlacementEvaluator, config: GaConfig, of3_weights,
+                 bounds: Normalization, threads: int = 1):
         self.evaluator = evaluator
         self.config = config
         self.of3_weights = tuple(of3_weights)
+        self.bounds = bounds
         self.threads = max(1, int(threads))
-        self.bounds = RunningBounds()
         self.cache: dict[bytes, tuple[RawScores, np.ndarray]] = {}
 
     def evaluate_batch(self, chromosomes: list[Chromosome]) -> list[Individual]:
@@ -229,21 +233,9 @@ class _Evaluation:
         else:
             for key, chrom in todo.items():
                 new_raw[key] = self.evaluator.evaluate(chrom.genes)
-        # Widen the normalization bounds with the whole batch first so
-        # results do not depend on in-batch ordering.
-        for raw in new_raw.values():
-            for name, value in (("of1", raw.of1), ("of2", raw.of2),
-                                ("d1", raw.d1), ("d2", raw.d2), ("d3", raw.d3)):
-                self.bounds.update(name, value)
         a = self.config.pareto_weight_a
         for key, raw in new_raw.items():
-            of3 = of3_combined(
-                self.bounds.normalize("d1", raw.d1),
-                self.bounds.normalize("d2", raw.d2),
-                self.bounds.normalize("d3", raw.d3),
-                self.of3_weights,
-            )
-            self.bounds.update("of3", of3)
+            of3 = self.bounds.of3(raw.d1, raw.d2, raw.d3, self.of3_weights)
             vec = np.array(
                 [
                     weighted_fitness(raw.of1, raw.penalty, a),
@@ -294,7 +286,9 @@ def evolve(
     mutation_rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
     rng = np.random.default_rng(config.rng_seed)
     evaluator = PlacementEvaluator(problem, gdop_subset_cap=config.gdop_subset_cap)
-    evaluation = _Evaluation(evaluator, config, of3_weights, threads=threads)
+    bounds = saturation_normalization(problem.requirements, problem.range_cap_km,
+                                      n_max if n_max is not None else n)
+    evaluation = _Evaluation(evaluator, config, of3_weights, bounds, threads=threads)
 
     high = min(n_max if n_max is not None else n, n)
     population: list[Individual] = []
@@ -346,7 +340,7 @@ def evolve(
         FrontMember(ind.chromosome, ind.raw, ind.objectives.copy())
         for ind in sorted(archive.values(), key=lambda i: i.chromosome.key())
     ]
-    return ParetoFront(members=members, seed=config.rng_seed, bounds=evaluation.bounds)
+    return ParetoFront(members=members, seed=config.rng_seed, bounds=bounds)
 
 
 def _emit(progress, gen: int, archive: dict[bytes, Individual]) -> None:

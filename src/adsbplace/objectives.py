@@ -8,7 +8,7 @@ in evaluator.py and are tested for equality against these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,18 +25,13 @@ class InvalidConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ObjectiveRequirements:
-    """Required per-point values and acceptance tolerances."""
+    """Required per-point values and the caps that saturate them."""
 
     required_gdop: float = 10.0
     required_range_km: float = 150.0
     min_sensor_spacing_km: float = 80.0
     min_jammer_distance_km: float = 80.0
     max_sensors_in_jammer_los: int = 0
-    gdop_tolerance: float = 1.0
-    range_tolerance_km: float = 10.0
-    spacing_tolerance_km: float = 5.0
-    jammer_distance_tolerance_km: float = 5.0
-    jammer_los_tolerance: int = 0
     gdop_cap: float = DEFAULT_GDOP_CAP
     range_cap_km: float | None = None  # None: use the area diagonal
 
@@ -46,10 +41,6 @@ class ObjectiveRequirements:
             "required_range_km",
             "min_sensor_spacing_km",
             "min_jammer_distance_km",
-            "gdop_tolerance",
-            "range_tolerance_km",
-            "spacing_tolerance_km",
-            "jammer_distance_tolerance_km",
             "gdop_cap",
         ):
             if not getattr(self, name) > 0 or not math.isfinite(getattr(self, name)):
@@ -83,14 +74,15 @@ class JammerModel:
 
 @dataclass
 class ObjectiveScores:
-    """Raw objective scores of one placement."""
+    """Objective scores of one placement: raw OF1, OF2, directions and
+    penalty, OF3 over the normalized directions, and normalized OF1-OF3."""
 
     of1: float
     of2: float
     of3: float
     of3_components: tuple[float, float, float]
     penalty: float
-    normalized: dict[str, float] = field(default_factory=dict)
+    normalized: dict[str, float]
 
 
 def _visible_sensors(
@@ -255,9 +247,9 @@ def jsr(jam: JammerModel, jammer_sensor_km: float, transmitter_sensor_km: float)
 def of3_combined(d1: float, d2: float, d3: float, weights: Sequence[float]) -> float:
     """Weighted-sum scalarization of the three anti-jamming directions."""
     w = np.asarray(weights, dtype=float)
-    if w.shape != (3,) or np.any(w < 0):
+    if w.shape != (3,) or not np.all(w >= 0):
         raise InvalidConfigError("of3 weights must be three non-negative values")
-    if abs(float(w.sum()) - 1.0) > 1e-9:
+    if not abs(float(w.sum()) - 1.0) <= 1e-9:
         raise InvalidConfigError("of3 weights must sum to 1")
     return float(w[0] * d1 + w[1] * d2 + w[2] * d3)
 
@@ -278,40 +270,45 @@ def weighted_fitness(objective_score: float, penalty: float, pareto_weight_a: fl
     return (1.0 - pareto_weight_a) * objective_score + pareto_weight_a * penalty
 
 
-def normalize_score(score: float, running_min: float, running_max: float) -> float:
+def normalize_score(score: float, low: float, high: float) -> float:
     """Min-max normalization clamped to [0, 1]; 0 on a degenerate range."""
-    if running_max < running_min:
-        raise ValueError("running_max must be >= running_min")
-    if running_max == running_min:
+    if high < low:
+        raise ValueError("high must be >= low")
+    if high == low:
         return 0.0
-    return min(1.0, max(0.0, (score - running_min) / (running_max - running_min)))
+    return min(1.0, max(0.0, (score - low) / (high - low)))
 
 
-class RunningBounds:
-    """Per-score running min/max used for normalization.
+@dataclass(frozen=True)
+class Normalization:
+    """Each score divided by the value at which it saturates, clamped to
+    [0, 1]. The saturation values follow from the requirements and the
+    sensor cap alone, so a normalized value never depends on the search."""
 
-    Bounds only widen during a run and are frozen into run metadata when
-    it finishes so that archived fronts stay comparable.
-    """
-
-    def __init__(self, initial: dict[str, tuple[float, float]] | None = None):
-        self._bounds: dict[str, tuple[float, float]] = dict(initial or {})
-
-    def update(self, key: str, value: float) -> None:
-        if not math.isfinite(value):
-            return
-        lo, hi = self._bounds.get(key, (value, value))
-        self._bounds[key] = (min(lo, value), max(hi, value))
+    saturation: dict[str, float]
 
     def normalize(self, key: str, value: float) -> float:
-        if key not in self._bounds:
-            return 0.0
-        lo, hi = self._bounds[key]
-        return normalize_score(value, lo, hi)
+        return normalize_score(value, 0.0, self.saturation[key])
 
-    def to_dict(self) -> dict[str, list[float]]:
-        return {k: [lo, hi] for k, (lo, hi) in sorted(self._bounds.items())}
+    def of3(self, d1: float, d2: float, d3: float, weights: Sequence[float]) -> float:
+        """OF3: the weighted sum of the normalized anti-jamming directions."""
+        return of3_combined(
+            self.normalize("d1", d1), self.normalize("d2", d2), self.normalize("d3", d3), weights
+        )
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Sequence[float]]) -> "RunningBounds":
-        return cls({k: (float(v[0]), float(v[1])) for k, v in data.items()})
+
+def saturation_normalization(
+    req: ObjectiveRequirements, range_cap_km: float, n_max: int
+) -> Normalization:
+    """Normalization of a problem whose placements select at most ``n_max``
+    sensors. OF1 and OF2 saturate at the larger squared deviation from the
+    requirement, d1 and d2 at the squared minimum distances, d3 when every
+    jammer affects all ``n_max`` sensors; OF3 already lies in [0, 1]."""
+    return Normalization({
+        "of1": max(req.gdop_cap - req.required_gdop, req.required_gdop) ** 2,
+        "of2": max(range_cap_km - req.required_range_km, req.required_range_km) ** 2,
+        "d1": req.min_sensor_spacing_km ** 2,
+        "d2": req.min_jammer_distance_km ** 2,
+        "d3": float(max(n_max - req.max_sensors_in_jammer_los, 1)) ** 2,
+        "of3": 1.0,
+    })

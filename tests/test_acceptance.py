@@ -388,3 +388,27 @@ class TestCriterion10RoundTripAudit:
             assert scores["n_sensors"] == row["n_sensors"]
             for key in ("of1", "of2", "of3"):
                 assert scores["normalized"][key] == row[f"{key}_norm"]
+
+    def test_evaluate_needs_no_metadata_lines(self, tmp_path, capsys):
+        """An augment front audited from solution files stripped of every
+        ``#`` line: the normalization follows from the config alone."""
+        sensors = str(clustered21_path())
+        cfg = write_config(tmp_path, SMALL_RUN_CONFIG)
+        eval_cfg = write_config(
+            tmp_path, dict(SMALL_RUN_CONFIG, scenario={"kind": "augment", "deployed_file": sensors}),
+            name="evaluate.json",
+        )
+        out = tmp_path / "out"
+        run_cli(["augment", "--config", cfg, "--sensors", sensors, "--out", out, "--threads", "1"])
+        for row in read_pareto_csv(out / "pareto.csv"):
+            stripped = tmp_path / f"bare_{row['solution_id']}.csv"
+            lines = (out / f"solution_{row['solution_id']}.csv").read_text().splitlines(True)
+            stripped.write_text("".join(line for line in lines if not line.startswith("#")))
+            eval_out = tmp_path / f"audit_{row['solution_id']}"
+            run_cli(["evaluate", "--config", eval_cfg, "--sensors", stripped,
+                     "--out", eval_out, "--threads", "1"])
+            scores = json.loads((eval_out / "scores.json").read_text())
+            for key in ("of1", "of2", "of3", "d1", "d2", "d3", "penalty"):
+                assert scores[key] == row[key], (row["solution_id"], key)
+            for key in ("of1", "of2", "of3"):
+                assert scores["normalized"][key] == row[f"{key}_norm"]

@@ -14,7 +14,9 @@ from adsbplace.analysis import (
 )
 from adsbplace.evaluator import RawScores
 from adsbplace.nsga2 import Chromosome, FrontMember, GaConfig, ParetoFront, dominates, evolve
-from adsbplace.objectives import RunningBounds
+from adsbplace.objectives import Normalization, weighted_fitness
+
+TOY_BOUNDS = Normalization({"of1": 10.0, "of2": 10.0, "of3": 1.0, "d1": 1.0, "d2": 1.0, "d3": 1.0})
 
 
 def zero_chromosome(problem):
@@ -43,6 +45,9 @@ class TestEvaluatePlacement:
         )
         assert scores.penalty == 0.0
         assert report.max_affected == 0
+        # No sensors: OF1 and d1 saturate, d2 and d3 vanish.
+        assert scores.normalized["of1"] == 1.0
+        assert scores.of3 == pytest.approx(1 / 3)
 
     def test_matches_ga_internal_scores(self, small_problem):
         """The report path and the optimizer score the same chromosome identically."""
@@ -110,17 +115,12 @@ def toy_front():
             objectives=np.array([of1, of2, of3]),
         )
 
-    bounds = RunningBounds()
-    for key, lo, hi in (("of1", 0.0, 10.0), ("of2", 0.0, 10.0), ("of3", 0.0, 1.0),
-                        ("d1", 0.0, 1.0), ("d2", 0.0, 1.0), ("d3", 0.0, 1.0)):
-        bounds.update(key, lo)
-        bounds.update(key, hi)
     members = [
         member([1, 0, 0, 0], 1.0, 9.0, 0.5),
         member([0, 1, 1, 0], 5.0, 5.0, 0.2),
         member([1, 1, 1, 1], 9.0, 1.0, 0.9),
     ]
-    return ParetoFront(members=members, seed=0, bounds=bounds)
+    return ParetoFront(members=members, seed=0, bounds=TOY_BOUNDS)
 
 
 class TestParetoSummary:
@@ -138,13 +138,24 @@ class TestParetoSummary:
                     vb = (b["of1"], b["of2"], b["of3"])
                     assert not dominates(va, vb)
 
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_rows_non_dominated_in_blended_columns(self, small_problem, seed):
+        """The rows of pareto.csv blend to mutually non-dominated vectors."""
+        config = GaConfig(population_size=20, generations=30, rng_seed=seed, n_max=10,
+                          gdop_subset_cap=6)
+        rows = pareto_summary(evolve(small_problem, config))
+        a = config.pareto_weight_a
+        vecs = [[weighted_fitness(r[k], r["penalty"], a) for k in ("of1", "of2", "of3")]
+                for r in rows]
+        assert not any(dominates(q, v) for v in vecs for q in vecs)
+
     def test_of3_recomputed_under_bounds(self):
         rows = pareto_summary(toy_front(), of3_weights=(1.0, 0.0, 0.0))
-        # d1 = 0.1 normalized over [0, 1] with weight 1.
+        # d1 = 0.1 over a saturation value of 1, with weight 1.
         assert rows[0]["of3"] == pytest.approx(0.1)
 
     def test_empty_front_rejected(self):
-        front = ParetoFront(members=[], seed=0, bounds=RunningBounds())
+        front = ParetoFront(members=[], seed=0, bounds=TOY_BOUNDS)
         with pytest.raises(ValueError):
             pareto_summary(front)
 

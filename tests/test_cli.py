@@ -80,6 +80,7 @@ class TestOptimize:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["seed"] == 7
         assert meta["total_cells"] == 16
+        assert "bounds" not in meta
         header = (out / "pareto.csv").read_text().splitlines()[:2]
         assert header[0].startswith("# config_hash=")
         assert header[1] == "# seed=7"
@@ -102,6 +103,37 @@ class TestOptimize:
 
     def test_missing_subcommand_exit_2(self, capsys):
         assert main([]) == EXIT_USAGE
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("section,key,value,field", [
+    (None, "of3_weights", [NAN, 0.5, 0.5], "of3_weights"),
+    (None, "of3_weights", ["a", 0.5, 0.5], "of3_weights"),
+    ("area", "altitudes_m", [NAN], "area.altitudes_m"),
+    ("area", "altitudes_m", ["high"], "area.altitudes_m"),
+    ("jammers", "heights_m", [NAN], "jammers.heights_m"),
+    ("jammers", "heights_m", ["low"], "jammers.heights_m"),
+    ("jammers", "heights_m", [], "jammers.heights_m"),
+    ("jammers", "power_w", NAN, "jammers.power_w"),
+    ("jammers", "jsr_threshold", NAN, "jammers.jsr_threshold"),
+    ("jammers", "pattern", "spiral", "jammers.pattern"),
+    ("jammers", "affect_rule", "always", "jammers.affect_rule"),
+    ("candidates", "antenna_height_m", NAN, "candidates.antenna_height_m"),
+    ("ga", "gdop_subset_cap", 3, "gdop_subset_cap"),
+])
+def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
+    """Rejected before the search starts, with a message naming the field."""
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    (doc[section] if section else doc)[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code = main(["optimize", "--config", str(p), "--out", str(tmp_path / "o"), "--threads", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert field in err
+    assert '"gen"' not in err
 
 
 class TestAugment:
@@ -139,6 +171,7 @@ def test_bad_sensor_coordinates_exit_2(config_file, tmp_path, capsys, command, r
     ])
     assert code == EXIT_USAGE
     assert "line 2:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestEvaluate:
@@ -220,3 +253,10 @@ class TestReport:
     def test_bad_weights_exit_2(self, config_file, tmp_path, capsys):
         out = run_optimize(config_file, tmp_path / "out")
         assert main(["report", str(out), "--weights", "1,1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("weights", ["a,b,c", "nan,0,0", "inf,0,0"])
+    def test_malformed_weights_exit_2(self, config_file, tmp_path, capsys, weights):
+        out = run_optimize(config_file, tmp_path / "out")
+        capsys.readouterr()
+        assert main(["report", str(out), "--weights", weights]) == EXIT_USAGE
+        assert "--weights" in capsys.readouterr().err

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from adsbplace import geo
+from adsbplace.evaluator import PlacementEvaluator
 from adsbplace.geo import EcefPosition, GeodeticPosition, geodetic_to_ecef
 from adsbplace.objectives import (
     InvalidConfigError,
     JammerModel,
     ObjectiveRequirements,
-    RunningBounds,
     jsr,
     knapsack_penalty,
     normalize_score,
@@ -21,6 +21,7 @@ from adsbplace.objectives import (
     of3_direction1_spacing,
     of3_direction2_jammer_distance,
     of3_direction3_sensors_in_range,
+    saturation_normalization,
     sensor_affected,
     weighted_fitness,
 )
@@ -244,6 +245,11 @@ class TestCombination:
         with pytest.raises(InvalidConfigError):
             of3_combined(1.0, 1.0, 1.0, (0.5, 0.5, 0.5))
 
+    @pytest.mark.parametrize("w", [(math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0)])
+    def test_non_finite_weights_rejected(self, w):
+        with pytest.raises(InvalidConfigError):
+            of3_combined(1.0, 1.0, 1.0, w)
+
     def test_monotone_in_components(self):
         w = (1 / 3, 1 / 3, 1 / 3)
         assert of3_combined(0.2, 0.2, 0.2, w) < of3_combined(0.2, 0.2, 0.3, w)
@@ -281,25 +287,46 @@ class TestCombination:
         assert normalize_score(-5.0, 0.0, 10.0) == 0.0
 
 
-class TestRunningBounds:
-    def test_only_widen(self):
-        b = RunningBounds()
-        b.update("of1", 5.0)
-        b.update("of1", 2.0)
-        b.update("of1", 3.0)
-        assert b.to_dict()["of1"] == [2.0, 5.0]
+class TestSaturationNormalization:
+    def test_saturation_values(self):
+        req = ObjectiveRequirements(required_gdop=10.0, gdop_cap=100.0, required_range_km=150.0,
+                                    min_sensor_spacing_km=80.0, min_jammer_distance_km=70.0,
+                                    max_sensors_in_jammer_los=2)
+        assert saturation_normalization(req, 500.0, 30).saturation == {
+            "of1": 90.0**2, "of2": 350.0**2, "d1": 80.0**2, "d2": 70.0**2, "d3": 28.0**2, "of3": 1.0,
+        }
 
-    def test_non_finite_ignored(self):
-        b = RunningBounds()
-        b.update("of1", math.inf)
-        assert "of1" not in b.to_dict()
+    def test_requirement_side_and_cap_floor(self):
+        # Caps close to the requirement: the deviation down to zero is larger.
+        req = ObjectiveRequirements(required_gdop=10.0, gdop_cap=15.0, required_range_km=150.0,
+                                    max_sensors_in_jammer_los=5)
+        sat = saturation_normalization(req, 200.0, 3).saturation
+        assert (sat["of1"], sat["of2"], sat["d3"]) == (100.0, 150.0**2, 1.0)
 
-    def test_round_trip_dict(self):
-        b = RunningBounds()
-        b.update("d1", 1.0)
-        b.update("d1", 9.0)
-        again = RunningBounds.from_dict(b.to_dict())
-        assert again.normalize("d1", 5.0) == 0.5
+    def test_values_in_unit_interval(self, rng):
+        norm = saturation_normalization(ObjectiveRequirements(), 600.0, 30)
+        for key, sat in norm.saturation.items():
+            assert norm.normalize(key, 0.0) == 0.0
+            assert norm.normalize(key, sat / 2) == 0.5
+            assert norm.normalize(key, sat) == 1.0
+            assert norm.normalize(key, 3 * sat) == 1.0
+            values = [norm.normalize(key, v) for v in rng.uniform(0.0, 2 * sat, 50)]
+            assert all(0.0 <= v <= 1.0 for v in values)
 
-    def test_unknown_key_normalizes_to_zero(self):
-        assert RunningBounds().normalize("of2", 42.0) == 0.0
+    def test_of3_weights_normalized_directions(self):
+        norm = saturation_normalization(ObjectiveRequirements(), 600.0, 30)
+        sat = norm.saturation
+        d = (0.5 * sat["d1"], 0.25 * sat["d2"], 0.1 * sat["d3"])
+        assert norm.of3(*d, (0.2, 0.3, 0.5)) == pytest.approx(0.2 * 0.5 + 0.3 * 0.25 + 0.5 * 0.1)
+
+    def test_directions_never_exceed_saturation(self, small_problem, rng):
+        n_max = 8
+        norm = saturation_normalization(small_problem.requirements, small_problem.range_cap_km, n_max)
+        evaluator = PlacementEvaluator(small_problem, gdop_subset_cap=6)
+        for _ in range(30):
+            genes = np.zeros(small_problem.n_candidates, dtype=bool)
+            genes[rng.choice(small_problem.n_candidates, size=rng.integers(0, n_max + 1),
+                             replace=False)] = True
+            raw = evaluator.evaluate(genes)
+            for key in ("d1", "d2", "d3"):
+                assert getattr(raw, key) <= norm.saturation[key]
