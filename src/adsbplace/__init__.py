@@ -1,26 +1,10 @@
 """Security-aware placement optimization for ground ADS-B sensor networks."""
 
-from .geo import (
-    EcefPosition,
-    GeodeticPosition,
-    NedVector,
-    PropagationParams,
-    direction_cosines,
-    ecef_to_geodetic,
-    euclidean_distance,
-    geodetic_to_ecef,
-    is_visible,
-    ned_rotation,
-    ned_vector,
-    radio_horizon_km,
-    toa,
-)
-from .gdop import best_gdop_at, gdop_of_four
+from .geo import GeodeticPosition, PropagationParams
 from .objectives import (
     JammerModel,
     ObjectiveRequirements,
     ObjectiveScores,
-    jsr,
     knapsack_penalty,
     normalize_score,
     of3_combined,
@@ -37,40 +21,26 @@ __all__ = [
     "AreaBounds",
     "AirspaceGrid",
     "Chromosome",
-    "EcefPosition",
     "GaConfig",
     "GeodeticPosition",
     "JammerModel",
-    "NedVector",
     "ObjectiveRequirements",
     "ObjectiveScores",
     "ParetoFront",
     "PlacementProblem",
     "PropagationParams",
     "RunConfig",
-    "best_gdop_at",
     "build_problem",
-    "direction_cosines",
-    "ecef_to_geodetic",
-    "euclidean_distance",
     "evaluate_placement",
     "evolve",
     "gdop_distribution",
-    "gdop_of_four",
-    "geodetic_to_ecef",
-    "is_visible",
-    "jsr",
     "knapsack_penalty",
     "load_config",
-    "ned_rotation",
-    "ned_vector",
     "normalize_score",
     "of3_combined",
     "parse_config",
     "pareto_summary",
-    "radio_horizon_km",
     "section8_preset",
     "select_solution",
-    "toa",
     "weighted_fitness",
 ]

@@ -122,18 +122,22 @@ def cmd_augment(args) -> int:
     return _run_optimization(cfg, out_dir, args.seed, args.threads)
 
 
-def _read_sensor_file(path: Path):
-    """Sensor rows plus any embedded run metadata (# key=value lines)."""
-    meta: dict[str, str] = {}
+def _read_sensor_file(path: Path) -> tuple[list, int | None]:
+    """Sensor rows plus the seed of a leading ``# seed=`` line, if any."""
+    seed = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             if not line.startswith("#"):
                 break
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-    return load_deployed_csv(path), meta
+            key, sep, value = line[1:].partition("=")
+            if sep and key.strip() == "seed":
+                try:
+                    seed = int(value)
+                except ValueError:
+                    raise DeployedFileError(
+                        line_no, f"seed {value.strip()!r} is not an integer"
+                    ) from None
+    return load_deployed_csv(path), seed
 
 
 def _map_to_candidates(problem, rows) -> np.ndarray | None:
@@ -152,7 +156,9 @@ def _map_to_candidates(problem, rows) -> np.ndarray | None:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    rows, meta = _read_sensor_file(Path(args.sensors))
+    rows, seed = _read_sensor_file(Path(args.sensors))
+    if seed is None:
+        seed = cfg.ga.rng_seed
 
     problem = cfg.build_problem()
     n_max = cfg.ga_for_problem(problem).n_max
@@ -190,10 +196,9 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_hash = cfg.config_hash()
-    seed = meta.get("seed", str(cfg.ga.rng_seed))
     payload = {
         "config_hash": config_hash,
-        "seed": int(seed),
+        "seed": seed,
         "n_sensors": int(chromosome.popcount()),
         "of1": float(fmt(scores.of1)),
         "of2": float(fmt(scores.of2)),
@@ -292,6 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="run configuration JSON")
         p.add_argument("--out", help="output directory (overrides config)")
+
+    def add_search(p):
+        add_common(p)
         p.add_argument("--seed", type=int, help="override the GA seed")
         p.add_argument(
             "--threads", type=int, default=os.cpu_count() or 1,
@@ -299,11 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_opt = sub.add_parser("optimize", help="scenario 1: placement from scratch")
-    add_common(p_opt)
+    add_search(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
 
     p_aug = sub.add_parser("augment", help="scenario 2: augment a deployment")
-    add_common(p_aug)
+    add_search(p_aug)
     p_aug.add_argument("--sensors", required=True, help="deployed-sensor CSV")
     p_aug.set_defaults(func=cmd_augment)
 

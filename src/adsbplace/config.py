@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -120,16 +120,10 @@ class RunConfig:
         n_max = ga.n_max
         if n_max is not None and self.scenario_kind == "augment":
             n_max = n_max + int(problem.forced_mask.sum())
-        return GaConfig(
-            population_size=ga.population_size,
-            generations=ga.generations,
-            crossover_rate=ga.crossover_rate,
-            mutation_rate=ga.mutation_rate,
-            tournament_size=ga.tournament_size,
+        return replace(
+            ga,
             rng_seed=seed_override if seed_override is not None else ga.rng_seed,
             n_max=n_max,
-            pareto_weight_a=ga.pareto_weight_a,
-            gdop_subset_cap=ga.gdop_subset_cap,
         )
 
 
@@ -173,16 +167,16 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError("jammers.pattern", "must be grid or seeded-uniform")
     jammer_seed = _get(jam, "jammers", "seed", int)
     jammer_params = {}
-    for src, dst, kind, dflt in (
-        ("power_w", "power_w", float, 1.0),
-        ("antenna_gain", "antenna_gain", float, 1.0),
-        ("transmitter_power_w", "transmitter_power_w", float, 100.0),
-        ("transmitter_antenna_gain", "transmitter_antenna_gain", float, 1.0),
-        ("affect_rule", "affect_rule", str, "los"),
-        ("jsr_threshold", "jsr_threshold", float, 1.0),
-        ("nominal_signal_distance_km", "nominal_signal_distance_km", float, 150.0),
+    for key, kind, dflt in (
+        ("power_w", float, 1.0),
+        ("antenna_gain", float, 1.0),
+        ("transmitter_power_w", float, 100.0),
+        ("transmitter_antenna_gain", float, 1.0),
+        ("affect_rule", str, "los"),
+        ("jsr_threshold", float, 1.0),
+        ("nominal_signal_distance_km", float, 150.0),
     ):
-        jammer_params[dst] = _get(jam, "jammers", src, kind, default=dflt)
+        jammer_params[key] = _get(jam, "jammers", key, kind, default=dflt)
     if jammer_params["affect_rule"] not in ("los", "jsr"):
         raise ConfigError("jammers.affect_rule", "must be los or jsr")
 

@@ -53,14 +53,11 @@ class PlacementEvaluator:
             raise ValueError("gdop subset cap must be >= 4")
         self.problem = problem
         self.cap = int(gdop_subset_cap)
-        self._subset_cache: dict[int, np.ndarray] = {}
-
-    def _subsets(self, k: int) -> np.ndarray:
-        if k not in self._subset_cache:
-            self._subset_cache[k] = np.array(
-                list(itertools.combinations(range(k), 4)), dtype=np.intp
-            )
-        return self._subset_cache[k]
+        # No chromosome selects more sensors than there are candidates.
+        # The rows are lexicographic, so those whose last index is below k
+        # are exactly combinations(range(k), 4), in order.
+        k_max = min(self.cap, problem.n_candidates)
+        self.subsets = np.array(list(itertools.combinations(range(k_max), 4)), dtype=np.intp)
 
     def evaluate(self, genes: np.ndarray, diagnostics: bool = False):
         """Raw scores (and optional diagnostics) for one chromosome."""
@@ -148,7 +145,7 @@ class PlacementEvaluator:
         if n < 4:
             return np.full(m, np.inf)
         k = min(self.cap, n)
-        subsets = self._subsets(k)
+        subsets = self.subsets[self.subsets[:, 3] < k]
         dc_all = self.problem.dc_point_cand
         best = np.empty(m)
         valid = np.minimum(vis_counts, k)

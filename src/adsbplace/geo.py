@@ -1,8 +1,8 @@
 """Coordinate frames, distances and radio-horizon visibility.
 
-All positions use the WGS-84 ellipsoid. Every function is pure; the
-array variants (suffix ``_arrays``) operate on numpy arrays and are the
-building blocks for the precomputed geometry matrices.
+All positions use the WGS-84 ellipsoid. The functions are pure and
+operate on numpy arrays; they are the building blocks of the
+precomputed geometry matrices.
 """
 
 from __future__ import annotations
@@ -14,18 +14,12 @@ import numpy as np
 
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
-WGS84_B = WGS84_A * (1.0 - WGS84_F)
 WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
 
-SPEED_OF_LIGHT_M_S = 299792458.0
 EARTH_MEAN_RADIUS_KM = 6371.0
 
 # LOS inequality constant: heights in meters, ground distance in km.
 LOS_COEFF = 0.0785
-
-
-class DegenerateGeometryError(ValueError):
-    """Raised when a geometric operation has no defined result."""
 
 
 @dataclass(frozen=True)
@@ -41,33 +35,6 @@ class GeodeticPosition:
             raise ValueError(f"latitude out of range: {self.latitude_deg}")
         if not -180.0 <= self.longitude_deg <= 180.0:
             raise ValueError(f"longitude out of range: {self.longitude_deg}")
-
-
-@dataclass(frozen=True)
-class EcefPosition:
-    """Earth-Centered Earth-Fixed coordinates in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
-class NedVector:
-    """Displacement in a local North-East-Down frame, meters."""
-
-    north_m: float
-    east_m: float
-    down_m: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.north_m, self.east_m, self.down_m])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
 
 
 @dataclass(frozen=True)
@@ -99,47 +66,6 @@ def geodetic_to_ecef_arrays(lat_deg, lon_deg, alt_m):
     return np.stack([x, y, z], axis=-1)
 
 
-def ecef_to_geodetic_arrays(xyz):
-    """Vectorized ECEF -> geodetic inverse.
-
-    Iterative latitude refinement; converges well below 1e-9 deg for
-    near-Earth points. Longitude at the poles is returned as 0.
-    """
-    xyz = np.asarray(xyz, dtype=float)
-    x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
-    p = np.hypot(x, y)
-    lon = np.where(p > 0.0, np.arctan2(y, x), 0.0)
-    # Bowring's initial guess, then fixed-point iteration on latitude.
-    lat = np.arctan2(z, p * (1.0 - WGS84_E2))
-    for _ in range(8):
-        sin_lat = np.sin(lat)
-        n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * sin_lat**2)
-        lat = np.arctan2(z + WGS84_E2 * n * sin_lat, p)
-    sin_lat = np.sin(lat)
-    cos_lat = np.cos(lat)
-    n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * sin_lat**2)
-    with np.errstate(invalid="ignore"):
-        alt = np.where(
-            np.abs(cos_lat) > 1e-10,
-            p / cos_lat - n,
-            np.abs(z) / np.abs(sin_lat) - n * (1.0 - WGS84_E2),
-        )
-    return np.degrees(lat), np.degrees(lon), alt
-
-
-def geodetic_to_ecef(pos: GeodeticPosition) -> EcefPosition:
-    xyz = geodetic_to_ecef_arrays(pos.latitude_deg, pos.longitude_deg, pos.altitude_m)
-    return EcefPosition(float(xyz[0]), float(xyz[1]), float(xyz[2]))
-
-
-def ecef_to_geodetic(pos: EcefPosition) -> GeodeticPosition:
-    r = math.sqrt(pos.x**2 + pos.y**2 + pos.z**2)
-    if r == 0.0:
-        raise ValueError("ECEF position at Earth center has no geodetic image")
-    lat, lon, alt = ecef_to_geodetic_arrays(pos.as_array())
-    return GeodeticPosition(float(lat), float(lon), float(alt))
-
-
 def ned_rotation_arrays(lat_deg, lon_deg) -> np.ndarray:
     """Stacked 3x3 rotation matrices mapping ECEF displacements to NED."""
     lat = np.radians(np.asarray(lat_deg, dtype=float))
@@ -155,32 +81,6 @@ def ned_rotation_arrays(lat_deg, lon_deg) -> np.ndarray:
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
-def ned_rotation(pos: GeodeticPosition) -> np.ndarray:
-    return ned_rotation_arrays(pos.latitude_deg, pos.longitude_deg)
-
-
-def ned_vector(aircraft: GeodeticPosition, sensor: EcefPosition) -> NedVector:
-    """Vector from the aircraft to the sensor in the aircraft's NED frame."""
-    r = ned_rotation(aircraft)
-    diff = sensor.as_array() - geodetic_to_ecef(aircraft).as_array()
-    v = r @ diff
-    return NedVector(float(v[0]), float(v[1]), float(v[2]))
-
-
-def direction_cosines(aircraft: GeodeticPosition, sensor: EcefPosition) -> np.ndarray:
-    """Unit vector from the aircraft toward the sensor, NED components."""
-    v = ned_vector(aircraft, sensor).as_array()
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise DegenerateGeometryError("sensor coincides with aircraft position")
-    return v / norm
-
-
-def euclidean_distance(a: EcefPosition, b: EcefPosition) -> float:
-    """Straight-line ECEF distance in meters."""
-    return float(np.linalg.norm(a.as_array() - b.as_array()))
-
-
 def haversine_km_arrays(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
     """Great-circle ground distance in km (mean Earth radius)."""
     lat1 = np.radians(np.asarray(lat1_deg, dtype=float))
@@ -191,21 +91,6 @@ def haversine_km_arrays(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
     dlon = lon2 - lon1
     a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
     return EARTH_MEAN_RADIUS_KM * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
-
-
-def ground_distance_km(a: GeodeticPosition, b: GeodeticPosition) -> float:
-    return float(
-        haversine_km_arrays(a.latitude_deg, a.longitude_deg, b.latitude_deg, b.longitude_deg)
-    )
-
-
-def radio_horizon_km(h1_m: float, h2_m: float, params: PropagationParams = DEFAULT_PROPAGATION) -> float:
-    """Maximum LOS reception range in km for antenna heights in meters."""
-    if h1_m < 0 or h2_m < 0:
-        raise ValueError("antenna heights must be >= 0")
-    return params.horizon_coefficient * math.sqrt(params.effective_earth_radius_factor) * (
-        math.sqrt(h1_m) + math.sqrt(h2_m)
-    )
 
 
 def visibility_mask_arrays(tx_alt_m, ground_km, rx_alt_m=0.0, params: PropagationParams = DEFAULT_PROPAGATION):
@@ -224,34 +109,3 @@ def visibility_mask_arrays(tx_alt_m, ground_km, rx_alt_m=0.0, params: Propagatio
         return base
     horizon = params.horizon_coefficient * math.sqrt(ke) * (np.sqrt(h1) + np.sqrt(h2))
     return np.where(h2 > 0.0, d <= horizon, base)
-
-
-def is_visible(
-    transmitter: GeodeticPosition,
-    receiver: GeodeticPosition,
-    params: PropagationParams = DEFAULT_PROPAGATION,
-) -> bool:
-    """True when the receiver lies within the transmitter's radio horizon."""
-    d = ground_distance_km(transmitter, receiver)
-    return bool(
-        visibility_mask_arrays(transmitter.altitude_m, d, receiver.altitude_m, params)
-    )
-
-
-def toa(
-    transmitter: GeodeticPosition,
-    sensor: GeodeticPosition,
-    tau_s: float = 0.0,
-    noise_std_s: float = 0.0,
-    rng: np.random.Generator | int | None = None,
-) -> float:
-    """Time of arrival: propagation delay plus offset plus Gaussian noise."""
-    if noise_std_s < 0:
-        raise ValueError("noise_std_s must be >= 0")
-    dist = euclidean_distance(geodetic_to_ecef(transmitter), geodetic_to_ecef(sensor))
-    t = dist / SPEED_OF_LIGHT_M_S + tau_s
-    if noise_std_s > 0:
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        t += rng.normal(0.0, noise_std_s)
-    return t

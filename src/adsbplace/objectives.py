@@ -1,8 +1,8 @@
-"""The three security objective scores, penalty and score combination.
+"""Objective requirements, jammer model, penalty, score combination and
+normalization.
 
-These are the reference (per-point) implementations of the quantities
-the optimizer minimizes. The population-scale vectorized versions live
-in evaluator.py and are tested for equality against these.
+The scores themselves are computed by evaluator.PlacementEvaluator over
+the precomputed problem matrices.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import geo, gdop
-from .geo import EcefPosition, GeodeticPosition, PropagationParams
+from .geo import GeodeticPosition
 
 DEFAULT_GDOP_CAP = 100.0
 
@@ -45,6 +44,9 @@ class ObjectiveRequirements:
         ):
             if not getattr(self, name) > 0 or not math.isfinite(getattr(self, name)):
                 raise InvalidConfigError(f"{name} must be finite and positive")
+        cap = self.range_cap_km
+        if cap is not None and not (cap > 0 and math.isfinite(cap)):
+            raise InvalidConfigError("range_cap_km must be finite and positive")
         if self.max_sensors_in_jammer_los < 0:
             raise InvalidConfigError("max_sensors_in_jammer_los must be >= 0")
 
@@ -83,165 +85,6 @@ class ObjectiveScores:
     of3_components: tuple[float, float, float]
     penalty: float
     normalized: dict[str, float]
-
-
-def _visible_sensors(
-    point: GeodeticPosition,
-    sensors_geo: Sequence[GeodeticPosition],
-    sensors_ecef: Sequence[EcefPosition],
-    params: PropagationParams,
-):
-    out = []
-    for s_geo, s_ecef in zip(sensors_geo, sensors_ecef):
-        if geo.is_visible(point, s_geo, params):
-            out.append(s_ecef)
-    return out
-
-
-def of1_gdop_msd(
-    grid,
-    sensors_geo: Sequence[GeodeticPosition],
-    sensors_ecef: Sequence[EcefPosition],
-    req: ObjectiveRequirements,
-    subset_strategy: str | int | None = None,
-    params: PropagationParams = geo.DEFAULT_PROPAGATION,
-) -> float:
-    """Mean squared deviation of achieved vs required GDOP over the grid.
-
-    Points where GDOP cannot be evaluated contribute the saturated
-    deviation (required - gdop_cap)^2.
-    """
-    points = list(grid.points())
-    if not points:
-        raise ValueError("empty airspace grid")
-    total = 0.0
-    for j, point in enumerate(points):
-        visible = _visible_sensors(point, sensors_geo, sensors_ecef, params)
-        achieved = gdop.best_gdop_at(point, visible, subset_strategy)
-        if math.isinf(achieved):
-            achieved = req.gdop_cap
-        total += (grid.required_gdop[j] - achieved) ** 2
-    return total / len(points)
-
-
-def of2_range_msd(
-    grid,
-    sensors_geo: Sequence[GeodeticPosition],
-    sensors_ecef: Sequence[EcefPosition],
-    req: ObjectiveRequirements,
-    range_cap_km: float,
-    params: PropagationParams = geo.DEFAULT_PROPAGATION,
-) -> float:
-    """MSD between required and achieved two-receiver verification range.
-
-    The achieved range at a point is the distance to its second-nearest
-    visible sensor; fewer than two visible sensors saturate at
-    range_cap_km.
-    """
-    points = list(grid.points())
-    if not points:
-        raise ValueError("empty airspace grid")
-    total = 0.0
-    for j, point in enumerate(points):
-        visible = _visible_sensors(point, sensors_geo, sensors_ecef, params)
-        if len(visible) < 2:
-            achieved = range_cap_km
-        else:
-            p_ecef = geo.geodetic_to_ecef(point)
-            dists = sorted(geo.euclidean_distance(p_ecef, s) / 1000.0 for s in visible)
-            achieved = dists[1]
-        total += (grid.required_range_km[j] - achieved) ** 2
-    return total / len(points)
-
-
-def of3_direction1_spacing(
-    sensors_ecef: Sequence[EcefPosition], req: ObjectiveRequirements
-) -> float:
-    """Mean squared nearest-neighbor spacing shortfall, km^2."""
-    n = len(sensors_ecef)
-    if n < 2:
-        raise ValueError("spacing objective needs at least two sensors")
-    pts = np.array([s.as_array() for s in sensors_ecef]) / 1000.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    np.fill_diagonal(dist, np.inf)
-    nearest = dist.min(axis=1)
-    shortfall = np.minimum(0.0, nearest - req.min_sensor_spacing_km)
-    return float(np.mean(shortfall**2))
-
-
-def of3_direction2_jammer_distance(
-    sensors_geo: Sequence[GeodeticPosition],
-    sensors_ecef: Sequence[EcefPosition],
-    jammers: Sequence[JammerModel],
-    req: ObjectiveRequirements,
-    params: PropagationParams = geo.DEFAULT_PROPAGATION,
-) -> float:
-    """Mean squared shortfall of the jammer-to-nearest-sensor distance.
-
-    A jammer with no sensor inside its LOS contributes zero (it cannot
-    affect the network at all).
-    """
-    if not jammers or not sensors_ecef:
-        raise ValueError("need at least one jammer and one sensor")
-    total = 0.0
-    for jam in jammers:
-        in_los = [
-            geo.is_visible(jam.position, s, params) for s in sensors_geo
-        ]
-        if not any(in_los):
-            continue
-        jam_ecef = geo.geodetic_to_ecef(jam.position)
-        nearest = min(geo.euclidean_distance(jam_ecef, s) / 1000.0 for s in sensors_ecef)
-        shortfall = min(0.0, nearest - req.min_jammer_distance_km)
-        total += shortfall**2
-    return total / len(jammers)
-
-
-def of3_direction3_sensors_in_range(
-    sensors_geo: Sequence[GeodeticPosition],
-    sensors_ecef: Sequence[EcefPosition],
-    jammers: Sequence[JammerModel],
-    req: ObjectiveRequirements,
-    params: PropagationParams = geo.DEFAULT_PROPAGATION,
-) -> float:
-    """Mean squared excess of affected-sensor counts over the target."""
-    if not jammers or not sensors_ecef:
-        raise ValueError("need at least one jammer and one sensor")
-    total = 0.0
-    for jam in jammers:
-        count = sum(
-            1
-            for s_geo, s_ecef in zip(sensors_geo, sensors_ecef)
-            if sensor_affected(jam, s_geo, s_ecef, params)
-        )
-        excess = max(0, count - req.max_sensors_in_jammer_los)
-        total += float(excess) ** 2
-    return total / len(jammers)
-
-
-def sensor_affected(
-    jam: JammerModel,
-    sensor_geo: GeodeticPosition,
-    sensor_ecef: EcefPosition,
-    params: PropagationParams = geo.DEFAULT_PROPAGATION,
-) -> bool:
-    """Whether the jammer disrupts this sensor under its affect rule."""
-    if not geo.is_visible(jam.position, sensor_geo, params):
-        return False
-    if jam.affect_rule == "los":
-        return True
-    dist_km = geo.euclidean_distance(geo.geodetic_to_ecef(jam.position), sensor_ecef) / 1000.0
-    return jsr(jam, dist_km, jam.nominal_signal_distance_km) >= jam.jsr_threshold
-
-
-def jsr(jam: JammerModel, jammer_sensor_km: float, transmitter_sensor_km: float) -> float:
-    """Jamming-to-signal power ratio at a sensor."""
-    if jammer_sensor_km <= 0.0:
-        return math.inf
-    return (jam.power_w * jam.antenna_gain * transmitter_sensor_km**2) / (
-        jam.transmitter_power_w * jam.transmitter_antenna_gain * jammer_sensor_km**2
-    )
 
 
 def of3_combined(d1: float, d2: float, d3: float, weights: Sequence[float]) -> float:

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class AirspaceGrid:
 
     def __len__(self) -> int:
         return self.lat_deg.size
-
-    def points(self) -> Iterator[GeodeticPosition]:
-        for la, lo, al in zip(self.lat_deg, self.lon_deg, self.alt_m):
-            yield GeodeticPosition(float(la), float(lo), float(al))
 
 
 def sample_grid(
@@ -267,7 +263,7 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
 
     if not problem.range_cap_km:
         cap = problem.requirements.range_cap_km
-        problem.range_cap_km = float(cap) if cap else _area_diagonal(problem)
+        problem.range_cap_km = _area_diagonal(problem) if cap is None else float(cap)
     return problem
 
 

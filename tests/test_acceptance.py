@@ -20,8 +20,7 @@ from adsbplace.analysis import evaluate_placement, fraction_gdop_above, pareto_s
 from adsbplace.cli import main, read_pareto_csv
 from adsbplace.config import parse_config, section8_preset
 from adsbplace.evaluator import PlacementEvaluator
-from adsbplace.gdop import best_gdop_at, gdop_of_four
-from adsbplace.geo import GeodeticPosition, geodetic_to_ecef
+from adsbplace.geo import GeodeticPosition
 from adsbplace.nsga2 import (
     Chromosome,
     GaConfig,
@@ -34,23 +33,30 @@ from adsbplace.objectives import (
     JammerModel,
     ObjectiveRequirements,
     knapsack_penalty,
+    weighted_fitness,
+)
+from adsbplace.scenario import build_problem_from_sites, clustered21_path, load_deployed_csv
+
+from conftest import random_geodetic
+from oracles import (
+    best_gdop_at,
+    brute_force_fronts,
+    ecef_line_km,
+    ecef_to_geodetic_arrays,
+    euclidean_distance,
+    gdop_of_four,
+    geodetic_to_ecef,
     of1_gdop_msd,
     of2_range_msd,
     of3_direction1_spacing,
     of3_direction2_jammer_distance,
     of3_direction3_sensors_in_range,
-    weighted_fitness,
+    oracle_gdop,
+    random_geometry,
+    sensors_at,
+    single_point_grid,
+    well_conditioned_geometry,
 )
-from adsbplace.scenario import (
-    AirspaceGrid,
-    build_problem_from_sites,
-    clustered21_path,
-    load_deployed_csv,
-)
-
-from conftest import random_geodetic
-from test_gdop import oracle_gdop, random_geometry, well_conditioned_geometry
-from test_objectives import ecef_line_km, sensors_at, single_point_grid
 
 
 class TestCriterion1GeodesyOracle:
@@ -60,7 +66,7 @@ class TestCriterion1GeodesyOracle:
 
         lat, lon, alt = random_geodetic(rng, 1000)
         xyz = geo.geodetic_to_ecef_arrays(lat, lon, alt)
-        lat2, lon2, alt2 = geo.ecef_to_geodetic_arrays(xyz)
+        lat2, lon2, alt2 = ecef_to_geodetic_arrays(xyz)
         assert np.max(np.abs(lat2 - lat)) < 1e-9
         assert np.max(np.abs(lon2 - lon)) < 1e-9
         assert np.max(np.abs(alt2 - alt)) < 1e-3
@@ -88,7 +94,7 @@ class TestCriterion2GdopOracle:
                 gdop_of_four(aircraft, list(sub))
                 for sub in itertools.combinations(sensors, 4)
             )
-            assert best_gdop_at(aircraft, sensors, "exhaustive") == expected
+            assert best_gdop_at(aircraft, sensors, None) == expected
         assert time.perf_counter() - start < 5.0
 
 
@@ -120,17 +126,17 @@ class TestCriterion4ObjectiveZeroPoints:
             [(47.5, 6.8, 0.0), (48.6, 6.9, 0.0), (47.8, 7.7, 0.0), (48.2, 7.35, 0.0)]
         )
         point = GeodeticPosition(48.0, 7.2, 10000.0)
-        achieved = best_gdop_at(point, ecefs, "exhaustive")
+        achieved = best_gdop_at(point, ecefs, None)
         assert math.isfinite(achieved)
         grid = single_point_grid(48.0, 7.2, 10000.0, req_gdop=achieved)
         req = ObjectiveRequirements()
-        assert of1_gdop_msd(grid, geos, ecefs, req, "exhaustive") == 0.0
+        assert of1_gdop_msd(grid, geos, ecefs, req, None) == 0.0
 
     def test_of2_zero_when_requirement_met(self):
         geos, ecefs = sensors_at([(48.0, 7.0, 0.0), (48.0, 7.5, 0.0)])
         point = GeodeticPosition(48.0, 7.2, 10000.0)
         p_ecef = geodetic_to_ecef(point)
-        second = sorted(geo.euclidean_distance(p_ecef, s) / 1000.0 for s in ecefs)[1]
+        second = sorted(euclidean_distance(p_ecef, s) / 1000.0 for s in ecefs)[1]
         grid = single_point_grid(48.0, 7.2, 10000.0, req_range=second)
         req = ObjectiveRequirements()
         assert of2_range_msd(grid, geos, ecefs, req, 600.0) == 0.0
@@ -158,8 +164,6 @@ class TestCriterion4ObjectiveZeroPoints:
 
 class TestCriterion5Nsga2Correctness:
     def test_sort_matches_brute_force(self):
-        from test_nsga2 import brute_force_fronts
-
         rng = np.random.default_rng(5)
         # No NaN: with it dominance can cycle and the brute force never ends.
         values = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, math.inf, -math.inf])
@@ -380,7 +384,7 @@ class TestCriterion10RoundTripAudit:
             run_cli([
                 "evaluate", "--config", cfg,
                 "--sensors", out / f"solution_{row['solution_id']}.csv",
-                "--out", eval_out, "--threads", "1",
+                "--out", eval_out,
             ])
             scores = json.loads((eval_out / "scores.json").read_text())
             for key in ("of1", "of2", "of3", "d1", "d2", "d3", "penalty"):
@@ -406,7 +410,7 @@ class TestCriterion10RoundTripAudit:
             stripped.write_text("".join(line for line in lines if not line.startswith("#")))
             eval_out = tmp_path / f"audit_{row['solution_id']}"
             run_cli(["evaluate", "--config", eval_cfg, "--sensors", stripped,
-                     "--out", eval_out, "--threads", "1"])
+                     "--out", eval_out])
             scores = json.loads((eval_out / "scores.json").read_text())
             for key in ("of1", "of2", "of3", "d1", "d2", "d3", "penalty"):
                 assert scores[key] == row[key], (row["solution_id"], key)

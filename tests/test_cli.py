@@ -122,6 +122,8 @@ NAN = float("nan")
     ("jammers", "affect_rule", "always", "jammers.affect_rule"),
     ("candidates", "antenna_height_m", NAN, "candidates.antenna_height_m"),
     ("ga", "gdop_subset_cap", 3, "gdop_subset_cap"),
+    (None, "requirements", {"range_cap_km": -50.0}, "requirements"),
+    (None, "requirements", {"range_cap_km": 0}, "requirements"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
     """Rejected before the search starts, with a message naming the field."""
@@ -166,8 +168,7 @@ def test_bad_sensor_coordinates_exit_2(config_file, tmp_path, capsys, command, r
     bad = tmp_path / "bad.csv"
     bad.write_text(f"id,lat_deg,lon_deg,alt_m\n{row}\n")
     code = main([
-        command, "--config", str(config_file), "--sensors", str(bad),
-        "--out", str(tmp_path / "out"), "--threads", "1",
+        command, "--config", str(config_file), "--sensors", str(bad), "--out", str(tmp_path / "out"),
     ])
     assert code == EXIT_USAGE
     assert "line 2:" in capsys.readouterr().err
@@ -179,7 +180,7 @@ class TestEvaluate:
         out = tmp_path / "eval"
         code = main([
             "evaluate", "--config", str(config_file), "--sensors", str(clustered21_path()),
-            "--out", str(out), "--threads", "1",
+            "--out", str(out),
         ])
         assert code == EXIT_OK
         scores = json.loads((out / "scores.json").read_text())
@@ -195,7 +196,7 @@ class TestEvaluate:
             out = tmp_path / name
             main([
                 "evaluate", "--config", str(config_file),
-                "--sensors", str(clustered21_path()), "--out", str(out), "--threads", "1",
+                "--sensors", str(clustered21_path()), "--out", str(out),
             ])
             outs.append((out / "scores.json").read_bytes())
         assert outs[0] == outs[1]
@@ -206,7 +207,7 @@ class TestEvaluate:
         out = tmp_path / "eval0"
         code = main([
             "evaluate", "--config", str(config_file), "--sensors", str(empty),
-            "--out", str(out), "--threads", "1",
+            "--out", str(out),
         ])
         assert code == EXIT_OK
         scores = json.loads((out / "scores.json").read_text())
@@ -214,6 +215,22 @@ class TestEvaluate:
         coverage = (out / "coverage.csv").read_text().splitlines()
         data = [line for line in coverage if not line.startswith(("#", "lat_deg"))]
         assert all(line.split(",")[3] == "0" for line in data)
+
+    def test_bad_seed_line_exit_2(self, config_file, tmp_path, capsys):
+        sensors = tmp_path / "sol.csv"
+        sensors.write_text("# config_hash=0\n# seed=abc\nid,lat_deg,lon_deg,alt_m\nx,48.0,7.0,0\n")
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--config", str(config_file), "--sensors", str(sensors),
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "line 2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
+    def test_search_flags_rejected(self, config_file, tmp_path, capsys, flag):
+        code = main(["evaluate", "--config", str(config_file), "--sensors", str(clustered21_path()),
+                     "--out", str(tmp_path / "eval"), flag, "1"])
+        assert code == EXIT_USAGE
 
 
 class TestReport:

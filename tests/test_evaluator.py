@@ -1,13 +1,17 @@
 """Vectorized evaluator vs the per-point reference objective functions."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from adsbplace.evaluator import PlacementEvaluator
-from adsbplace.geo import GeodeticPosition, geodetic_to_ecef
-from adsbplace.objectives import (
-    ObjectiveRequirements,
-    knapsack_penalty,
+from adsbplace.geo import GeodeticPosition
+from adsbplace.objectives import knapsack_penalty
+
+from oracles import (
+    geodetic_to_ecef,
     of1_gdop_msd,
     of2_range_msd,
     of3_direction1_spacing,
@@ -97,6 +101,16 @@ class TestEvaluatorAgainstReference:
     def test_cap_below_four_rejected(self, small_problem):
         with pytest.raises(ValueError):
             PlacementEvaluator(small_problem, gdop_subset_cap=3)
+
+    @pytest.mark.parametrize("cap", [4, 9, 14, 40])
+    def test_subset_rows_below_k_are_combinations(self, small_problem, cap):
+        """Filtering the one subset array gives combinations(range(k), 4)
+        row for row, for every sensor count k the cap allows."""
+        subsets = PlacementEvaluator(small_problem, gdop_subset_cap=cap).subsets
+        for k in range(4, min(cap, small_problem.n_candidates) + 1):
+            expected = [list(c) for c in itertools.combinations(range(k), 4)]
+            assert subsets[subsets[:, 3] < k].tolist() == expected
+        assert len(subsets) == math.comb(min(cap, small_problem.n_candidates), 4)
 
     def test_deterministic(self, small_problem):
         rng = np.random.default_rng(11)

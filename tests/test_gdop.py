@@ -6,58 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from adsbplace.geo import EcefPosition, GeodeticPosition, geodetic_to_ecef
-from adsbplace.gdop import best_gdop_at, gdop_matrix, gdop_min_batched, gdop_of_four
+from adsbplace.gdop import gdop_min_batched
+from adsbplace.geo import GeodeticPosition
 
-from conftest import random_position
-
-
-def oracle_direction_cosine(aircraft: GeodeticPosition, sensor_xyz) -> np.ndarray:
-    """Scalar NED direction cosines coded independently with math."""
-    lat = math.radians(aircraft.latitude_deg)
-    lon = math.radians(aircraft.longitude_deg)
-    sp, cp, sl, cl = math.sin(lat), math.cos(lat), math.sin(lon), math.cos(lon)
-    r = [
-        [-sp * cl, -sp * sl, cp],
-        [-sl, cl, 0.0],
-        [-cp * cl, -cp * sl, -sp],
-    ]
-    p = geodetic_to_ecef(aircraft)
-    d = [sensor_xyz[0] - p.x, sensor_xyz[1] - p.y, sensor_xyz[2] - p.z]
-    v = [sum(r[i][j] * d[j] for j in range(3)) for i in range(3)]
-    norm = math.sqrt(sum(c * c for c in v))
-    return np.array([c / norm for c in v])
-
-
-def oracle_gdop(aircraft: GeodeticPosition, sensors) -> float:
-    """Form B row by row, solve (B'B) X = I generically, take sqrt(trace)."""
-    b = np.array(
-        [list(oracle_direction_cosine(aircraft, s.as_array())) + [1.0] for s in sensors]
-    )
-    btb = b.T @ b
-    inv = np.linalg.solve(btb, np.eye(4))
-    return math.sqrt(np.trace(inv))
-
-
-def random_geometry(rng, n=4):
-    """Aircraft plus n nearby ground sensors spread over ~1 degree."""
-    aircraft = random_position(rng, 3000.0, 12000.0)
-    sensors = []
-    for _ in range(n):
-        lat = aircraft.latitude_deg + rng.uniform(-1.0, 1.0)
-        lon = aircraft.longitude_deg + rng.uniform(-1.0, 1.0)
-        sensors.append(geodetic_to_ecef(GeodeticPosition(lat, lon, 0.0)))
-    return aircraft, sensors
-
-
-def well_conditioned_geometry(rng, max_cond=1e6):
-    """Resample until the normal matrix is far from singular, so both
-    inversion routes agree to full comparison precision."""
-    while True:
-        aircraft, sensors = random_geometry(rng)
-        b = gdop_matrix(aircraft, sensors)
-        if np.linalg.cond(b.T @ b) < max_cond:
-            return aircraft, sensors
+from oracles import (
+    best_gdop_at,
+    gdop_matrix,
+    gdop_of_four,
+    geodetic_to_ecef,
+    oracle_direction_cosine,
+    oracle_gdop,
+    random_geometry,
+    well_conditioned_geometry,
+)
 
 
 class TestGdopOfFour:
@@ -107,18 +68,18 @@ class TestBestGdopAt:
                 gdop_of_four(aircraft, list(sub))
                 for sub in itertools.combinations(sensors, 4)
             )
-            assert best_gdop_at(aircraft, sensors, "exhaustive") == expected
+            assert best_gdop_at(aircraft, sensors, None) == expected
 
     def test_adding_sensor_never_hurts(self, rng):
         aircraft, sensors = random_geometry(rng, 6)
-        with_five = best_gdop_at(aircraft, sensors[:5], "exhaustive")
-        with_six = best_gdop_at(aircraft, sensors, "exhaustive")
+        with_five = best_gdop_at(aircraft, sensors[:5], None)
+        with_six = best_gdop_at(aircraft, sensors, None)
         assert with_six <= with_five
 
     def test_capped_strategy_restricts_to_nearest(self, rng):
         aircraft, sensors = random_geometry(rng, 8)
         capped = best_gdop_at(aircraft, sensors, 5)
-        exhaustive = best_gdop_at(aircraft, sensors, "exhaustive")
+        exhaustive = best_gdop_at(aircraft, sensors, None)
         assert capped >= exhaustive
 
 
@@ -133,7 +94,7 @@ class TestBatchedGdop:
             aircraft, sensors = random_geometry(rng, k)
             for j, s in enumerate(sensors):
                 dc[i, j] = oracle_direction_cosine(aircraft, s.as_array())
-            expected[i] = best_gdop_at(aircraft, sensors, "exhaustive")
+            expected[i] = best_gdop_at(aircraft, sensors, None)
         got = gdop_min_batched(dc, np.full(m, k), subsets)
         assert np.allclose(got, expected, rtol=1e-9)
 
@@ -154,5 +115,5 @@ class TestBatchedGdop:
             [[oracle_direction_cosine(aircraft, s.as_array()) for s in sensors]]
         )
         got = gdop_min_batched(dc, np.array([v]), subsets)
-        expected = best_gdop_at(aircraft, sensors[:v], "exhaustive")
+        expected = best_gdop_at(aircraft, sensors[:v], None)
         assert got[0] == pytest.approx(expected, rel=1e-9)

@@ -23,21 +23,6 @@ from adsbplace.nsga2 import (
 from adsbplace.objectives import InvalidConfigError
 
 
-def brute_force_fronts(vectors):
-    """Reference front partition by repeated maximal non-dominated sets."""
-    remaining = list(range(len(vectors)))
-    fronts = []
-    while remaining:
-        front = [
-            i
-            for i in remaining
-            if not any(dominates(vectors[j], vectors[i]) for j in remaining if j != i)
-        ]
-        fronts.append(sorted(front))
-        remaining = [i for i in remaining if i not in front]
-    return fronts
-
-
 def make_chromosome(bits, forced=None):
     genes = np.array(bits, dtype=bool)
     mask = np.zeros_like(genes) if forced is None else np.array(forced, dtype=bool)

@@ -5,47 +5,34 @@ import math
 import numpy as np
 import pytest
 
-from adsbplace import geo
 from adsbplace.evaluator import PlacementEvaluator
-from adsbplace.geo import EcefPosition, GeodeticPosition, geodetic_to_ecef
+from adsbplace.geo import GeodeticPosition
 from adsbplace.objectives import (
     InvalidConfigError,
     JammerModel,
     ObjectiveRequirements,
-    jsr,
     knapsack_penalty,
     normalize_score,
-    of1_gdop_msd,
-    of2_range_msd,
     of3_combined,
-    of3_direction1_spacing,
-    of3_direction2_jammer_distance,
-    of3_direction3_sensors_in_range,
     saturation_normalization,
-    sensor_affected,
     weighted_fitness,
 )
 from adsbplace.scenario import AirspaceGrid
 
-
-def single_point_grid(lat=48.0, lon=7.0, alt=10000.0, req_gdop=10.0, req_range=150.0):
-    return AirspaceGrid(
-        lat_deg=np.array([lat]),
-        lon_deg=np.array([lon]),
-        alt_m=np.array([alt]),
-        required_gdop=np.array([req_gdop]),
-        required_range_km=np.array([req_range]),
-    )
-
-
-def sensors_at(coords):
-    geos = [GeodeticPosition(la, lo, al) for la, lo, al in coords]
-    return geos, [geodetic_to_ecef(g) for g in geos]
-
-
-def ecef_line_km(offsets_km):
-    """Sensors along the ECEF x-axis at the given km offsets."""
-    return [EcefPosition(1000.0 * o, 0.0, 0.0) for o in offsets_km]
+from oracles import (
+    ecef_line_km,
+    euclidean_distance,
+    geodetic_to_ecef,
+    jsr,
+    of1_gdop_msd,
+    of2_range_msd,
+    of3_direction1_spacing,
+    of3_direction2_jammer_distance,
+    of3_direction3_sensors_in_range,
+    sensor_affected,
+    sensors_at,
+    single_point_grid,
+)
 
 
 class TestOf1:
@@ -69,10 +56,10 @@ class TestOf1:
             for dla, dlo in rng.uniform(-1.0, 1.0, (5, 2))
         ]
         geos, ecefs = sensors_at(coords)
-        base = of1_gdop_msd(grid, geos, ecefs, req, "exhaustive")
+        base = of1_gdop_msd(grid, geos, ecefs, req, None)
         perm = rng.permutation(5)
         shuffled = of1_gdop_msd(
-            grid, [geos[i] for i in perm], [ecefs[i] for i in perm], req, "exhaustive"
+            grid, [geos[i] for i in perm], [ecefs[i] for i in perm], req, None
         )
         assert shuffled == pytest.approx(base, rel=1e-12)
 
@@ -96,7 +83,7 @@ class TestOf2:
         geos, ecefs = sensors_at([(48.0, 7.0, 0.0), (48.0, 7.5, 0.0), (48.0, 9.0, 0.0)])
         point = GeodeticPosition(48.0, 7.0, 10000.0)
         p_ecef = geodetic_to_ecef(point)
-        dists = sorted(geo.euclidean_distance(p_ecef, s) / 1000.0 for s in ecefs)
+        dists = sorted(euclidean_distance(p_ecef, s) / 1000.0 for s in ecefs)
         expected = (150.0 - dists[1]) ** 2
         assert of2_range_msd(grid, geos, ecefs, req, 600.0) == pytest.approx(expected, rel=1e-12)
 
@@ -154,7 +141,7 @@ class TestOf3Direction2:
         geos, ecefs = sensors_at([(48.0, 7.0, 0.0)])
         jam_pos = GeodeticPosition(48.09, 7.0, 3000.0)
         jammers = [JammerModel(position=jam_pos)]
-        nearest = geo.euclidean_distance(geodetic_to_ecef(jam_pos), ecefs[0]) / 1000.0
+        nearest = euclidean_distance(geodetic_to_ecef(jam_pos), ecefs[0]) / 1000.0
         expected = (40.0 - nearest) ** 2
         got = of3_direction2_jammer_distance(geos, ecefs, jammers, req)
         assert got == pytest.approx(expected, rel=1e-12)
