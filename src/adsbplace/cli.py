@@ -287,6 +287,17 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _thread_count(text: str) -> int:
+    """argparse type of --threads: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adsbplace",
@@ -302,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p)
         p.add_argument("--seed", type=int, help="override the GA seed")
         p.add_argument(
-            "--threads", type=int, default=os.cpu_count() or 1,
+            "--threads", type=_thread_count, default=os.cpu_count() or 1,
             help="evaluation worker count",
         )
 

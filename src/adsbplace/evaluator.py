@@ -8,15 +8,20 @@ reports always agree bit-for-bit with the fitness the optimizer saw.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gdop import gdop_min_batched
+from .gdop import gdop_min_batched, subset_triples
 from .objectives import knapsack_penalty
 from .scenario import PlacementProblem
 
-_POINT_CHUNK = 256
+# Memory budget of one (subsets, points) float64 temporary in
+# gdop_min_batched; it sets the points per kernel call. 1 MiB stays
+# cache-sized and gives 8738 points per call at cap 6 (15 subsets), so the
+# section-8 grid's 1200 points take one call, and 264 at cap 12 (495).
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -58,6 +63,8 @@ class PlacementEvaluator:
         # are exactly combinations(range(k), 4), in order.
         k_max = min(self.cap, problem.n_candidates)
         self.subsets = np.array(list(itertools.combinations(range(k_max), 4)), dtype=np.intp)
+        # Colexicographic, so the triples inside range(k) are the first C(k, 3).
+        self.triples, self.triple_index = subset_triples(self.subsets)
 
     def evaluate(self, genes: np.ndarray, diagnostics: bool = False):
         """Raw scores (and optional diagnostics) for one chromosome."""
@@ -145,14 +152,17 @@ class PlacementEvaluator:
         if n < 4:
             return np.full(m, np.inf)
         k = min(self.cap, n)
-        subsets = self.subsets[self.subsets[:, 3] < k]
+        in_k = self.subsets[:, 3] < k
+        subsets = self.subsets[in_k]
+        shared = (self.triples[: math.comb(k, 3)], self.triple_index[in_k])
         dc_all = self.problem.dc_point_cand
         best = np.empty(m)
         valid = np.minimum(vis_counts, k)
-        for start in range(0, m, _POINT_CHUNK):
-            stop = min(start + _POINT_CHUNK, m)
+        chunk = max(1, _CHUNK_BYTES // (8 * len(subsets)))
+        for start in range(0, m, chunk):
+            stop = min(start + chunk, m)
             rows = np.arange(start, stop)
             order = np.argsort(masked[rows], axis=1, kind="stable")[:, :k]
             dc = dc_all[rows[:, None], sel[order], :]
-            best[rows] = gdop_min_batched(dc, valid[rows], subsets)
+            best[rows] = gdop_min_batched(dc, valid[rows], subsets, shared)
         return best

@@ -4,8 +4,10 @@
 the geometry matrices and ``evaluator.PlacementEvaluator`` reduces them.
 This module computes the same quantities one point and one sensor at a
 time: scalar WGS-84/ECEF/NED geometry, a LAPACK GDOP per 4-subset, and
-loop-based OF1-OF3. It also holds the random geometries, tiny grids and
-the brute-force front partition the tests build their cases from.
+loop-based OF1-OF3. ``gdop_min_batched_lapack`` is the batched LAPACK
+GDOP kernel the library had before its closed form. It also holds the
+random geometries, tiny grids and the brute-force front partition the
+tests build their cases from.
 Nothing in the library imports it.
 """
 
@@ -195,6 +197,34 @@ def best_gdop_at(
     best = math.inf
     for subset in itertools.combinations(sensors, 4):
         best = min(best, gdop_of_four(aircraft, subset))
+    return best
+
+
+def gdop_min_batched_lapack(
+    dc: np.ndarray, valid_counts: np.ndarray, subsets: np.ndarray
+) -> np.ndarray:
+    """``gdop_min_batched`` through LAPACK: form every subset's 4x4 normal
+    matrix B^T B, floor its determinant against its trace, invert it and
+    take sqrt(trace). Same contract as the closed-form kernel."""
+    m = dc.shape[0]
+    ones = np.ones(dc.shape[:2] + (1,))
+    rows = np.concatenate([dc, ones], axis=-1)  # (m, k, 4)
+    b = rows[:, subsets, :]  # (m, S, 4, 4)
+    mat = np.einsum("psri,psrj->psij", b, b)
+    t1 = np.einsum("psii->ps", mat)
+    det = np.linalg.det(mat)
+    # Relative determinant floor stands in for the condition-number
+    # threshold; cond ~ 1e12 implies det ~ (t1/4)^4 * 1e-12.
+    floor = (np.maximum(t1, 1e-300) / 4.0) ** 4 / SINGULARITY_COND
+    ok = det > floor
+    safe = np.where(ok[..., None, None], mat, np.eye(4))
+    trace_inv = np.einsum("psii->ps", np.linalg.inv(safe))
+    with np.errstate(invalid="ignore"):
+        gd = np.sqrt(np.where(trace_inv > 0.0, trace_inv, np.inf))
+    usable = subsets.max(axis=1)[None, :] < valid_counts[:, None]
+    gd = np.where(ok & usable, gd, np.inf)
+    best = gd.min(axis=1) if gd.shape[1] else np.full(m, np.inf)
+    best[valid_counts < 4] = np.inf
     return best
 
 

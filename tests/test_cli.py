@@ -138,6 +138,19 @@ def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
     assert '"gen"' not in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-1", "two"])
+@pytest.mark.parametrize("command", ["optimize", "augment"])
+def test_bad_threads_exit_2(config_file, tmp_path, capsys, command, threads):
+    """A worker count below 1 is a usage error, before any search."""
+    argv = [command, "--config", str(config_file), "--out", str(tmp_path / "o"),
+            "--threads", threads]
+    if command == "augment":
+        argv += ["--sensors", str(clustered21_path())]
+    assert main(argv) == EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestAugment:
     def test_forced_sensors_in_every_solution(self, config_file, tmp_path, capsys):
         out = tmp_path / "aug"

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from adsbplace.gdop import gdop_min_batched
+from adsbplace.gdop import gdop_min_batched, subset_triples
 from adsbplace.geo import GeodeticPosition
 
 from oracles import (
     best_gdop_at,
     gdop_matrix,
+    gdop_min_batched_lapack,
     gdop_of_four,
     geodetic_to_ecef,
     oracle_direction_cosine,
@@ -83,11 +84,40 @@ class TestBestGdopAt:
         assert capped >= exhaustive
 
 
+CAPS = [4, 5, 6, 9, 12]
+
+
+def subsets_of(k):
+    return np.array(list(itertools.combinations(range(k), 4)), dtype=np.intp)
+
+
+def property_geometry(rng, m, k):
+    """Direction cosines to k sensors below each of m points, with random
+    valid counts; some points repeat a row, some put rows on one cone."""
+    dc = rng.normal(size=(m, k, 3))
+    dc[..., 2] = np.abs(dc[..., 2])
+    dc /= np.linalg.norm(dc, axis=-1, keepdims=True)
+    for i in range(0, m, 4):
+        j = rng.integers(0, k - 1)
+        dc[i, j + 1] = dc[i, j]  # duplicate row: each subset with both is singular
+    for i in range(1, m, 4):
+        # Equal depression angle: rows on one cone make every subset of
+        # four of them singular (their ones column is a combination).
+        on_cone = rng.choice(k, rng.integers(4, k + 1), replace=False)
+        azimuth = rng.uniform(0.0, 2 * np.pi, on_cone.size)
+        depression = rng.uniform(0.05, 1.5)
+        dc[i, on_cone] = np.stack(
+            [np.cos(depression) * np.cos(azimuth),
+             np.cos(depression) * np.sin(azimuth),
+             np.full(on_cone.size, np.sin(depression))], axis=-1)
+    return dc, rng.integers(0, k + 1, size=m)
+
+
 class TestBatchedGdop:
-    def test_matches_scalar_path(self, rng):
+    @pytest.mark.parametrize("k", CAPS)
+    def test_matches_scalar_path(self, rng, k):
         """The vectorized many-points path equals per-point evaluation."""
-        m, k = 17, 6
-        subsets = np.array(list(itertools.combinations(range(k), 4)), dtype=np.intp)
+        m = 17
         dc = np.empty((m, k, 3))
         expected = np.empty(m)
         for i in range(m):
@@ -95,25 +125,50 @@ class TestBatchedGdop:
             for j, s in enumerate(sensors):
                 dc[i, j] = oracle_direction_cosine(aircraft, s.as_array())
             expected[i] = best_gdop_at(aircraft, sensors, None)
-        got = gdop_min_batched(dc, np.full(m, k), subsets)
+        got = gdop_min_batched(dc, np.full(m, k), subsets_of(k))
         assert np.allclose(got, expected, rtol=1e-9)
 
-    def test_too_few_valid_is_infinite(self, rng):
-        k = 5
-        subsets = np.array(list(itertools.combinations(range(k), 4)), dtype=np.intp)
-        dc = rng.normal(size=(3, k, 3))
+    @pytest.mark.parametrize("k", CAPS)
+    def test_matches_lapack_reference(self, rng, k):
+        """Closed form against the batched LAPACK kernel it replaced."""
+        subsets = subsets_of(k)
+        dc, valid = property_geometry(rng, 200, k)
+        got = gdop_min_batched(dc, valid, subsets)
+        expected = gdop_min_batched_lapack(dc, valid, subsets)
+        assert np.array_equal(np.isinf(got), np.isinf(expected))
+        finite = np.isfinite(expected)
+        assert finite.any() and not finite.all()
+        assert np.allclose(got[finite], expected[finite], rtol=1e-9, atol=0.0)
+
+    def test_shared_triple_table_matches_own(self, rng):
+        """The evaluator's cut of a cap-12 triple table gives the same
+        result, bit for bit, as tables built for the smaller cap."""
+        subsets = subsets_of(12)
+        big_table, big_index = subset_triples(subsets)
+        for k in (4, 6, 9):
+            in_k = subsets[:, 3] < k
+            cut = (big_table[: math.comb(k, 3)], big_index[in_k])
+            dc, valid = property_geometry(rng, 40, k)
+            got = gdop_min_batched(dc, valid, subsets[in_k], cut)
+            assert np.array_equal(got, gdop_min_batched(dc, valid, subsets_of(k)))
+
+    @pytest.mark.parametrize("counts,subsets", [
+        pytest.param([3, 2, 0], subsets_of(5), id="too_few_valid"),
+        pytest.param([5, 4, 5], subsets_of(5)[:0], id="no_subsets"),
+    ])
+    def test_too_few_valid_is_infinite(self, rng, counts, subsets):
+        dc = rng.normal(size=(3, 5, 3))
         dc /= np.linalg.norm(dc, axis=-1, keepdims=True)
-        got = gdop_min_batched(dc, np.array([3, 2, 0]), subsets)
+        got = gdop_min_batched(dc, np.array(counts), subsets)
         assert np.all(np.isinf(got))
 
     def test_partial_validity_uses_prefix(self, rng):
         """With v valid sensors only subsets inside the first v columns count."""
         k, v = 6, 4
-        subsets = np.array(list(itertools.combinations(range(k), 4)), dtype=np.intp)
         aircraft, sensors = random_geometry(rng, k)
         dc = np.array(
             [[oracle_direction_cosine(aircraft, s.as_array()) for s in sensors]]
         )
-        got = gdop_min_batched(dc, np.array([v]), subsets)
+        got = gdop_min_batched(dc, np.array([v]), subsets_of(k))
         expected = best_gdop_at(aircraft, sensors[:v], None)
         assert got[0] == pytest.approx(expected, rel=1e-9)
