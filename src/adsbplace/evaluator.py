@@ -8,7 +8,6 @@ reports always agree bit-for-bit with the fitness the optimizer saw.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +16,12 @@ from .gdop import gdop_min_batched, subset_triples
 from .objectives import knapsack_penalty
 from .scenario import PlacementProblem
 
-# Memory budget of one (subsets, points) float64 temporary in
-# gdop_min_batched; it sets the points per kernel call. 1 MiB stays
-# cache-sized and gives 8738 points per call at cap 6 (15 subsets), so the
-# section-8 grid's 1200 points take one call, and 264 at cap 12 (495).
+# Points per gdop_min_batched call: each of its (subsets, points) float64
+# arrays stays within this budget. The kernel's (triples, points) arrays
+# are not bounded by it; they are larger where C(k, 3) exceeds C(k, 4), as
+# at cap 6 (20 triples, 15 subsets). 1 MiB gives 8738 points per call at
+# cap 6, so the section-8 grid's 1200 points take one call, and 264 at
+# cap 12 (495 subsets).
 _CHUNK_BYTES = 1 << 20
 
 
@@ -58,13 +59,14 @@ class PlacementEvaluator:
             raise ValueError("gdop subset cap must be >= 4")
         self.problem = problem
         self.cap = int(gdop_subset_cap)
-        # No chromosome selects more sensors than there are candidates.
-        # The rows are lexicographic, so those whose last index is below k
-        # are exactly combinations(range(k), 4), in order.
-        k_max = min(self.cap, problem.n_candidates)
-        self.subsets = np.array(list(itertools.combinations(range(k_max), 4)), dtype=np.intp)
-        # Colexicographic, so the triples inside range(k) are the first C(k, 3).
-        self.triples, self.triple_index = subset_triples(self.subsets)
+        # Per nearest-sensor count k: the 4-subsets of range(k) and their
+        # triple table, built once rather than on every kernel call (at
+        # cap 12 the table alone takes about 1.6 ms). No chromosome selects
+        # more sensors than there are candidates, and below 4 OF1 is inf.
+        self.tables = {}
+        for k in range(4, min(self.cap, problem.n_candidates) + 1):
+            subsets = np.array(list(itertools.combinations(range(k), 4)), dtype=np.intp)
+            self.tables[k] = (subsets, subset_triples(subsets))
 
     def evaluate(self, genes: np.ndarray, diagnostics: bool = False):
         """Raw scores (and optional diagnostics) for one chromosome."""
@@ -152,9 +154,7 @@ class PlacementEvaluator:
         if n < 4:
             return np.full(m, np.inf)
         k = min(self.cap, n)
-        in_k = self.subsets[:, 3] < k
-        subsets = self.subsets[in_k]
-        shared = (self.triples[: math.comb(k, 3)], self.triple_index[in_k])
+        subsets, shared = self.tables[k]
         dc_all = self.problem.dc_point_cand
         best = np.empty(m)
         valid = np.minimum(vis_counts, k)

@@ -36,14 +36,12 @@ def subset_triples(subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row triples of the 4-subsets and each subset's four triples.
 
     Returns (triples, index): triples (T, 3) holds each ascending row
-    triple once, in colexicographic order (by last index, then middle,
-    then first), so the triples inside range(k) come first; index (S, 4)
-    gives, per subset, the triples left after deleting its smallest,
-    second, third and largest row.
+    triple once; index (S, 4) gives, per subset, the triples left after
+    deleting its smallest, second, third and largest row.
     """
     drop = np.sort(subsets, axis=1)[:, _DROP].reshape(-1, 3)
-    rev, index = np.unique(drop[:, ::-1], axis=0, return_inverse=True)
-    return rev[:, ::-1].astype(np.intp), index.reshape(-1, 4).astype(np.intp)
+    table, index = np.unique(drop, axis=0, return_inverse=True)
+    return table.astype(np.intp), index.reshape(-1, 4).astype(np.intp)
 
 
 def gdop_min_batched(
@@ -58,9 +56,7 @@ def gdop_min_batched(
                   (rows beyond a point's valid count may hold garbage).
     valid_counts: (m,) number of usable leading rows per point.
     subsets:      (S, 4) index rows into the k dimension, distinct per row.
-    triples:      (table, index) from subset_triples, computed here when
-                  omitted. Every table row must lie inside range(k); index
-                  rows pair with the subsets rows.
+    triples:      subset_triples(subsets), computed here when omitted.
 
     Returns (m,) minimal GDOP over the subsets, inf where no valid
     non-singular subset exists.

@@ -93,6 +93,15 @@ class TestOptimize:
         out = run_optimize(p, tmp_path / "out0")
         assert read_pareto_csv(out / "pareto.csv")
 
+    def test_three_candidates(self, tmp_path, capsys):
+        """Three candidate sites never make a GDOP subset; the run completes."""
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["candidates"]["count"] = 3
+        p = tmp_path / "three.json"
+        p.write_text(json.dumps(doc))
+        out = run_optimize(p, tmp_path / "out3")
+        assert read_pareto_csv(out / "pareto.csv")
+
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"area": {"lat_low_deg": 51.0, "lat_up_deg": 47.0,
@@ -228,6 +237,22 @@ class TestEvaluate:
         coverage = (out / "coverage.csv").read_text().splitlines()
         data = [line for line in coverage if not line.startswith(("#", "lat_deg"))]
         assert all(line.split(",")[3] == "0" for line in data)
+
+    def test_three_off_lattice_sensors_saturate_of1(self, config_file, tmp_path, capsys):
+        """Fewer than four sensors leave no GDOP subset: OF1 sits at the cap,
+        the same as with no sensors at all."""
+        scores = {}
+        for name, rows in (("three", ["a,48.13,7.31,0", "b,49.27,8.06,0", "c,50.33,6.24,0"]),
+                           ("none", [])):
+            sensors = tmp_path / f"{name}.csv"
+            sensors.write_text("\n".join(["id,lat_deg,lon_deg,alt_m", *rows]) + "\n")
+            out = tmp_path / name
+            code = main(["evaluate", "--config", str(config_file), "--sensors", str(sensors),
+                         "--out", str(out)])
+            assert code == EXIT_OK
+            scores[name] = json.loads((out / "scores.json").read_text())
+        assert scores["three"]["n_sensors"] == 3
+        assert scores["three"]["of1"] == scores["none"]["of1"]
 
     def test_bad_seed_line_exit_2(self, config_file, tmp_path, capsys):
         sensors = tmp_path / "sol.csv"

@@ -1,7 +1,6 @@
 """Vectorized evaluator vs the per-point reference objective functions."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -104,13 +103,14 @@ class TestEvaluatorAgainstReference:
 
     @pytest.mark.parametrize("cap", [4, 9, 14, 40])
     def test_subset_rows_below_k_are_combinations(self, small_problem, cap):
-        """Filtering the one subset array gives combinations(range(k), 4)
-        row for row, for every sensor count k the cap allows."""
-        subsets = PlacementEvaluator(small_problem, gdop_subset_cap=cap).subsets
-        for k in range(4, min(cap, small_problem.n_candidates) + 1):
+        """The evaluator holds combinations(range(k), 4), row for row, for
+        every sensor count k the cap allows, and no table below k = 4."""
+        tables = PlacementEvaluator(small_problem, gdop_subset_cap=cap).tables
+        k_max = min(cap, small_problem.n_candidates)
+        assert sorted(tables) == list(range(4, k_max + 1))
+        for k, (subsets, _) in tables.items():
             expected = [list(c) for c in itertools.combinations(range(k), 4)]
-            assert subsets[subsets[:, 3] < k].tolist() == expected
-        assert len(subsets) == math.comb(min(cap, small_problem.n_candidates), 4)
+            assert subsets.tolist() == expected
 
     def test_deterministic(self, small_problem):
         rng = np.random.default_rng(11)

@@ -140,17 +140,16 @@ class TestBatchedGdop:
         assert finite.any() and not finite.all()
         assert np.allclose(got[finite], expected[finite], rtol=1e-9, atol=0.0)
 
-    def test_shared_triple_table_matches_own(self, rng):
-        """The evaluator's cut of a cap-12 triple table gives the same
-        result, bit for bit, as tables built for the smaller cap."""
-        subsets = subsets_of(12)
-        big_table, big_index = subset_triples(subsets)
-        for k in (4, 6, 9):
-            in_k = subsets[:, 3] < k
-            cut = (big_table[: math.comb(k, 3)], big_index[in_k])
-            dc, valid = property_geometry(rng, 40, k)
-            got = gdop_min_batched(dc, valid, subsets[in_k], cut)
-            assert np.array_equal(got, gdop_min_batched(dc, valid, subsets_of(k)))
+    @pytest.mark.parametrize("k", CAPS)
+    def test_subset_triples(self, k):
+        """Each row triple once; each subset indexes the triples left after
+        deleting its first, second, third and fourth row."""
+        subsets = subsets_of(k)
+        table, index = subset_triples(subsets)
+        assert sorted(map(tuple, table.tolist())) == list(itertools.combinations(range(k), 3))
+        for drop in range(4):
+            kept = np.delete(subsets, drop, axis=1)
+            assert np.array_equal(table[index[:, drop]], kept)
 
     @pytest.mark.parametrize("counts,subsets", [
         pytest.param([3, 2, 0], subsets_of(5), id="too_few_valid"),
