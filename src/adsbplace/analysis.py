@@ -44,10 +44,6 @@ class JamReport:
     def max_affected(self) -> int:
         return int(self.affected_count.max()) if self.affected_count.size else 0
 
-    @property
-    def mean_affected(self) -> float:
-        return float(self.affected_count.mean()) if self.affected_count.size else 0.0
-
 
 @dataclass
 class GdopDistribution:

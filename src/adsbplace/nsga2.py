@@ -213,7 +213,7 @@ class _Evaluation:
         self.config = config
         self.of3_weights = tuple(of3_weights)
         self.bounds = bounds
-        self.threads = max(1, int(threads))
+        self.threads = threads
         self.cache: dict[bytes, tuple[RawScores, np.ndarray]] = {}
 
     def evaluate_batch(self, chromosomes: list[Chromosome]) -> list[Individual]:
@@ -277,6 +277,8 @@ def evolve(
     threads: int = 1,
 ) -> ParetoFront:
     """Run the elitist generational loop and return the final archive."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     n = problem.n_candidates
     forced = problem.forced_mask
     forced_count = int(forced.sum())

@@ -181,10 +181,12 @@ class PlacementProblem:
     propagation: PropagationParams = field(default_factory=PropagationParams)
     range_cap_km: float = 0.0
 
-    # Filled by precompute().
+    # Filled by precompute(). Point-candidate matrices are (m, N) except
+    # the direction cosines, which are component-major (3, N, m).
     dist_point_cand: np.ndarray | None = None
     dc_point_cand: np.ndarray | None = None
     los_point_cand: np.ndarray | None = None
+    rank_point_cand: np.ndarray | None = None
     dist_jam_cand: np.ndarray | None = None
     los_jam_cand: np.ndarray | None = None
     affected_jam_cand: np.ndarray | None = None
@@ -206,12 +208,12 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
         problem.cand_lat, problem.cand_lon, problem.cand_alt
     )
 
-    rot = geo.ned_rotation_arrays(grid.lat_deg, grid.lon_deg)  # (m,3,3)
-    diff = cand_ecef[None, :, :] - grid_ecef[:, None, :]  # (m,N,3)
-    ned = np.einsum("mij,mnj->mni", rot, diff)
-    dist = np.sqrt((ned**2).sum(axis=-1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dc = np.where(dist[..., None] > 0.0, ned / dist[..., None], 0.0)
+    dc, dist = _ned_vectors(grid_ecef, grid.lat_deg, grid.lon_deg, cand_ecef)
+    # Unit vectors in place; a candidate at the point itself gets zeros.
+    pos = dist > 0.0
+    np.divide(dc, dist, out=dc, where=pos)
+    dc[:, ~pos] = 0.0
+    dist = np.ascontiguousarray(dist.T)
     ground = geo.haversine_km_arrays(
         grid.lat_deg[:, None], grid.lon_deg[:, None],
         problem.cand_lat[None, :], problem.cand_lon[None, :],
@@ -222,6 +224,7 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
     problem.dist_point_cand = dist
     problem.dc_point_cand = dc
     problem.los_point_cand = los
+    problem.rank_point_cand = nearest_rank(np.where(los, dist, np.inf))
 
     jams = problem.jammers
     if jams:
@@ -229,10 +232,7 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
         jam_lon = np.array([j.position.longitude_deg for j in jams])
         jam_alt = np.array([j.position.altitude_m for j in jams])
         jam_ecef = geo.geodetic_to_ecef_arrays(jam_lat, jam_lon, jam_alt)
-        jrot = geo.ned_rotation_arrays(jam_lat, jam_lon)
-        jdiff = cand_ecef[None, :, :] - jam_ecef[:, None, :]
-        jned = np.einsum("kij,knj->kni", jrot, jdiff)
-        jdist = np.sqrt((jned**2).sum(axis=-1))
+        jdist = np.ascontiguousarray(_ned_vectors(jam_ecef, jam_lat, jam_lon, cand_ecef)[1].T)
         jground = geo.haversine_km_arrays(
             jam_lat[:, None], jam_lon[:, None],
             problem.cand_lat[None, :], problem.cand_lon[None, :],
@@ -265,6 +265,39 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
         cap = problem.requirements.range_cap_km
         problem.range_cap_km = _area_diagonal(problem) if cap is None else float(cap)
     return problem
+
+
+def _ned_vectors(origin_ecef, origin_lat, origin_lon, target_ecef):
+    """NED vectors from each origin to each target, component-major
+    (3, targets, origins), and their lengths (targets, origins).
+
+    Each component sums as (r0 d0 + r2 d2) + r1 d1, the order that
+    np.einsum("mij,mnj->mni", rot, diff) uses; another order changes the
+    low bits of the matrices and so of every score.
+    """
+    rot = geo.ned_rotation_arrays(origin_lat, origin_lon).transpose(1, 2, 0)  # (3, 3, m)
+    d0, d1, d2 = (target_ecef[:, c, None] - origin_ecef[None, :, c] for c in range(3))
+    ned = np.empty((3,) + d0.shape)
+    for i, out in enumerate(ned):
+        np.multiply(rot[i, 0], d0, out=out)
+        out += rot[i, 2] * d2
+        out += rot[i, 1] * d1
+    return ned, np.sqrt(ned[0] * ned[0] + ned[1] * ned[1] + ned[2] * ned[2])
+
+
+def nearest_rank(masked: np.ndarray) -> np.ndarray:
+    """Rank of every column in its row's stable ascending order.
+
+    The inverse of ``np.argsort(masked, axis=1, kind="stable")``: ties
+    rank by column index, so the ranks in a row are unique. The dtype
+    holds N - 1 for N columns: int16 up to N = 32768, int32 above.
+    """
+    m, n = masked.shape
+    dtype = np.int16 if n <= np.iinfo(np.int16).max + 1 else np.int32
+    rank = np.empty((m, n), dtype=dtype)
+    order = np.argsort(masked, axis=1, kind="stable")
+    np.put_along_axis(rank, order, np.arange(n, dtype=dtype)[None, :], axis=1)
+    return rank
 
 
 def _area_diagonal(problem: PlacementProblem) -> float:

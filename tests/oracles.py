@@ -5,9 +5,10 @@ the geometry matrices and ``evaluator.PlacementEvaluator`` reduces them.
 This module computes the same quantities one point and one sensor at a
 time: scalar WGS-84/ECEF/NED geometry, a LAPACK GDOP per 4-subset, and
 loop-based OF1-OF3. ``gdop_min_batched_lapack`` is the batched LAPACK
-GDOP kernel the library had before its closed form. It also holds the
-random geometries, tiny grids and the brute-force front partition the
-tests build their cases from.
+GDOP kernel the library had before its closed form, and
+``masked_sort_of1_of2`` the evaluator's OF1/OF2 path before its rank
+matrix. It also holds the random geometries, tiny grids and the
+brute-force front partition the tests build their cases from.
 Nothing in the library imports it.
 """
 
@@ -21,11 +22,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from adsbplace import geo
-from adsbplace.gdop import SINGULARITY_COND
+from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched
 from adsbplace.geo import DEFAULT_PROPAGATION, GeodeticPosition, PropagationParams
 from adsbplace.nsga2 import dominates
 from adsbplace.objectives import JammerModel, ObjectiveRequirements
-from adsbplace.scenario import AirspaceGrid
+from adsbplace.scenario import AirspaceGrid, PlacementProblem
 
 from conftest import random_position
 
@@ -425,6 +426,42 @@ def sensor_affected(
         return True
     dist_km = euclidean_distance(geodetic_to_ecef(jam.position), sensor_ecef) / 1000.0
     return jsr(jam, dist_km, jam.nominal_signal_distance_km) >= jam.jsr_threshold
+
+
+def masked_sort_of1_of2(problem: PlacementProblem, genes: np.ndarray, cap: int):
+    """OF1 and OF2 of a chromosome from the LOS-masked distances: a stable
+    argsort per point picks the nearest ``cap`` selected sensors for the
+    GDOP kernel, and ``np.partition`` gives the second-nearest visible
+    distance. Returns (of1, of2, best_gdop, second_range_km, k_visible)
+    as ``PlacementEvaluator.evaluate`` computes them."""
+    grid = problem.grid
+    m = len(grid)
+    sel = np.flatnonzero(genes)
+    n = sel.size
+    los = problem.los_point_cand[:, sel]
+    vis_counts = los.sum(axis=1)
+    masked = np.where(los, problem.dist_point_cand[:, sel], np.inf)
+
+    if n >= 2:
+        second_km = np.partition(masked, 1, axis=1)[:, 1] / 1000.0
+    else:
+        second_km = np.full(m, np.inf)
+    achieved_range = np.where(vis_counts >= 2, second_km, problem.range_cap_km)
+    of2 = float(np.mean((grid.required_range_km - achieved_range) ** 2))
+
+    if n < 4:
+        best = np.full(m, np.inf)
+    else:
+        k = min(cap, n)
+        order = np.argsort(masked, axis=1, kind="stable")[:, :k]
+        dc = problem.dc_point_cand.transpose(2, 1, 0)  # (m, N, 3) view
+        subsets = np.array(list(itertools.combinations(range(k), 4)))
+        best = gdop_min_batched(
+            dc[np.arange(m)[:, None], sel[order]], np.minimum(vis_counts, k), subsets
+        )
+    achieved_gdop = np.where(np.isinf(best), problem.requirements.gdop_cap, best)
+    of1 = float(np.mean((grid.required_gdop - achieved_gdop) ** 2))
+    return of1, of2, best, np.where(vis_counts >= 2, second_km, np.inf), vis_counts
 
 
 def jsr(jam: JammerModel, jammer_sensor_km: float, transmitter_sensor_km: float) -> float:

@@ -7,10 +7,12 @@ import pytest
 
 from adsbplace.evaluator import PlacementEvaluator
 from adsbplace.geo import GeodeticPosition
-from adsbplace.objectives import knapsack_penalty
+from adsbplace.objectives import ObjectiveRequirements, knapsack_penalty
+from adsbplace.scenario import AreaBounds, build_problem
 
 from oracles import (
     geodetic_to_ecef,
+    masked_sort_of1_of2,
     of1_gdop_msd,
     of2_range_msd,
     of3_direction1_spacing,
@@ -119,3 +121,41 @@ class TestEvaluatorAgainstReference:
         a = evaluator.evaluate(genes)
         b = evaluator.evaluate(genes)
         assert a == b
+
+
+@pytest.fixture(scope="module")
+def tied_problem():
+    """Candidates mirrored about the grid's lon = 0 column: their
+    distances to the points on it tie exactly, visible ones included."""
+    problem = build_problem(
+        bounds=AreaBounds(47.4, 51.4, -2.5, 2.5), lat_count=5, lon_count=5,
+        candidate_count=25, requirements=ObjectiveRequirements(),
+    )
+    masked = np.where(problem.los_point_cand, problem.dist_point_cand, np.inf)
+    finite = [row[np.isfinite(row)] for row in masked]
+    assert sum(f.size - np.unique(f).size for f in finite) > 50
+    return problem
+
+
+class TestNearestFromRanks:
+    """The rank-matrix path reproduces the masked stable-sort reference bit
+    for bit: same nearest sensors, ties included, same OF1 and OF2."""
+
+    @pytest.mark.parametrize("cap", [4, 6, 12])
+    @pytest.mark.parametrize("name", ["small_problem", "tied_problem"])
+    def test_matches_masked_sort(self, request, name, cap):
+        problem = request.getfixturevalue(name)
+        evaluator = PlacementEvaluator(problem, gdop_subset_cap=cap)
+        rng = np.random.default_rng(cap)
+        n = problem.n_candidates
+        for size in [*range(15), n]:
+            genes = np.zeros(n, dtype=bool)
+            genes[rng.choice(n, size, replace=False)] = True
+            raw, diag = evaluator.evaluate(genes, diagnostics=True)
+            of1, of2, best, second, k_visible = masked_sort_of1_of2(problem, genes, cap)
+            assert (raw.of1, raw.of2) == (of1, of2)
+            assert raw == evaluator.evaluate(genes)
+            for got, want in [(diag.best_gdop, best), (diag.second_range_km, second),
+                              (diag.k_visible, k_visible)]:
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()

@@ -287,3 +287,9 @@ class TestEvolve:
         ]
         for a, b in zip(serial.members, parallel.members):
             assert np.array_equal(a.objectives, b.objectives)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, small_problem, threads):
+        config = GaConfig(population_size=4, generations=1, rng_seed=4, gdop_subset_cap=6)
+        with pytest.raises(ValueError, match="threads"):
+            evolve(small_problem, config, threads=threads)

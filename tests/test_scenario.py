@@ -14,8 +14,11 @@ from adsbplace.scenario import (
     generate_candidates,
     generate_jammers,
     load_deployed_csv,
+    nearest_rank,
     sample_grid,
 )
+
+from oracles import direction_cosines, euclidean_distance, geodetic_to_ecef, grid_points
 
 
 class TestAreaBounds:
@@ -159,15 +162,44 @@ class TestBuildProblem:
         n = small_problem.n_candidates
         k = len(small_problem.jammers)
         assert small_problem.dist_point_cand.shape == (m, n)
-        assert small_problem.dc_point_cand.shape == (m, n, 3)
+        assert small_problem.dc_point_cand.shape == (3, n, m)
         assert small_problem.los_point_cand.shape == (m, n)
+        assert small_problem.rank_point_cand.shape == (m, n)
+        assert small_problem.rank_point_cand.dtype == np.int16
         assert small_problem.dist_jam_cand.shape == (k, n)
         assert small_problem.affected_jam_cand.shape == (k, n)
         assert small_problem.dist_cand_cand.shape == (n, n)
 
     def test_direction_cosines_unit(self, small_problem):
-        norms = np.linalg.norm(small_problem.dc_point_cand, axis=-1)
+        norms = np.linalg.norm(small_problem.dc_point_cand, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-12)
+
+    def test_point_matrices_match_scalar_geometry(self, small_problem):
+        p = small_problem
+        sensors = [
+            geodetic_to_ecef(GeodeticPosition(float(la), float(lo), float(al)))
+            for la, lo, al in zip(p.cand_lat, p.cand_lon, p.cand_alt)
+        ]
+        m, n = p.dist_point_cand.shape
+        dist = np.empty((m, n))
+        dc = np.empty((3, n, m))
+        for j, point in enumerate(grid_points(p.grid)):
+            origin = geodetic_to_ecef(point)
+            for i, sensor in enumerate(sensors):
+                dist[j, i] = euclidean_distance(origin, sensor)
+                dc[:, i, j] = direction_cosines(point, sensor)
+        np.testing.assert_allclose(p.dist_point_cand, dist, rtol=1e-12)
+        np.testing.assert_allclose(p.dc_point_cand, dc, rtol=1e-12)
+
+    def test_rank_orders_visible_by_distance(self, small_problem):
+        p = small_problem
+        masked = np.where(p.los_point_cand, p.dist_point_cand, np.inf)
+        order = np.argsort(masked, axis=1, kind="stable")
+        m, n = masked.shape
+        ranks = np.take_along_axis(p.rank_point_cand, order, axis=1)
+        assert np.array_equal(ranks, np.broadcast_to(np.arange(n), (m, n)))
+        visible = p.los_point_cand.sum(axis=1)
+        assert np.array_equal(p.rank_point_cand < visible[:, None], p.los_point_cand)
 
     def test_range_cap_defaults_to_diagonal(self, small_problem, area_bounds):
         assert small_problem.range_cap_km == pytest.approx(
@@ -211,3 +243,21 @@ class TestBuildProblem:
                 bounds=area_bounds, lat_count=4, lon_count=4,
                 requirements=ObjectiveRequirements(), sites=[],
             )
+
+
+class TestNearestRank:
+    @pytest.mark.parametrize("n, dtype", [(5, np.int16), (32768, np.int16), (32769, np.int32)])
+    def test_dtype_holds_largest_rank(self, n, dtype):
+        rank = nearest_rank(np.zeros((1, n)))
+        assert rank.dtype == dtype
+        assert rank[0, -1] == n - 1
+
+    def test_inverse_of_stable_argsort_with_ties_and_inf(self):
+        rng = np.random.default_rng(3)
+        masked = rng.integers(0, 500, (2, 40000)).astype(float)  # many exact ties
+        masked[rng.random(masked.shape) < 0.3] = np.inf
+        rank = nearest_rank(masked)
+        assert rank.dtype == np.int32
+        order = np.argsort(masked, axis=1, kind="stable")
+        assert np.array_equal(np.take_along_axis(rank, order, axis=1),
+                              np.broadcast_to(np.arange(40000), (2, 40000)))
