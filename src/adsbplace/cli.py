@@ -298,6 +298,14 @@ def _thread_count(text: str) -> int:
     return value
 
 
+def _available_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adsbplace",
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p)
         p.add_argument("--seed", type=int, help="override the GA seed")
         p.add_argument(
-            "--threads", type=_thread_count, default=os.cpu_count() or 1,
+            "--threads", type=_thread_count, default=_available_cores(),
             help="evaluation worker count",
         )
 

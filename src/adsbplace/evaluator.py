@@ -11,6 +11,13 @@ by distance, visible ones first and ties by candidate index. So the
 nearest k selected sensors of every point come from one integer sort of
 ``rank[:, sel]``, in the order a stable sort of the LOS-masked distances
 would give, and the second of them gives OF2's verification range.
+
+``evaluate`` scores a (B, N) batch in one pass; a single chromosome is a
+batch of one. Each chromosome's spacing, jammer and OF2 terms come from
+its own selected columns, but its GDOP rows, one per grid point, queue
+by nearest-sensor count k, and the kernel runs once per full chunk of
+(chromosome, point) rows. So on a small grid a population costs a few
+kernel calls, not one per chromosome.
 """
 
 from __future__ import annotations
@@ -24,13 +31,16 @@ from .gdop import gdop_min_batched, subset_triples
 from .objectives import knapsack_penalty
 from .scenario import PlacementProblem
 
-# Points per gdop_min_batched call: each of its (subsets, points) float64
-# arrays stays within this budget. The kernel's (triples, points) arrays
-# are not bounded by it; they are larger where C(k, 3) exceeds C(k, 4), as
-# at cap 6 (20 triples, 15 subsets). 1 MiB gives 8738 points per call at
-# cap 6, so the section-8 grid's 1200 points take one call, and 264 at
-# cap 12 (495 subsets).
-_CHUNK_BYTES = 1 << 20
+# Rows per gdop_min_batched call. A row is one (chromosome, point) pair,
+# and the kernel's largest float64 array is (max(C(k, 3), C(k, 4)), rows).
+# The budget bounds that array: near 1 MiB it falls out of cache and each
+# row costs more. The floor keeps calls at large k from shrinking to a few
+# rows, where the per-call overhead (about 90 us) dominates. Where a
+# chromosome's rows fit, a call takes whole chromosomes. At cap 6 that is
+# 1632 rows on a 48-point grid and 1200 on a 1200-point grid; at cap 12 on
+# the 1200-point grid the floor's 128 (a 495 KiB subset array).
+_ROW_BYTES = 256 << 10
+_MIN_ROWS = 128
 
 
 @dataclass
@@ -79,15 +89,68 @@ class PlacementEvaluator:
             self.tables[k] = (subsets, subset_triples(subsets))
 
     def evaluate(self, genes: np.ndarray, diagnostics: bool = False):
-        """Raw scores (and optional diagnostics) for one chromosome."""
+        """Raw scores of one chromosome (N,), or a list of them for a
+        (B, N) batch. With ``diagnostics``, one chromosome only, returns
+        (raw, diagnostics)."""
         problem = self.problem
         genes = np.asarray(genes, dtype=bool)
-        if genes.shape != (problem.n_candidates,):
+        if genes.ndim not in (1, 2) or genes.shape[-1] != problem.n_candidates:
             raise ValueError("chromosome length does not match the candidate count")
+        if diagnostics and genes.ndim == 2:
+            raise ValueError("diagnostics are computed for one chromosome, not a batch")
+        batch = genes.reshape(-1, problem.n_candidates)
+        req = problem.requirements
+        grid = problem.grid
+        # Chromosomes in order of their nearest-sensor count k = min(cap, n),
+        # so that the kernel rows of one k fill consecutive rows of ``best``.
+        order = np.argsort(np.minimum(batch.sum(axis=1), self.cap), kind="stable")
+        best = np.full((len(batch), len(grid)), np.inf)
+        rows = _GdopRows(self, best)
+        parts = [None] * len(batch)
+        for slot, b in enumerate(order):
+            parts[b], detail = self._score(np.flatnonzero(batch[b]), rows, slot)
+        rows.flush()
+
+        # OF1: best 4-subset GDOP per point, capped nearest enumeration.
+        achieved_gdop = np.where(np.isinf(best), req.gdop_cap, best)
+        np.subtract(grid.required_gdop, achieved_gdop, out=achieved_gdop)
+        np.square(achieved_gdop, out=achieved_gdop)
+        of1 = np.empty(len(batch))
+        of1[order] = np.mean(achieved_gdop, axis=1)
+        scores = [
+            RawScores(
+                of1=float(x),
+                of2=of2,
+                d1=d1,
+                d2=d2,
+                d3=d3,
+                penalty=knapsack_penalty(n, problem.n_candidates),
+                n_selected=n,
+            )
+            for x, (of2, d1, d2, d3, n) in zip(of1, parts)
+        ]
+        if genes.ndim == 2:
+            return scores
+        if not diagnostics:
+            return scores[0]
+        vis_counts, second_km, counts, min_dist = detail
+        diag = Diagnostics(
+            k_visible=vis_counts,
+            best_gdop=best[0],
+            second_range_km=np.where(vis_counts >= 2, second_km, np.inf),
+            affected_per_jammer=counts,
+            min_jam_distance_km=min_dist,
+        )
+        return scores[0], diag
+
+    def _score(self, sel: np.ndarray, rows: _GdopRows, slot: int):
+        """Everything of one chromosome but OF1, whose kernel rows go to
+        row ``slot`` of ``rows``: (of2, d1, d2, d3, n) and the diagnostic
+        arrays."""
+        problem = self.problem
         req = problem.requirements
         grid = problem.grid
         m = len(grid)
-        sel = np.flatnonzero(genes)
         n = sel.size
 
         vis_counts = problem.los_point_cand[:, sel].sum(axis=1)
@@ -101,10 +164,10 @@ class PlacementEvaluator:
         achieved_range = np.where(vis_counts >= 2, second_km, problem.range_cap_km)
         of2 = float(np.mean((grid.required_range_km - achieved_range) ** 2))
 
-        # OF1: best 4-subset GDOP per point, capped nearest enumeration.
-        best_gdop = self._best_gdop(sel, top, vis_counts)
-        achieved_gdop = np.where(np.isinf(best_gdop), req.gdop_cap, best_gdop)
-        of1 = float(np.mean((grid.required_gdop - achieved_gdop) ** 2))
+        if n >= 4:
+            # Flat (candidate, point) indices into the component-major
+            # direction cosines; below 4 sensors OF1 is inf everywhere.
+            rows.add(slot, sel[top.T] * m + np.arange(m), np.minimum(vis_counts, top.shape[1]))
 
         # OF3 direction 1: nearest-neighbor spacing shortfall.
         target = req.min_sensor_spacing_km
@@ -135,26 +198,7 @@ class PlacementEvaluator:
             d3 = 0.0
             counts = np.zeros(k, dtype=int)
             min_dist = np.full(k, np.inf)
-
-        raw = RawScores(
-            of1=of1,
-            of2=of2,
-            d1=d1,
-            d2=d2,
-            d3=d3,
-            penalty=knapsack_penalty(int(n), problem.n_candidates),
-            n_selected=int(n),
-        )
-        if not diagnostics:
-            return raw
-        diag = Diagnostics(
-            k_visible=vis_counts,
-            best_gdop=best_gdop,
-            second_range_km=np.where(vis_counts >= 2, second_km, np.inf),
-            affected_per_jammer=counts,
-            min_jam_distance_km=min_dist,
-        )
-        return raw, diag
+        return (of2, d1, d2, d3, int(n)), (vis_counts, second_km, counts, min_dist)
 
     def _nearest(self, sel: np.ndarray) -> np.ndarray:
         """(m, min(cap, n)) positions in ``sel`` of each point's nearest
@@ -169,24 +213,66 @@ class PlacementEvaluator:
         key.sort(axis=1)
         return key[:, : min(self.cap, n)] % n
 
-    def _best_gdop(self, sel: np.ndarray, top: np.ndarray, vis_counts: np.ndarray) -> np.ndarray:
-        m = top.shape[0]
-        n = sel.size
-        if n < 4:
-            return np.full(m, np.inf)
-        k = top.shape[1]
-        subsets, shared = self.tables[k]
-        dc_flat = self.problem.dc_point_cand.reshape(3, -1)  # (3, N * m)
-        best = np.empty(m)
-        valid = np.minimum(vis_counts, k)
-        chunk = max(1, _CHUNK_BYTES // (8 * len(subsets)))
-        for start in range(0, m, chunk):
-            stop = min(start + chunk, m)
-            # Flat (candidate, point) indices gather a contiguous (3, k, c)
-            # block, whose (c, k, 3) view the kernel reads without a copy.
-            flat = sel[top[start:stop].T] * m + np.arange(start, stop)
-            dc = np.take(dc_flat, flat, axis=1)
-            best[start:stop] = gdop_min_batched(
-                dc.transpose(2, 1, 0), valid[start:stop], subsets, shared
+
+class _GdopRows:
+    """Kernel rows of one batch, queued in order of nearest-sensor count k.
+
+    Each chromosome with n >= 4 sensors queues one row per point: k flat
+    gather indices and a valid count, and its GDOP goes to its row of
+    ``best``. Every kernel operation is elementwise along the rows, so a
+    row's GDOP does not depend on which rows share its call. A call runs
+    as soon as a full chunk of rows is queued, and when k changes.
+    """
+
+    def __init__(self, evaluator: PlacementEvaluator, best: np.ndarray):
+        self.tables = evaluator.tables
+        self.dc_flat = evaluator.problem.dc_point_cand.reshape(3, -1)  # (3, N * m)
+        self.out = best.reshape(-1)  # a view: row slot * m + point
+        self.m = best.shape[1]
+        self.k = 0
+        self.pos = 0                 # where the first queued row's GDOP goes
+        self.flats: list[np.ndarray] = []
+        self.valids: list[np.ndarray] = []
+        self.queued = 0
+
+    def add(self, slot: int, flat: np.ndarray, valid: np.ndarray) -> None:
+        k = flat.shape[0]
+        if k != self.k:
+            self.flush()
+            self.k, self.pos = k, slot * self.m
+        self.flats.append(flat)
+        self.valids.append(valid)
+        self.queued += valid.size
+        if self.queued >= self._chunk():
+            self._run(final=False)
+
+    def flush(self) -> None:
+        """Run every queued row."""
+        if self.queued:
+            self._run(final=True)
+
+    def _chunk(self) -> int:
+        """Rows per call: the budget's, down to whole chromosomes where
+        one fits."""
+        subsets, (triples, _) = self.tables[self.k]
+        rows = max(_MIN_ROWS, _ROW_BYTES // (8 * max(len(triples), len(subsets))))
+        return rows - rows % self.m if rows >= self.m else rows
+
+    def _run(self, final: bool) -> None:
+        """Run the queued full chunks, and with ``final`` the rest."""
+        flat = np.concatenate(self.flats, axis=1)
+        valid = np.concatenate(self.valids)
+        subsets, shared = self.tables[self.k]
+        chunk = self._chunk()
+        stop = valid.size if final else valid.size - valid.size % chunk
+        for start in range(0, stop, chunk):
+            end = min(start + chunk, stop)
+            # One contiguous (3, k, rows) gather, whose (rows, k, 3) view
+            # the kernel reads without a copy.
+            dc = np.take(self.dc_flat, flat[:, start:end], axis=1)
+            self.out[self.pos + start:self.pos + end] = gdop_min_batched(
+                dc.transpose(2, 1, 0), valid[start:end], subsets, shared
             )
-        return best
+        self.pos += stop
+        self.queued = valid.size - stop
+        self.flats, self.valids = ([flat[:, stop:]], [valid[stop:]]) if self.queued else ([], [])

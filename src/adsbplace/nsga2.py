@@ -91,23 +91,18 @@ class ParetoFront:
     bounds: Normalization
 
 
-def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Pareto dominance for minimization."""
-    if len(a) != len(b):
-        raise ValueError("objective vectors differ in length")
-    better = False
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-        if x < y:
-            better = True
-    return better
-
-
 def _dominance(vecs: np.ndarray) -> np.ndarray:
-    """Boolean matrix whose entry ``[p, q]`` is ``dominates(vecs[p], vecs[q])``."""
-    a, b = vecs[:, None, :], vecs[None, :, :]
-    return ~(a > b).any(axis=2) & (a < b).any(axis=2)
+    """Boolean matrix whose entry ``[p, q]`` is true when ``vecs[p]``
+    Pareto-dominates ``vecs[q]`` under minimization: no worse in every
+    objective and better in one. NaN compares neither better nor worse."""
+    n = len(vecs)
+    gt = np.zeros((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    # One (n, n) comparison per objective, not one (n, n, d) tensor.
+    for col in vecs.T:
+        gt |= col[:, None] > col[None, :]
+        lt |= col[:, None] < col[None, :]
+    return lt & ~gt
 
 
 def non_dominated_sort(objectives: Sequence[Sequence[float]]) -> list[list[int]]:
@@ -205,6 +200,9 @@ class _Evaluation:
     Each chromosome is scored once. Its objective vector is a pure
     function of its raw scores under a fixed normalization, so it never
     changes afterwards and the archive stays monotone across generations.
+    A batch's new chromosomes go to the evaluator in one call or, with
+    ``threads > 1``, as that many interleaved sub-batches on a pool that
+    lives until ``close``.
     """
 
     def __init__(self, evaluator: PlacementEvaluator, config: GaConfig, of3_weights,
@@ -214,6 +212,12 @@ class _Evaluation:
         self.of3_weights = tuple(of3_weights)
         self.bounds = bounds
         self.threads = threads
+        self.pool = None
+        if threads > 1:
+            # Imported only here: single-threaded runs skip its 0.6 MiB.
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.pool = ThreadPoolExecutor(max_workers=threads)
         self.cache: dict[bytes, tuple[RawScores, np.ndarray]] = {}
 
     def evaluate_batch(self, chromosomes: list[Chromosome]) -> list[Individual]:
@@ -222,19 +226,20 @@ class _Evaluation:
             key = chrom.key()
             if key not in self.cache and key not in todo:
                 todo[key] = chrom
-        new_raw: dict[bytes, RawScores] = {}
-        if self.threads > 1 and len(todo) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            keys = list(todo)
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = pool.map(lambda k: self.evaluator.evaluate(todo[k].genes), keys)
-            new_raw = dict(zip(keys, results))
-        else:
-            for key, chrom in todo.items():
-                new_raw[key] = self.evaluator.evaluate(chrom.genes)
+        keys = list(todo)
+        raws: list[RawScores] = []
+        if keys:
+            genes = np.array([todo[key].genes for key in keys])
+            parts = min(self.threads, len(keys))
+            if parts > 1:
+                raws = [None] * len(keys)
+                subs = [genes[i::parts] for i in range(parts)]
+                for i, part in enumerate(self.pool.map(self.evaluator.evaluate, subs)):
+                    raws[i::parts] = part
+            else:
+                raws = self.evaluator.evaluate(genes)
         a = self.config.pareto_weight_a
-        for key, raw in new_raw.items():
+        for key, raw in zip(keys, raws):
             of3 = self.bounds.of3(raw.d1, raw.d2, raw.d3, self.of3_weights)
             vec = np.array(
                 [
@@ -249,6 +254,10 @@ class _Evaluation:
             raw, vec = self.cache[chrom.key()]
             out.append(Individual(chromosome=chrom, raw=raw, objectives=vec.copy()))
         return out
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
 
 
 def _assign_ranks(population: list[Individual]) -> None:
@@ -290,10 +299,8 @@ def evolve(
     evaluator = PlacementEvaluator(problem, gdop_subset_cap=config.gdop_subset_cap)
     bounds = saturation_normalization(problem.requirements, problem.range_cap_km,
                                       n_max if n_max is not None else n)
-    evaluation = _Evaluation(evaluator, config, of3_weights, bounds, threads=threads)
 
     high = min(n_max if n_max is not None else n, n)
-    population: list[Individual] = []
     chroms = []
     non_forced = np.flatnonzero(~forced)
     for _ in range(config.population_size):
@@ -303,40 +310,45 @@ def evolve(
         if extra > 0:
             genes[rng.choice(non_forced, size=extra, replace=False)] = True
         chroms.append(Chromosome(genes, forced))
-    population = evaluation.evaluate_batch(chroms)
 
-    archive: dict[bytes, Individual] = {}
-    _update_archive(archive, population)
-    _emit(progress, 0, archive)
+    evaluation = _Evaluation(evaluator, config, of3_weights, bounds, threads=threads)
+    try:
+        population = evaluation.evaluate_batch(chroms)
 
-    for gen in range(1, config.generations + 1):
-        _assign_ranks(population)
-        offspring: list[Chromosome] = []
-        while len(offspring) < config.population_size:
-            p1 = tournament_select(population, rng, config.tournament_size)
-            p2 = tournament_select(population, rng, config.tournament_size)
-            c1, c2 = crossover(p1.chromosome, p2.chromosome, config.crossover_rate, rng)
-            offspring.append(mutate(c1, mutation_rate, rng, n_max))
-            if len(offspring) < config.population_size:
-                offspring.append(mutate(c2, mutation_rate, rng, n_max))
-        children = evaluation.evaluate_batch(offspring)
-        merged = population + children
-        fronts = non_dominated_sort([ind.objectives for ind in merged])
-        nxt: list[Individual] = []
-        for front in fronts:
-            if len(nxt) + len(front) <= config.population_size:
-                nxt.extend(merged[i] for i in front)
-            else:
-                dists = crowding_distance([merged[i].objectives for i in front])
-                order = sorted(
-                    range(len(front)), key=lambda i: (-dists[i], front[i])
-                )
-                room = config.population_size - len(nxt)
-                nxt.extend(merged[front[i]] for i in order[:room])
-                break
-        population = nxt
-        _update_archive(archive, children)
-        _emit(progress, gen, archive)
+        archive: dict[bytes, Individual] = {}
+        _update_archive(archive, population)
+        _emit(progress, 0, archive)
+
+        for gen in range(1, config.generations + 1):
+            _assign_ranks(population)
+            offspring: list[Chromosome] = []
+            while len(offspring) < config.population_size:
+                p1 = tournament_select(population, rng, config.tournament_size)
+                p2 = tournament_select(population, rng, config.tournament_size)
+                c1, c2 = crossover(p1.chromosome, p2.chromosome, config.crossover_rate, rng)
+                offspring.append(mutate(c1, mutation_rate, rng, n_max))
+                if len(offspring) < config.population_size:
+                    offspring.append(mutate(c2, mutation_rate, rng, n_max))
+            children = evaluation.evaluate_batch(offspring)
+            merged = population + children
+            fronts = non_dominated_sort([ind.objectives for ind in merged])
+            nxt: list[Individual] = []
+            for front in fronts:
+                if len(nxt) + len(front) <= config.population_size:
+                    nxt.extend(merged[i] for i in front)
+                else:
+                    dists = crowding_distance([merged[i].objectives for i in front])
+                    order = sorted(
+                        range(len(front)), key=lambda i: (-dists[i], front[i])
+                    )
+                    room = config.population_size - len(nxt)
+                    nxt.extend(merged[front[i]] for i in order[:room])
+                    break
+            population = nxt
+            _update_archive(archive, children)
+            _emit(progress, gen, archive)
+    finally:
+        evaluation.close()
 
     members = [
         FrontMember(ind.chromosome, ind.raw, ind.objectives.copy())

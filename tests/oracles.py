@@ -24,7 +24,6 @@ import numpy as np
 from adsbplace import geo
 from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched
 from adsbplace.geo import DEFAULT_PROPAGATION, GeodeticPosition, PropagationParams
-from adsbplace.nsga2 import dominates
 from adsbplace.objectives import JammerModel, ObjectiveRequirements
 from adsbplace.scenario import AirspaceGrid, PlacementProblem
 
@@ -494,6 +493,19 @@ def ecef_line_km(offsets_km):
 
 
 # --- Sorting --------------------------------------------------------------
+
+
+def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
+    """Pareto dominance for minimization."""
+    if len(a) != len(b):
+        raise ValueError("objective vectors differ in length")
+    better = False
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+        if x < y:
+            better = True
+    return better
 
 
 def brute_force_fronts(vectors):

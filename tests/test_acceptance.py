@@ -25,7 +25,6 @@ from adsbplace.nsga2 import (
     Chromosome,
     GaConfig,
     crowding_distance,
-    dominates,
     evolve,
     non_dominated_sort,
 )
@@ -41,6 +40,7 @@ from conftest import random_geodetic
 from oracles import (
     best_gdop_at,
     brute_force_fronts,
+    dominates,
     ecef_line_km,
     ecef_to_geodetic_arrays,
     euclidean_distance,

@@ -13,8 +13,10 @@ from adsbplace.analysis import (
     select_solution,
 )
 from adsbplace.evaluator import RawScores
-from adsbplace.nsga2 import Chromosome, FrontMember, GaConfig, ParetoFront, dominates, evolve
+from adsbplace.nsga2 import Chromosome, FrontMember, GaConfig, ParetoFront, evolve
 from adsbplace.objectives import Normalization, weighted_fitness
+
+from oracles import dominates
 
 TOY_BOUNDS = Normalization({"of1": 10.0, "of2": 10.0, "of3": 1.0, "d1": 1.0, "d2": 1.0, "d3": 1.0})
 

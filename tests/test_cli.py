@@ -9,6 +9,7 @@ from adsbplace.cli import (
     EXIT_NO_FEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     fmt,
     main,
     read_pareto_csv,
@@ -158,6 +159,20 @@ def test_bad_threads_exit_2(config_file, tmp_path, capsys, command, threads):
     assert main(argv) == EXIT_USAGE
     assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "augment"])
+def test_threads_default_is_affinity_mask(monkeypatch, command):
+    """The default worker count is the CPUs the process may run on, not
+    every CPU of the machine; without an affinity call, the machine's."""
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2}, raising=False)
+    argv = [command, "--config", "run.json"]
+    if command == "augment":
+        argv += ["--sensors", "deployed.csv"]
+    assert build_parser().parse_args(argv).threads == 2
+    monkeypatch.delattr("os.sched_getaffinity")
+    assert build_parser().parse_args(argv).threads == 64
 
 
 class TestAugment:

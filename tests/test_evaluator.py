@@ -1,10 +1,14 @@
 """Vectorized evaluator vs the per-point reference objective functions."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adsbplace import evaluator as evaluator_module
 from adsbplace.evaluator import PlacementEvaluator
 from adsbplace.geo import GeodeticPosition
 from adsbplace.objectives import ObjectiveRequirements, knapsack_penalty
@@ -96,8 +100,10 @@ class TestEvaluatorAgainstReference:
 
     def test_wrong_length_rejected(self, small_problem):
         evaluator = PlacementEvaluator(small_problem)
-        with pytest.raises(ValueError):
-            evaluator.evaluate(np.zeros(3, dtype=bool))
+        n = small_problem.n_candidates
+        for shape in [(3,), (2, 3), (2, 2, n), ()]:
+            with pytest.raises(ValueError):
+                evaluator.evaluate(np.zeros(shape, dtype=bool))
 
     def test_cap_below_four_rejected(self, small_problem):
         with pytest.raises(ValueError):
@@ -159,3 +165,42 @@ class TestNearestFromRanks:
                               (diag.k_visible, k_visible)]:
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+class TestBatch:
+    """A (B, N) batch scores each chromosome as the 1-D path and the masked
+    stable-sort reference do, bit for bit, however few rows each kernel
+    call takes: calls then split chromosomes and join neighbours."""
+
+    @pytest.mark.parametrize("cap", [4, 6, 12])
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_single_and_masked_sort(self, small_problem, cap, data):
+        evaluator = PlacementEvaluator(small_problem, gdop_subset_cap=cap)
+        n = small_problem.n_candidates
+        size = st.one_of(st.integers(0, 3), st.integers(4, cap), st.integers(cap + 1, n))
+        chromosomes = []
+        for count in data.draw(st.lists(size, max_size=6), label="sizes"):
+            sites = data.draw(st.permutations(range(n)), label="sites")[:count]
+            genes = np.zeros(n, dtype=bool)
+            genes[sites] = True
+            chromosomes.append(genes)
+        if chromosomes:
+            repeat = st.lists(st.integers(0, len(chromosomes) - 1), max_size=3)
+            chromosomes += [chromosomes[i] for i in data.draw(repeat, label="duplicates")]
+        batch = np.array(chromosomes, dtype=bool).reshape(-1, n)
+        rows = data.draw(st.sampled_from([5, 50, 107, 250, 10_000]), label="rows per call")
+
+        with mock.patch.multiple(evaluator_module, _ROW_BYTES=0, _MIN_ROWS=rows):
+            scores = evaluator.evaluate(batch)
+        assert isinstance(scores, list) and len(scores) == len(batch)
+        for genes, raw in zip(batch, scores):
+            assert raw == evaluator.evaluate(genes)
+            of1, of2, *_ = masked_sort_of1_of2(small_problem, genes, cap)
+            assert (raw.of1, raw.of2) == (of1, of2)
+
+    def test_batch_diagnostics_rejected(self, small_problem):
+        evaluator = PlacementEvaluator(small_problem)
+        genes = np.ones((1, small_problem.n_candidates), dtype=bool)
+        with pytest.raises(ValueError, match="one chromosome"):
+            evaluator.evaluate(genes, diagnostics=True)

@@ -14,13 +14,14 @@ from adsbplace.nsga2 import (
     _update_archive,
     crossover,
     crowding_distance,
-    dominates,
     evolve,
     mutate,
     non_dominated_sort,
     tournament_select,
 )
 from adsbplace.objectives import InvalidConfigError
+
+from oracles import dominates
 
 
 def make_chromosome(bits, forced=None):
@@ -281,12 +282,14 @@ class TestEvolve:
         config = GaConfig(population_size=8, generations=3, rng_seed=4, n_max=8,
                           gdop_subset_cap=6)
         serial = evolve(small_problem, config, threads=1)
-        parallel = evolve(small_problem, config, threads=4)
-        assert [m.chromosome.key() for m in serial.members] == [
-            m.chromosome.key() for m in parallel.members
-        ]
-        for a, b in zip(serial.members, parallel.members):
-            assert np.array_equal(a.objectives, b.objectives)
+        for threads in (2, 3, 4):
+            parallel = evolve(small_problem, config, threads=threads)
+            assert [m.chromosome.key() for m in serial.members] == [
+                m.chromosome.key() for m in parallel.members
+            ]
+            for a, b in zip(serial.members, parallel.members):
+                assert a.raw == b.raw
+                assert np.array_equal(a.objectives, b.objectives)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, small_problem, threads):
