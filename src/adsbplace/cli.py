@@ -17,7 +17,7 @@ from . import analysis
 from .config import ConfigError, RunConfig, load_config
 from .nsga2 import Chromosome, evolve
 from .objectives import InvalidConfigError, saturation_normalization
-from .scenario import DeployedFileError, build_problem_from_sites, load_deployed_csv
+from .scenario import DeployedFileError, build_problem_from_sites, deployed_lines, load_deployed_csv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -125,18 +125,17 @@ def cmd_augment(args) -> int:
 def _read_sensor_file(path: Path) -> tuple[list, int | None]:
     """Sensor rows plus the seed of a leading ``# seed=`` line, if any."""
     seed = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.startswith("#"):
-                break
-            key, sep, value = line[1:].partition("=")
-            if sep and key.strip() == "seed":
-                try:
-                    seed = int(value)
-                except ValueError:
-                    raise DeployedFileError(
-                        line_no, f"seed {value.strip()!r} is not an integer"
-                    ) from None
+    for line_no, line in enumerate(deployed_lines(path), 1):
+        if not line.startswith("#"):
+            break
+        key, sep, value = line[1:].partition("=")
+        if sep and key.strip() == "seed":
+            try:
+                seed = int(value)
+            except ValueError:
+                raise DeployedFileError(
+                    line_no, f"seed {value.strip()!r} is not an integer"
+                ) from None
     return load_deployed_csv(path), seed
 
 

@@ -13,11 +13,16 @@ nearest k selected sensors of every point come from one integer sort of
 would give, and the second of them gives OF2's verification range.
 
 ``evaluate`` scores a (B, N) batch in one pass; a single chromosome is a
-batch of one. Each chromosome's spacing, jammer and OF2 terms come from
-its own selected columns, but its GDOP rows, one per grid point, queue
-by nearest-sensor count k, and the kernel runs once per full chunk of
-(chromosome, point) rows. So on a small grid a population costs a few
-kernel calls, not one per chromosome.
+batch of one. The batch is grouped by sensor count n, and each group of
+G chromosomes is scored by one set of array operations over its (G, n)
+selected columns: one key sort gives every point's nearest sensors, and
+the spacing, jammer and OF2 terms come from (G, n, n), (J, G, n) and
+(m, G) gathers. Every mean reduces a contiguous row, so a chromosome's
+scores do not depend on the group it was scored in. Its GDOP rows, one
+per grid point, queue by nearest-sensor count k, and the kernel runs
+once per full chunk of (chromosome, point) rows. So on a small grid a
+population costs a few dozen array operations and a few kernel calls,
+not a set of each per chromosome.
 """
 
 from __future__ import annotations
@@ -41,6 +46,12 @@ from .scenario import PlacementProblem
 # the 1200-point grid the floor's 128 (a 495 KiB subset array).
 _ROW_BYTES = 256 << 10
 _MIN_ROWS = 128
+
+# Elements per slice of a group of equal sensor count n in its largest
+# temporaries: the (m, G, n) rank keys and LOS gather, the (G, n, n)
+# spacing gather and the (J, G, n) jammer gathers. 1 Mi int32 keys take
+# 4 MiB; on a 48-point grid a population's group is one slice.
+_SLICE_ELEMS = 1 << 20
 
 
 @dataclass
@@ -101,117 +112,124 @@ class PlacementEvaluator:
         batch = genes.reshape(-1, problem.n_candidates)
         req = problem.requirements
         grid = problem.grid
-        # Chromosomes in order of their nearest-sensor count k = min(cap, n),
-        # so that the kernel rows of one k fill consecutive rows of ``best``.
-        order = np.argsort(np.minimum(batch.sum(axis=1), self.cap), kind="stable")
-        best = np.full((len(batch), len(grid)), np.inf)
+        m = len(grid)
+        counts = batch.sum(axis=1)
+        # Chromosomes in order of their sensor count n, so each group of
+        # equal n is scored together and, as k = min(cap, n) rises with n,
+        # the kernel rows of one k fill consecutive rows of ``best``.
+        order = np.argsort(counts, kind="stable")
+        sizes = counts[order]
+        best = np.full((len(batch), m), np.inf)
         rows = _GdopRows(self, best)
-        parts = [None] * len(batch)
-        for slot, b in enumerate(order):
-            parts[b], detail = self._score(np.flatnonzero(batch[b]), rows, slot)
+        terms = np.empty((4, len(batch)))  # OF2, d1, d2, d3 by slot
+        starts = np.flatnonzero(np.diff(sizes, prepend=-1))
+        for start, stop in zip(starts, [*starts[1:], len(batch)]):
+            n = int(sizes[start])
+            step = max(1, _SLICE_ELEMS // max(1, n * max(m, n, len(problem.jammers))))
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                sel = np.nonzero(batch[order[lo:hi]])[1].reshape(hi - lo, n)
+                terms[:, lo:hi], detail = self._score_group(sel, rows, lo)
         rows.flush()
 
         # OF1: best 4-subset GDOP per point, capped nearest enumeration.
         achieved_gdop = np.where(np.isinf(best), req.gdop_cap, best)
         np.subtract(grid.required_gdop, achieved_gdop, out=achieved_gdop)
         np.square(achieved_gdop, out=achieved_gdop)
-        of1 = np.empty(len(batch))
-        of1[order] = np.mean(achieved_gdop, axis=1)
+        values = np.empty((5, len(batch)))
+        values[0, order] = np.mean(achieved_gdop, axis=1)
+        values[1:, order] = terms
         scores = [
-            RawScores(
-                of1=float(x),
-                of2=of2,
-                d1=d1,
-                d2=d2,
-                d3=d3,
-                penalty=knapsack_penalty(n, problem.n_candidates),
-                n_selected=n,
-            )
-            for x, (of2, d1, d2, d3, n) in zip(of1, parts)
+            RawScores(of1, of2, d1, d2, d3, knapsack_penalty(n, problem.n_candidates), n)
+            for of1, of2, d1, d2, d3, n in zip(*values.tolist(), counts.tolist())
         ]
         if genes.ndim == 2:
             return scores
         if not diagnostics:
             return scores[0]
-        vis_counts, second_km, counts, min_dist = detail
+        vis_counts, second_km, jam_counts, min_dist = (a[:, 0] for a in detail)
         diag = Diagnostics(
             k_visible=vis_counts,
             best_gdop=best[0],
             second_range_km=np.where(vis_counts >= 2, second_km, np.inf),
-            affected_per_jammer=counts,
+            affected_per_jammer=jam_counts,
             min_jam_distance_km=min_dist,
         )
         return scores[0], diag
 
-    def _score(self, sel: np.ndarray, rows: _GdopRows, slot: int):
-        """Everything of one chromosome but OF1, whose kernel rows go to
-        row ``slot`` of ``rows``: (of2, d1, d2, d3, n) and the diagnostic
-        arrays."""
+    def _score_group(self, sel: np.ndarray, rows: _GdopRows, slot: int):
+        """Everything but OF1 of G chromosomes with n sensors each, given
+        as their (G, n) selected candidates, whose kernel rows go to
+        ``rows`` from row ``slot`` on: (OF2, d1, d2, d3), each (G,), and
+        the diagnostic arrays, (m, G) per point and (J, G) per jammer."""
         problem = self.problem
         req = problem.requirements
         grid = problem.grid
         m = len(grid)
-        n = sel.size
+        g, n = sel.shape
+        n_cand = problem.n_candidates
 
-        vis_counts = problem.los_point_cand[:, sel].sum(axis=1)
-        top = self._nearest(sel)
+        vis_counts = problem.los_point_cand[:, sel].sum(axis=2)
+        # Each point's selected sensors, nearest first: rank * N + candidate
+        # is unique per row and sorts by rank. One int32 sort of these keys
+        # beats an argpartition to k plus a sort of the k, about 3x at n = 25.
+        key = np.multiply(problem.rank_point_cand[:, sel], n_cand, dtype=self._key_dtype)
+        key += sel
+        key.sort(axis=2)
+        k = min(self.cap, n)
+        near = key[:, :, :k] % n_cand  # (m, G, k) candidates
 
         # OF2: two-receiver verification range, from the second nearest.
         if n >= 2:
-            second_km = problem.dist_point_cand[np.arange(m), sel[top[:, 1]]] / 1000.0
+            second_km = problem.dist_point_cand[np.arange(m)[:, None], near[:, :, 1]] / 1000.0
         else:
-            second_km = np.full(m, np.inf)
+            second_km = np.full((m, g), np.inf)
         achieved_range = np.where(vis_counts >= 2, second_km, problem.range_cap_km)
-        of2 = float(np.mean((grid.required_range_km - achieved_range) ** 2))
+        of2 = _row_mean((grid.required_range_km - achieved_range.T) ** 2)
 
         if n >= 4:
             # Flat (candidate, point) indices into the component-major
-            # direction cosines; below 4 sensors OF1 is inf everywhere.
-            rows.add(slot, sel[top.T] * m + np.arange(m), np.minimum(vis_counts, top.shape[1]))
+            # direction cosines, one row per (chromosome, point); below 4
+            # sensors OF1 is inf everywhere.
+            flat = near.transpose(2, 1, 0).astype(np.intp, order="C")
+            flat *= m
+            flat += np.arange(m)
+            rows.add(slot, flat.reshape(k, g * m), np.minimum(vis_counts.T, k).reshape(-1))
 
         # OF3 direction 1: nearest-neighbor spacing shortfall.
         target = req.min_sensor_spacing_km
         if n >= 2:
-            pair = problem.dist_cand_cand[np.ix_(sel, sel)] / 1000.0
-            np.fill_diagonal(pair, np.inf)
-            nearest = pair.min(axis=1)
-            d1 = float(np.mean(np.minimum(0.0, nearest - target) ** 2))
+            pair = problem.dist_cand_cand[sel[:, :, None], sel[:, None, :]] / 1000.0
+            diagonal = np.arange(n)
+            pair[:, diagonal, diagonal] = np.inf
+            d1 = _row_mean(np.minimum(0.0, pair.min(axis=2) - target) ** 2)
         else:
             # Too few sensors to measure spacing: full shortfall.
-            d1 = target**2
+            d1 = np.full(g, target**2)
 
-        # OF3 directions 2 and 3 over the jammer set.
-        k = len(problem.jammers)
-        if k and n:
-            jdist = problem.dist_jam_cand[:, sel] / 1000.0  # (k, n)
-            jlos = problem.los_jam_cand[:, sel]
-            jaffect = problem.affected_jam_cand[:, sel]
-            any_los = jlos.any(axis=1)
-            min_dist = jdist.min(axis=1)
+        # OF3 directions 2 and 3 over the jammer set, (J, G) per jammer.
+        n_jam = len(problem.jammers)
+        if n_jam and n:
+            # Division rounds monotonically, so it commutes with the min.
+            min_dist = problem.dist_jam_cand[:, sel].min(axis=2) / 1000.0
+            any_los = problem.los_jam_cand[:, sel].any(axis=2)
             shortfall = np.minimum(0.0, min_dist - req.min_jammer_distance_km)
-            d2 = float(np.mean(np.where(any_los, shortfall**2, 0.0)))
-            counts = jaffect.sum(axis=1)
-            excess = np.maximum(0, counts - req.max_sensors_in_jammer_los)
-            d3 = float(np.mean(excess.astype(float) ** 2))
+            d2 = _row_mean(np.where(any_los, shortfall**2, 0.0).T)
+            jam_counts = problem.affected_jam_cand[:, sel].sum(axis=2)
+            excess = np.maximum(0, jam_counts - req.max_sensors_in_jammer_los)
+            d3 = _row_mean(excess.T.astype(float) ** 2)
         else:
-            d2 = 0.0
-            d3 = 0.0
-            counts = np.zeros(k, dtype=int)
-            min_dist = np.full(k, np.inf)
-        return (of2, d1, d2, d3, int(n)), (vis_counts, second_km, counts, min_dist)
+            d2 = d3 = np.zeros(g)
+            jam_counts = np.zeros((n_jam, g), dtype=int)
+            min_dist = np.full((n_jam, g), np.inf)
+        return (of2, d1, d2, d3), (vis_counts, second_km, jam_counts, min_dist)
 
-    def _nearest(self, sel: np.ndarray) -> np.ndarray:
-        """(m, min(cap, n)) positions in ``sel`` of each point's nearest
-        selected sensors, visible ones first, ties by candidate index."""
-        n = sel.size
-        # rank * n + position is unique per row and sorts by rank. One
-        # int32 sort of these keys beats an argpartition to k plus a sort
-        # of the k, about 3x at n = 25.
-        key = self.problem.rank_point_cand[:, sel].astype(self._key_dtype)
-        key *= n
-        key += np.arange(n, dtype=self._key_dtype)
-        key.sort(axis=1)
-        return key[:, : min(self.cap, n)] % n
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """Mean of each row of a 2-D array. numpy reduces each contiguous row
+    by the same pairwise sum as a 1-D ``np.mean``, so a row's mean does not
+    depend on the rows scored with it."""
+    return np.mean(np.ascontiguousarray(x), axis=1)
 
 
 class _GdopRows:

@@ -10,7 +10,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .evaluator import PlacementEvaluator, RawScores
-from .objectives import InvalidConfigError, Normalization, saturation_normalization, weighted_fitness
+from .objectives import (
+    InvalidConfigError,
+    Normalization,
+    of3_weight_vector,
+    saturation_normalization,
+    weighted_fitness,
+)
 from .scenario import PlacementProblem
 
 
@@ -209,7 +215,7 @@ class _Evaluation:
                  bounds: Normalization, threads: int = 1):
         self.evaluator = evaluator
         self.config = config
-        self.of3_weights = tuple(of3_weights)
+        self.of3_weights = of3_weight_vector(of3_weights)
         self.bounds = bounds
         self.threads = threads
         self.pool = None
@@ -227,7 +233,6 @@ class _Evaluation:
             if key not in self.cache and key not in todo:
                 todo[key] = chrom
         keys = list(todo)
-        raws: list[RawScores] = []
         if keys:
             genes = np.array([todo[key].genes for key in keys])
             parts = min(self.threads, len(keys))
@@ -238,17 +243,16 @@ class _Evaluation:
                     raws[i::parts] = part
             else:
                 raws = self.evaluator.evaluate(genes)
-        a = self.config.pareto_weight_a
-        for key, raw in zip(keys, raws):
-            of3 = self.bounds.of3(raw.d1, raw.d2, raw.d3, self.of3_weights)
-            vec = np.array(
-                [
-                    weighted_fitness(raw.of1, raw.penalty, a),
-                    weighted_fitness(raw.of2, raw.penalty, a),
-                    weighted_fitness(of3, raw.penalty, a),
-                ]
+            # The batch's (B, 3) objective vectors, by the same elementwise
+            # formulas the reports apply to one chromosome.
+            of1, of2, d1, d2, d3, penalty = np.array(
+                [(r.of1, r.of2, r.d1, r.d2, r.d3, r.penalty) for r in raws]
+            ).T
+            of3 = self.bounds.of3(d1, d2, d3, self.of3_weights)
+            vecs = weighted_fitness(
+                np.stack([of1, of2, of3], axis=1), penalty[:, None], self.config.pareto_weight_a
             )
-            self.cache[key] = (raw, vec)
+            self.cache.update(zip(keys, zip(raws, vecs)))
         out = []
         for chrom in chromosomes:
             raw, vec = self.cache[chrom.key()]

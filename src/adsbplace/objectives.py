@@ -32,7 +32,7 @@ class ObjectiveRequirements:
     min_jammer_distance_km: float = 80.0
     max_sensors_in_jammer_los: int = 0
     gdop_cap: float = DEFAULT_GDOP_CAP
-    range_cap_km: float | None = None  # None: use the area diagonal
+    range_cap_km: float | None = None  # None: the diagonal of the grid's extent
 
     def __post_init__(self):
         for name in (
@@ -87,14 +87,22 @@ class ObjectiveScores:
     normalized: dict[str, float]
 
 
-def of3_combined(d1: float, d2: float, d3: float, weights: Sequence[float]) -> float:
-    """Weighted-sum scalarization of the three anti-jamming directions."""
+def of3_weight_vector(weights: Sequence[float]) -> np.ndarray:
+    """The OF3 weights as an array, checked: three non-negative values
+    that sum to 1."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (3,) or not np.all(w >= 0):
         raise InvalidConfigError("of3 weights must be three non-negative values")
     if not abs(float(w.sum()) - 1.0) <= 1e-9:
         raise InvalidConfigError("of3 weights must sum to 1")
-    return float(w[0] * d1 + w[1] * d2 + w[2] * d3)
+    return w
+
+
+def of3_combined(d1, d2, d3, weights: Sequence[float]):
+    """Weighted-sum scalarization of the three anti-jamming directions;
+    elementwise over arrays, a float for scalars."""
+    w = of3_weight_vector(weights)
+    return _scalar_or_array(w[0] * d1 + w[1] * d2 + w[2] * d3)
 
 
 def knapsack_penalty(selected_count: int, total_cells: int) -> float:
@@ -113,13 +121,20 @@ def weighted_fitness(objective_score: float, penalty: float, pareto_weight_a: fl
     return (1.0 - pareto_weight_a) * objective_score + pareto_weight_a * penalty
 
 
-def normalize_score(score: float, low: float, high: float) -> float:
-    """Min-max normalization clamped to [0, 1]; 0 on a degenerate range."""
+def normalize_score(score, low: float, high: float):
+    """Min-max normalization clamped to [0, 1]; 0 on a degenerate range.
+    Elementwise over arrays, a float for scalars; NaN maps to 0."""
     if high < low:
         raise ValueError("high must be >= low")
     if high == low:
-        return 0.0
-    return min(1.0, max(0.0, (score - low) / (high - low)))
+        return _scalar_or_array(np.zeros(np.shape(score)))
+    v = (np.asarray(score, dtype=float) - low) / (high - low)
+    v = np.where(v > 0.0, v, 0.0)
+    return _scalar_or_array(np.where(v < 1.0, v, 1.0))
+
+
+def _scalar_or_array(v: np.ndarray):
+    return float(v) if np.ndim(v) == 0 else v
 
 
 @dataclass(frozen=True)
@@ -130,11 +145,12 @@ class Normalization:
 
     saturation: dict[str, float]
 
-    def normalize(self, key: str, value: float) -> float:
+    def normalize(self, key: str, value):
         return normalize_score(value, 0.0, self.saturation[key])
 
-    def of3(self, d1: float, d2: float, d3: float, weights: Sequence[float]) -> float:
-        """OF3: the weighted sum of the normalized anti-jamming directions."""
+    def of3(self, d1, d2, d3, weights: Sequence[float]):
+        """OF3: the weighted sum of the normalized anti-jamming directions,
+        elementwise over arrays of the directions."""
         return of3_combined(
             self.normalize("d1", d1), self.normalize("d2", d2), self.normalize("d3", d3), weights
         )

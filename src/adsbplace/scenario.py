@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,11 +41,6 @@ class AreaBounds:
 
     def contains(self, lat: float, lon: float) -> bool:
         return self.lat_low <= lat <= self.lat_up and self.lon_low <= lon <= self.lon_up
-
-    def diagonal_km(self) -> float:
-        return float(
-            geo.haversine_km_arrays(self.lat_low, self.lon_low, self.lat_up, self.lon_up)
-        )
 
 
 @dataclass
@@ -317,47 +312,72 @@ class DeployedFileError(ValueError):
         self.line_no = line_no
 
 
+def deployed_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 sensor file with their endings, split at LF,
+    CRLF and CR as text mode splits them. A line that is not UTF-8 raises
+    ``DeployedFileError`` naming it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for line_no, line in enumerate(data.splitlines(keepends=True), 1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DeployedFileError(
+                line_no, f"not UTF-8: byte {line[exc.start]:#04x} at column {exc.start + 1}"
+            ) from None
+
+
+def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) of each CSV row; malformed CSV raises
+    ``DeployedFileError``."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise DeployedFileError(reader.line_num, str(exc)) from None
+
+
 def load_deployed_csv(path: str | Path) -> list[tuple[str, float, float, float]]:
     """Parse a sensor CSV with header id,lat_deg,lon_deg,alt_m.
 
     Lines starting with ``#`` and columns after the fourth are ignored,
     so emitted solution files parse too. Rows repeating an earlier
-    position are skipped with a warning. Unparsable, non-finite or
-    out-of-range coordinates raise ``DeployedFileError``.
+    position are skipped with a warning. Text that is not UTF-8 or CSV
+    and unparsable, non-finite or out-of-range coordinates raise
+    ``DeployedFileError``.
     """
     rows: list[tuple[str, float, float, float]] = []
     seen: set[tuple[float, float, float]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        # Comment lines become blank rows, so line_num stays the file's line.
-        reader = csv.reader("\n" if line.startswith("#") else line for line in fh)
-        header = next((row for row in reader if row), None)
-        if header is None:
-            return rows
-        expected = ["id", "lat_deg", "lon_deg", "alt_m"]
-        if [h.strip() for h in header[:4]] != expected:
-            raise DeployedFileError(reader.line_num, f"expected header {','.join(expected)}")
-        for row in reader:
-            line_no = reader.line_num
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 4:
-                raise DeployedFileError(line_no, "expected 4 columns")
-            try:
-                lat, lon, alt = float(row[1]), float(row[2]), float(row[3])
-            except ValueError as exc:
-                raise DeployedFileError(line_no, str(exc)) from exc
-            if not all(map(math.isfinite, (lat, lon, alt))):
-                raise DeployedFileError(line_no, "coordinates must be finite")
-            if not -90.0 <= lat <= 90.0:
-                raise DeployedFileError(line_no, f"latitude {lat} outside [-90, 90]")
-            if not -180.0 <= lon <= 180.0:
-                raise DeployedFileError(line_no, f"longitude {lon} outside [-180, 180]")
-            key = (lat, lon, alt)
-            if key in seen:
-                log.warning("deployed sensor on line %d duplicates an earlier row; skipped", line_no)
-                continue
-            seen.add(key)
-            rows.append((row[0].strip(), lat, lon, alt))
+    # Comment lines become blank rows, so line numbers stay the file's.
+    reader = _csv_rows("\n" if line.startswith("#") else line for line in deployed_lines(path))
+    line_no, header = next(((n, row) for n, row in reader if row), (0, None))
+    if header is None:
+        return rows
+    expected = ["id", "lat_deg", "lon_deg", "alt_m"]
+    if [h.strip() for h in header[:4]] != expected:
+        raise DeployedFileError(line_no, f"expected header {','.join(expected)}")
+    for line_no, row in reader:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) < 4:
+            raise DeployedFileError(line_no, "expected 4 columns")
+        try:
+            lat, lon, alt = float(row[1]), float(row[2]), float(row[3])
+        except ValueError as exc:
+            raise DeployedFileError(line_no, str(exc)) from exc
+        if not all(map(math.isfinite, (lat, lon, alt))):
+            raise DeployedFileError(line_no, "coordinates must be finite")
+        if not -90.0 <= lat <= 90.0:
+            raise DeployedFileError(line_no, f"latitude {lat} outside [-90, 90]")
+        if not -180.0 <= lon <= 180.0:
+            raise DeployedFileError(line_no, f"longitude {lon} outside [-180, 180]")
+        key = (lat, lon, alt)
+        if key in seen:
+            log.warning("deployed sensor on line %d duplicates an earlier row; skipped", line_no)
+            continue
+        seen.add(key)
+        rows.append((row[0].strip(), lat, lon, alt))
     return rows
 
 

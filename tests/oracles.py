@@ -7,7 +7,8 @@ time: scalar WGS-84/ECEF/NED geometry, a LAPACK GDOP per 4-subset, and
 loop-based OF1-OF3. ``gdop_min_batched_lapack`` is the batched LAPACK
 GDOP kernel the library had before its closed form, and
 ``masked_sort_of1_of2`` the evaluator's OF1/OF2 path before its rank
-matrix. It also holds the random geometries, tiny grids and the
+matrix, ``score_one`` its per-chromosome scoring before it scored a batch
+in groups of equal sensor count. It also holds the random geometries, tiny grids and the
 brute-force front partition the tests build their cases from.
 Nothing in the library imports it.
 """
@@ -22,9 +23,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from adsbplace import geo
+from adsbplace.evaluator import RawScores
 from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched
 from adsbplace.geo import DEFAULT_PROPAGATION, GeodeticPosition, PropagationParams
-from adsbplace.objectives import JammerModel, ObjectiveRequirements
+from adsbplace.objectives import JammerModel, ObjectiveRequirements, knapsack_penalty
 from adsbplace.scenario import AirspaceGrid, PlacementProblem
 
 from conftest import random_position
@@ -461,6 +463,62 @@ def masked_sort_of1_of2(problem: PlacementProblem, genes: np.ndarray, cap: int):
     achieved_gdop = np.where(np.isinf(best), problem.requirements.gdop_cap, best)
     of1 = float(np.mean((grid.required_gdop - achieved_gdop) ** 2))
     return of1, of2, best, np.where(vis_counts >= 2, second_km, np.inf), vis_counts
+
+
+def score_one(problem: PlacementProblem, genes: np.ndarray, cap: int) -> RawScores:
+    """Raw scores of one chromosome from its own selected columns, as
+    ``PlacementEvaluator.evaluate`` computed them one chromosome at a time:
+    1-D means, an (m, n) key sort for the nearest sensors and one kernel
+    call over the chromosome's m points."""
+    req = problem.requirements
+    grid = problem.grid
+    m = len(grid)
+    sel = np.flatnonzero(genes)
+    n = sel.size
+
+    vis_counts = problem.los_point_cand[:, sel].sum(axis=1)
+    # rank * n + position is unique per row and sorts by rank.
+    key = problem.rank_point_cand[:, sel].astype(np.int64)
+    key *= n
+    key += np.arange(n)
+    key.sort(axis=1)
+    top = key[:, : min(cap, n)] % n
+
+    if n >= 2:
+        second_km = problem.dist_point_cand[np.arange(m), sel[top[:, 1]]] / 1000.0
+    else:
+        second_km = np.full(m, np.inf)
+    achieved_range = np.where(vis_counts >= 2, second_km, problem.range_cap_km)
+    of2 = float(np.mean((grid.required_range_km - achieved_range) ** 2))
+
+    best = np.full(m, np.inf)
+    if n >= 4:
+        k = top.shape[1]
+        subsets = np.array(list(itertools.combinations(range(k), 4)), dtype=np.intp)
+        dc = np.take(problem.dc_point_cand.reshape(3, -1), sel[top.T] * m + np.arange(m), axis=1)
+        best = gdop_min_batched(dc.transpose(2, 1, 0), np.minimum(vis_counts, k), subsets)
+    achieved_gdop = np.where(np.isinf(best), req.gdop_cap, best)
+    of1 = float(np.mean((grid.required_gdop - achieved_gdop) ** 2))
+
+    target = req.min_sensor_spacing_km
+    if n >= 2:
+        pair = problem.dist_cand_cand[np.ix_(sel, sel)] / 1000.0
+        np.fill_diagonal(pair, np.inf)
+        d1 = float(np.mean(np.minimum(0.0, pair.min(axis=1) - target) ** 2))
+    else:
+        d1 = target**2
+
+    if len(problem.jammers) and n:
+        jdist = problem.dist_jam_cand[:, sel] / 1000.0
+        any_los = problem.los_jam_cand[:, sel].any(axis=1)
+        shortfall = np.minimum(0.0, jdist.min(axis=1) - req.min_jammer_distance_km)
+        d2 = float(np.mean(np.where(any_los, shortfall**2, 0.0)))
+        counts = problem.affected_jam_cand[:, sel].sum(axis=1)
+        excess = np.maximum(0, counts - req.max_sensors_in_jammer_los)
+        d3 = float(np.mean(excess.astype(float) ** 2))
+    else:
+        d2 = d3 = 0.0
+    return RawScores(of1, of2, d1, d2, d3, knapsack_penalty(n, problem.n_candidates), int(n))
 
 
 def jsr(jam: JammerModel, jammer_sensor_km: float, transmitter_sensor_km: float) -> float:

@@ -212,6 +212,24 @@ def test_bad_sensor_coordinates_exit_2(config_file, tmp_path, capsys, command, r
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["augment", "evaluate"])
+@pytest.mark.parametrize("data, line", [
+    (b"id,lat_deg,lon_deg,alt_m\nx\xff,48.0,7.0,0\n", 2),
+    (b"# seed=1 \xe9t\xe9\nid,lat_deg,lon_deg,alt_m\nx,48.0,7.0,0\n", 1),
+])
+def test_non_utf8_sensor_file_exit_2(config_file, tmp_path, capsys, command, data, line):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(data)
+    code = main([
+        command, "--config", str(config_file), "--sensors", str(bad), "--out", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"line {line}: not UTF-8" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestEvaluate:
     def test_fixture_scores_finite(self, config_file, tmp_path, capsys):
         out = tmp_path / "eval"

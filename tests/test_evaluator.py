@@ -1,6 +1,7 @@
 """Vectorized evaluator vs the per-point reference objective functions."""
 
 import itertools
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from oracles import (
     of3_direction1_spacing,
     of3_direction2_jammer_distance,
     of3_direction3_sensors_in_range,
+    score_one,
 )
 
 
@@ -168,9 +170,12 @@ class TestNearestFromRanks:
 
 
 class TestBatch:
-    """A (B, N) batch scores each chromosome as the 1-D path and the masked
-    stable-sort reference do, bit for bit, however few rows each kernel
-    call takes: calls then split chromosomes and join neighbours."""
+    """A (B, N) batch scores each chromosome as the 1-D path, the
+    per-chromosome scorer and the masked stable-sort reference do, bit for
+    bit, however few rows each kernel call takes and however few
+    chromosomes each group slice holds: kernel calls then split
+    chromosomes and join neighbours, and groups of equal sensor count
+    span several calls and slices."""
 
     @pytest.mark.parametrize("cap", [4, 6, 12])
     @settings(max_examples=15, derandomize=True, deadline=None)
@@ -179,8 +184,11 @@ class TestBatch:
         evaluator = PlacementEvaluator(small_problem, gdop_subset_cap=cap)
         n = small_problem.n_candidates
         size = st.one_of(st.integers(0, 3), st.integers(4, cap), st.integers(cap + 1, n))
+        sizes = data.draw(st.lists(size, max_size=6), label="sizes")
+        shared = data.draw(st.tuples(size, st.integers(0, 30)), label="shared size, count")
+        sizes += [shared[0]] * shared[1]
         chromosomes = []
-        for count in data.draw(st.lists(size, max_size=6), label="sizes"):
+        for count in sizes:
             sites = data.draw(st.permutations(range(n)), label="sites")[:count]
             genes = np.zeros(n, dtype=bool)
             genes[sites] = True
@@ -188,14 +196,20 @@ class TestBatch:
         if chromosomes:
             repeat = st.lists(st.integers(0, len(chromosomes) - 1), max_size=3)
             chromosomes += [chromosomes[i] for i in data.draw(repeat, label="duplicates")]
-        batch = np.array(chromosomes, dtype=bool).reshape(-1, n)
+        order = data.draw(st.permutations(range(len(chromosomes))), label="order")
+        batch = np.array([chromosomes[i] for i in order], dtype=bool).reshape(-1, n)
         rows = data.draw(st.sampled_from([5, 50, 107, 250, 10_000]), label="rows per call")
+        elems = data.draw(st.sampled_from([0, 5000, 1 << 20]), label="elements per slice")
 
-        with mock.patch.multiple(evaluator_module, _ROW_BYTES=0, _MIN_ROWS=rows):
+        with mock.patch.multiple(
+            evaluator_module, _ROW_BYTES=0, _MIN_ROWS=rows, _SLICE_ELEMS=elems
+        ):
             scores = evaluator.evaluate(batch)
         assert isinstance(scores, list) and len(scores) == len(batch)
         for genes, raw in zip(batch, scores):
             assert raw == evaluator.evaluate(genes)
+            assert raw == score_one(small_problem, genes, cap)
+            assert all(type(v) is float for v in astuple(raw)[:6])
             of1, of2, *_ = masked_sort_of1_of2(small_problem, genes, cap)
             assert (raw.of1, raw.of2) == (of1, of2)
 

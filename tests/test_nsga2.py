@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from adsbplace.nsga2 import (
     non_dominated_sort,
     tournament_select,
 )
-from adsbplace.objectives import InvalidConfigError
+from adsbplace.evaluator import PlacementEvaluator
+from adsbplace.objectives import InvalidConfigError, weighted_fitness
 
 from oracles import dominates
 
@@ -290,6 +292,28 @@ class TestEvolve:
             for a, b in zip(serial.members, parallel.members):
                 assert a.raw == b.raw
                 assert np.array_equal(a.objectives, b.objectives)
+
+    @pytest.mark.parametrize("weights", [(1, 1, 1), (0.5, 0.5), (-0.5, 0.5, 1.0)])
+    def test_bad_of3_weights_rejected_before_scoring(self, small_problem, weights):
+        config = GaConfig(population_size=4, generations=1, rng_seed=4, gdop_subset_cap=6)
+        with mock.patch.object(PlacementEvaluator, "evaluate") as scored:
+            with pytest.raises(InvalidConfigError, match="of3 weights"):
+                evolve(small_problem, config, of3_weights=weights)
+        scored.assert_not_called()
+
+    def test_objective_vectors_match_scalar_formulas(self, small_problem):
+        """The batch's vectorized objective vectors equal the scalar
+        formulas applied to each member's raw scores, bit for bit."""
+        config = GaConfig(population_size=12, generations=4, rng_seed=3, n_max=12,
+                          gdop_subset_cap=6, pareto_weight_a=0.3)
+        weights = (0.2, 0.3, 0.5)
+        front = evolve(small_problem, config, of3_weights=weights)
+        a = config.pareto_weight_a
+        for m in front.members:
+            r = m.raw
+            of3 = front.bounds.of3(r.d1, r.d2, r.d3, weights)
+            expected = [weighted_fitness(v, r.penalty, a) for v in (r.of1, r.of2, of3)]
+            assert m.objectives.tolist() == expected
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, small_problem, threads):

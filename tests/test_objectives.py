@@ -306,6 +306,22 @@ class TestSaturationNormalization:
         d = (0.5 * sat["d1"], 0.25 * sat["d2"], 0.1 * sat["d3"])
         assert norm.of3(*d, (0.2, 0.3, 0.5)) == pytest.approx(0.2 * 0.5 + 0.3 * 0.25 + 0.5 * 0.1)
 
+    def test_of3_elementwise_equals_scalar(self, rng):
+        """On arrays, normalize and of3 give what the scalar calls give,
+        bit for bit, clamping, -0.0, NaN and inf included."""
+        norm = saturation_normalization(ObjectiveRequirements(), 600.0, 30)
+        edges = [-1.0, -0.0, 0.0, 1e-300, math.nan, math.inf, -math.inf]
+        d = [np.concatenate([edges, rng.uniform(0.0, 2 * norm.saturation[k], 20)])
+             for k in ("d1", "d2", "d3")]
+        w = (0.2, 0.3, 0.5)
+        for key, values in zip(("d1", "d2", "d3"), d):
+            normalized = norm.normalize(key, values)
+            assert isinstance(normalized, np.ndarray)
+            assert normalized.tolist() == [norm.normalize(key, float(v)) for v in values]
+        of3 = norm.of3(*d, w)
+        assert of3.tolist() == [norm.of3(float(a), float(b), float(c), w) for a, b, c in zip(*d)]
+        assert type(norm.of3(1.0, 2.0, 3.0, w)) is float
+
     def test_directions_never_exceed_saturation(self, small_problem, rng):
         n_max = 8
         norm = saturation_normalization(small_problem.requirements, small_problem.range_cap_km, n_max)

@@ -1,7 +1,11 @@
 """Problem construction: grids, candidates, jammers, deployed files."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adsbplace.geo import GeodeticPosition
 from adsbplace.objectives import InvalidConfigError, ObjectiveRequirements
@@ -18,7 +22,13 @@ from adsbplace.scenario import (
     sample_grid,
 )
 
-from oracles import direction_cosines, euclidean_distance, geodetic_to_ecef, grid_points
+from oracles import (
+    direction_cosines,
+    euclidean_distance,
+    geodetic_to_ecef,
+    grid_points,
+    ground_distance_km,
+)
 
 
 class TestAreaBounds:
@@ -33,9 +43,6 @@ class TestAreaBounds:
     def test_contains(self, area_bounds):
         assert area_bounds.contains(49.0, 7.0)
         assert not area_bounds.contains(46.0, 7.0)
-
-    def test_diagonal_positive(self, area_bounds):
-        assert 400.0 < area_bounds.diagonal_km() < 700.0
 
 
 class TestSampleGrid:
@@ -155,6 +162,72 @@ class TestDeployedCsv:
         p.write_text("")
         assert load_deployed_csv(p) == []
 
+    def test_non_utf8_line_numbered(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"id,lat_deg,lon_deg,alt_m\r\ns1,48.0,7.0,0\rx\xff,48.0,7.0,0\n")
+        with pytest.raises(DeployedFileError, match="line 3: not UTF-8: byte 0xff") as err:
+            load_deployed_csv(p)
+        assert err.value.line_no == 3
+
+
+# Pieces of sensor files: the header, comments, coordinates in and out of
+# range or not finite, quotes and junk cells, under every line ending.
+_EDGES = st.sampled_from(["-90", "180.0", "90.5", "-180.1", "nan", "NaN", "inf", "-inf",
+                          "1e999", "", " ", '"', "x"])
+
+
+def _coord(bound: float):
+    """Mostly a coordinate in [-bound, bound], else an edge or junk cell."""
+    valid = st.floats(-bound, bound).map(repr)
+    return st.one_of(valid, valid, valid, _EDGES, st.floats().map(repr))
+
+
+_IDS = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=4)
+_ROWS = st.tuples(_IDS, _coord(90.0), _coord(180.0), _coord(1e5)).map(",".join)
+_LINES = st.one_of(
+    _ROWS,
+    _ROWS,
+    _ROWS,
+    st.sampled_from(["id,lat_deg,lon_deg,alt_m", "# seed=1", "#", "id,lat_deg"]),
+    st.lists(st.one_of(_EDGES, st.text(max_size=6)), max_size=6).map(",".join),
+)
+
+
+@st.composite
+def _sensor_files(draw) -> bytes:
+    """Arbitrary bytes, or lines of CSV-like text under an optional header,
+    sometimes with an arbitrary byte string spliced in."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=200))
+    lines = draw(st.lists(_LINES, min_size=1, max_size=8))
+    if draw(st.integers(0, 3)):
+        lines.insert(0, "id,lat_deg,lon_deg,alt_m")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(a + b for a, b in zip(lines, ends)).encode()
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.one_of(st.just(b""), st.just(b""), st.binary(max_size=3))) + text[at:]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=_sensor_files())
+def test_deployed_csv_fuzz(tmp_path_factory, data):
+    """Any file gives valid rows or a DeployedFileError naming one of its
+    lines; no other exception escapes."""
+    p = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    p.write_bytes(data)
+    try:
+        rows = load_deployed_csv(p)
+    except DeployedFileError as exc:
+        assert 1 <= exc.line_no <= len(data.splitlines())
+        assert str(exc).startswith(f"line {exc.line_no}: ")
+        return
+    for sensor_id, lat, lon, alt in rows:
+        assert isinstance(sensor_id, str)
+        assert all(map(math.isfinite, (lat, lon, alt)))
+        assert -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
+    assert len(set((lat, lon, alt) for _, lat, lon, alt in rows)) == len(rows)
+
 
 class TestBuildProblem:
     def test_matrix_shapes(self, small_problem):
@@ -201,10 +274,13 @@ class TestBuildProblem:
         visible = p.los_point_cand.sum(axis=1)
         assert np.array_equal(p.rank_point_cand < visible[:, None], p.los_point_cand)
 
-    def test_range_cap_defaults_to_diagonal(self, small_problem, area_bounds):
-        assert small_problem.range_cap_km == pytest.approx(
-            area_bounds.diagonal_km(), rel=0.05
-        )
+    def test_range_cap_defaults_to_diagonal(self, small_problem):
+        # The great-circle diagonal of the grid's extent, not of the area.
+        grid = small_problem.grid
+        low = GeodeticPosition(float(grid.lat_deg.min()), float(grid.lon_deg.min()), 0.0)
+        high = GeodeticPosition(float(grid.lat_deg.max()), float(grid.lon_deg.max()), 0.0)
+        assert small_problem.requirements.range_cap_km is None
+        assert small_problem.range_cap_km == pytest.approx(ground_distance_km(low, high), rel=1e-12)
 
     def test_deployed_become_forced(self, area_bounds):
         req = ObjectiveRequirements()
