@@ -29,7 +29,8 @@ class ConfigError(ValueError):
 
 
 def _number(where: str, value) -> float:
-    if isinstance(value, int):
+    # JSON true/false parse as bool, which is an int subclass: not a number here.
+    if isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, float) or not math.isfinite(value):
         raise ConfigError(where, "expected a finite number")
@@ -45,7 +46,7 @@ def _get(data: dict, path: str, key: str, kind, default=None, required=False):
     value = data[key]
     if kind is float:
         return _number(where, value)
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(where, f"expected {kind.__name__}")
     return value
 

@@ -44,15 +44,6 @@ class Chromosome:
         return int(self.genes.sum())
 
 
-@dataclass
-class Individual:
-    chromosome: Chromosome
-    raw: RawScores
-    objectives: np.ndarray  # 3 minimized values used for dominance
-    rank: int = -1
-    crowding: float = 0.0
-
-
 @dataclass(frozen=True)
 class GaConfig:
     population_size: int = 100
@@ -75,8 +66,8 @@ class GaConfig:
                 raise InvalidConfigError(f"{name} must lie in [0, 1]")
         if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
             raise InvalidConfigError("mutation_rate must lie in [0, 1]")
-        if self.tournament_size < 1:
-            raise InvalidConfigError("tournament_size must be >= 1")
+        if not 1 <= self.tournament_size <= self.population_size:
+            raise InvalidConfigError("tournament_size must lie in [1, population_size]")
         if self.gdop_subset_cap < 4:
             raise InvalidConfigError("gdop_subset_cap must be >= 4")
 
@@ -149,66 +140,59 @@ def crowding_distance(objectives: Sequence[Sequence[float]]) -> np.ndarray:
     return dist
 
 
-def tournament_select(population: list[Individual], rng: np.random.Generator, k: int = 2) -> Individual:
-    """Binary (or k-ary) tournament: lower rank, then higher crowding,
-    then lower index for determinism."""
-    idx = rng.integers(0, len(population), size=k)
-    best = None
-    for i in idx:
-        i = int(i)
-        cand = (population[i].rank, -population[i].crowding, i)
-        if best is None or cand < best:
-            best = cand
-    return population[best[2]]
+def _lowest(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mask of the ``counts[i]`` lowest keys of each row ``i``."""
+    mask = np.empty(keys.shape, dtype=bool)
+    taken = np.arange(keys.shape[1]) < counts[:, None]
+    np.put_along_axis(mask, np.argsort(keys, axis=1), taken, axis=1)
+    return mask
 
 
-def crossover(
-    p1: Chromosome, p2: Chromosome, rate: float, rng: np.random.Generator
-) -> tuple[Chromosome, Chromosome]:
-    """Uniform crossover with probability ``rate``, else clones."""
-    if p1.genes.shape != p2.genes.shape or not np.array_equal(p1.forced_mask, p2.forced_mask):
-        raise ValueError("parents must share length and forced mask")
-    if rng.random() >= rate:
-        return Chromosome(p1.genes.copy(), p1.forced_mask), Chromosome(p2.genes.copy(), p2.forced_mask)
-    take_first = rng.random(p1.genes.size) < 0.5
-    c1 = np.where(take_first, p1.genes, p2.genes)
-    c2 = np.where(take_first, p2.genes, p1.genes)
-    forced = p1.forced_mask
-    c1 |= forced
-    c2 |= forced
-    return Chromosome(c1, forced), Chromosome(c2, forced)
+def tournament_select(rank: np.ndarray, crowding: np.ndarray, rng: np.random.Generator,
+                      k: int = 2) -> np.ndarray:
+    """Indices of the winners of ``len(rank)`` k-ary tournaments: lower
+    rank, then higher crowding, then lower index for determinism."""
+    n = len(rank)
+    # lexsort is stable, so a full tie keeps the lower index first.
+    order = np.lexsort((-crowding, rank))
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n)
+    return order[place[rng.integers(0, n, size=(n, k))].min(axis=1)]
 
 
-def mutate(
-    c: Chromosome,
-    per_bit_rate: float,
-    rng: np.random.Generator,
-    n_max: int | None = None,
-) -> Chromosome:
-    """Independent per-bit flips on non-forced bits, with cap repair."""
-    if not 0.0 <= per_bit_rate <= 1.0:
-        raise ValueError("mutation rate must lie in [0, 1]")
-    flips = (rng.random(c.genes.size) < per_bit_rate) & ~c.forced_mask
-    genes = c.genes ^ flips
-    genes |= c.forced_mask
+def crossover(p1: np.ndarray, p2: np.ndarray, rate: float,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform crossover of the parent pairs ``(p1[i], p2[i])``; each
+    pair is cloned instead with probability ``1 - rate``."""
+    take_first = rng.random(p1.shape) < 0.5
+    take_first |= (rng.random(len(p1)) >= rate)[:, None]
+    return np.where(take_first, p1, p2), np.where(take_first, p2, p1)
+
+
+def mutate(genes: np.ndarray, forced: np.ndarray, per_bit_rate: float,
+           rng: np.random.Generator, n_max: int | None = None) -> np.ndarray:
+    """Independent per-bit flips on non-forced bits; a row above
+    ``n_max`` then drops that many of its non-forced bits at random."""
+    out = genes ^ (rng.random(genes.shape) < per_bit_rate)
+    out |= forced
     if n_max is not None:
-        excess = int(genes.sum()) - n_max
-        if excess > 0:
-            droppable = np.flatnonzero(genes & ~c.forced_mask)
-            drop = rng.choice(droppable, size=excess, replace=False)
-            genes[drop] = False
-    return Chromosome(genes, c.forced_mask)
+        excess = out.sum(axis=1) - n_max
+        rows = np.flatnonzero(excess > 0)
+        if rows.size:
+            keys = np.where(out[rows] & ~forced, rng.random((rows.size, out.shape[1])), np.inf)
+            out[rows] &= ~_lowest(keys, excess[rows])
+    return out
 
 
 class _Evaluation:
     """Shared evaluation cache.
 
-    Each chromosome is scored once. Its objective vector is a pure
-    function of its raw scores under a fixed normalization, so it never
-    changes afterwards and the archive stays monotone across generations.
-    A batch's new chromosomes go to the evaluator in one call or, with
-    ``threads > 1``, as that many interleaved sub-batches on a pool that
-    lives until ``close``.
+    Each gene row is scored once and cached under its packed bits. Its
+    objective vector is a pure function of its raw scores under a fixed
+    normalization, so it never changes afterwards and the archive stays
+    monotone across generations. A batch's new rows go to the evaluator
+    in one call or, with ``threads > 1``, as that many interleaved
+    sub-batches on a pool that lives until ``close``.
     """
 
     def __init__(self, evaluator: PlacementEvaluator, config: GaConfig, of3_weights,
@@ -226,18 +210,15 @@ class _Evaluation:
             self.pool = ThreadPoolExecutor(max_workers=threads)
         self.cache: dict[bytes, tuple[RawScores, np.ndarray]] = {}
 
-    def evaluate_batch(self, chromosomes: list[Chromosome]) -> list[Individual]:
-        todo: dict[bytes, Chromosome] = {}
-        for chrom in chromosomes:
-            key = chrom.key()
-            if key not in self.cache and key not in todo:
-                todo[key] = chrom
-        keys = list(todo)
-        if keys:
-            genes = np.array([todo[key].genes for key in keys])
-            parts = min(self.threads, len(keys))
+    def evaluate_batch(self, batch: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+        """Keys and (B, 3) objective vectors of a (B, N) gene batch."""
+        keys = [row.tobytes() for row in np.packbits(batch, axis=1)]
+        todo = {key: i for i, key in enumerate(keys) if key not in self.cache}
+        if todo:
+            genes = batch[list(todo.values())]
+            parts = min(self.threads, len(todo))
             if parts > 1:
-                raws = [None] * len(keys)
+                raws = [None] * len(todo)
                 subs = [genes[i::parts] for i in range(parts)]
                 for i, part in enumerate(self.pool.map(self.evaluator.evaluate, subs)):
                     raws[i::parts] = part
@@ -252,32 +233,42 @@ class _Evaluation:
             vecs = weighted_fitness(
                 np.stack([of1, of2, of3], axis=1), penalty[:, None], self.config.pareto_weight_a
             )
-            self.cache.update(zip(keys, zip(raws, vecs)))
-        out = []
-        for chrom in chromosomes:
-            raw, vec = self.cache[chrom.key()]
-            out.append(Individual(chromosome=chrom, raw=raw, objectives=vec.copy()))
-        return out
+            self.cache.update(zip(todo, zip(raws, vecs)))
+        return keys, np.array([self.cache[key][1] for key in keys])
 
     def close(self) -> None:
         if self.pool is not None:
             self.pool.shutdown()
 
 
-def _assign_ranks(population: list[Individual]) -> None:
-    fronts = non_dominated_sort([ind.objectives for ind in population])
-    for rank, front in enumerate(fronts):
-        dists = crowding_distance([population[i].objectives for i in front])
-        for i, d in zip(front, dists):
-            population[i].rank = rank
-            population[i].crowding = float(d)
+def _survivors(vecs: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices of the ``size`` rows kept: whole fronts in rank order, then
+    the members of the overflowing front with the highest crowding (lower
+    index on ties). Also their ranks and crowding distances, the latter
+    computed within each front of the survivors."""
+    keep, ranks, crowds = [], [], []
+    room = size
+    for rank, front in enumerate(non_dominated_sort(vecs)):
+        front = np.asarray(front)
+        if len(front) > room:
+            dist = crowding_distance(vecs[front])
+            front = front[np.lexsort((front, -dist))[:room]]
+        keep.append(front)
+        ranks.append(np.full(len(front), rank))
+        crowds.append(crowding_distance(vecs[front]))
+        room -= len(front)
+        if not room:
+            break
+    return np.concatenate(keep), np.concatenate(ranks), np.concatenate(crowds)
 
 
-def _update_archive(archive: dict[bytes, Individual], population: list[Individual]) -> None:
-    for ind in population:
-        archive.setdefault(ind.chromosome.key(), ind)
+def _update_archive(archive: dict[bytes, tuple[RawScores, np.ndarray]],
+                    entries: dict[bytes, tuple[RawScores, np.ndarray]]) -> None:
+    """Add the keyed (raw scores, objective vector) entries and keep the
+    archive's non-dominated ones."""
+    archive.update(entries)
     items = list(archive.items())
-    dominated = _dominance(np.array([ind.objectives for _, ind in items])).any(axis=0)
+    dominated = _dominance(np.array([vec for _, (_, vec) in items])).any(axis=0)
     archive.clear()
     archive.update(item for item, d in zip(items, dominated) if not d)
 
@@ -299,73 +290,48 @@ def evolve(
     if n_max is not None and n_max < forced_count:
         raise InvalidConfigError("n_max is below the number of forced sensors")
     mutation_rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
+    size = config.population_size
     rng = np.random.default_rng(config.rng_seed)
     evaluator = PlacementEvaluator(problem, gdop_subset_cap=config.gdop_subset_cap)
     bounds = saturation_normalization(problem.requirements, problem.range_cap_km,
                                       n_max if n_max is not None else n)
 
+    # Each initial row: a uniform sensor count, then that many random
+    # non-forced sites on top of the forced ones.
     high = min(n_max if n_max is not None else n, n)
-    chroms = []
-    non_forced = np.flatnonzero(~forced)
-    for _ in range(config.population_size):
-        total = int(rng.integers(forced_count, high + 1))
-        genes = forced.copy()
-        extra = total - forced_count
-        if extra > 0:
-            genes[rng.choice(non_forced, size=extra, replace=False)] = True
-        chroms.append(Chromosome(genes, forced))
-
+    extra = rng.integers(forced_count, high + 1, size=size) - forced_count
+    children = forced | _lowest(np.where(forced, np.inf, rng.random((size, n))), extra)
+    genes, vecs = np.empty((0, n), dtype=bool), np.empty((0, 3))
+    archive: dict[bytes, tuple[RawScores, np.ndarray]] = {}
     evaluation = _Evaluation(evaluator, config, of3_weights, bounds, threads=threads)
     try:
-        population = evaluation.evaluate_batch(chroms)
-
-        archive: dict[bytes, Individual] = {}
-        _update_archive(archive, population)
-        _emit(progress, 0, archive)
-
-        for gen in range(1, config.generations + 1):
-            _assign_ranks(population)
-            offspring: list[Chromosome] = []
-            while len(offspring) < config.population_size:
-                p1 = tournament_select(population, rng, config.tournament_size)
-                p2 = tournament_select(population, rng, config.tournament_size)
-                c1, c2 = crossover(p1.chromosome, p2.chromosome, config.crossover_rate, rng)
-                offspring.append(mutate(c1, mutation_rate, rng, n_max))
-                if len(offspring) < config.population_size:
-                    offspring.append(mutate(c2, mutation_rate, rng, n_max))
-            children = evaluation.evaluate_batch(offspring)
-            merged = population + children
-            fronts = non_dominated_sort([ind.objectives for ind in merged])
-            nxt: list[Individual] = []
-            for front in fronts:
-                if len(nxt) + len(front) <= config.population_size:
-                    nxt.extend(merged[i] for i in front)
-                else:
-                    dists = crowding_distance([merged[i].objectives for i in front])
-                    order = sorted(
-                        range(len(front)), key=lambda i: (-dists[i], front[i])
-                    )
-                    room = config.population_size - len(nxt)
-                    nxt.extend(merged[front[i]] for i in order[:room])
-                    break
-            population = nxt
-            _update_archive(archive, children)
+        for gen in range(config.generations + 1):
+            if gen:
+                winners = tournament_select(rank, crowding, rng, config.tournament_size)
+                c1, c2 = crossover(genes[winners[0::2]], genes[winners[1::2]],
+                                   config.crossover_rate, rng)
+                children = mutate(np.concatenate([c1, c2]), forced, mutation_rate, rng, n_max)
+            if not children[:, forced].all():
+                raise ValueError("forced sites must always be selected")
+            keys, child_vecs = evaluation.evaluate_batch(children)
+            vecs = np.concatenate([vecs, child_vecs])
+            keep, rank, crowding = _survivors(vecs, size)
+            genes, vecs = np.concatenate([genes, children])[keep], vecs[keep]
+            _update_archive(archive, {key: evaluation.cache[key] for key in keys})
             _emit(progress, gen, archive)
     finally:
         evaluation.close()
 
-    members = [
-        FrontMember(ind.chromosome, ind.raw, ind.objectives.copy())
-        for ind in sorted(archive.values(), key=lambda i: i.chromosome.key())
-    ]
+    members = []
+    for key, (raw, vec) in sorted(archive.items()):
+        genes = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n).astype(bool)
+        members.append(FrontMember(Chromosome(genes, forced), raw, vec.copy()))
     return ParetoFront(members=members, seed=config.rng_seed, bounds=bounds)
 
 
-def _emit(progress, gen: int, archive: dict[bytes, Individual]) -> None:
+def _emit(progress, gen: int, archive: dict[bytes, tuple[RawScores, np.ndarray]]) -> None:
     if progress is None:
         return
-    vectors = sorted(
-        [ind.objectives.tolist() for ind in archive.values()]
-    )
+    vectors = sorted(vec.tolist() for _, vec in archive.values())
     best = [min(v[i] for v in vectors) for i in range(3)] if vectors else []
     progress({"gen": gen, "front_size": len(vectors), "best": best, "front": vectors})

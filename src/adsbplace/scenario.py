@@ -35,6 +35,10 @@ class AreaBounds:
             raise InvalidConfigError("lat_low must be < lat_up")
         if not self.lon_low < self.lon_up:
             raise InvalidConfigError("lon_low must be < lon_up")
+        if not (-90.0 <= self.lat_low and self.lat_up <= 90.0):
+            raise InvalidConfigError("latitudes must lie in [-90, 90]")
+        if not (-180.0 <= self.lon_low and self.lon_up <= 180.0):
+            raise InvalidConfigError("longitudes must lie in [-180, 180]")
         alts = self.altitude_levels_m
         if not alts or any(a <= 0 for a in alts) or list(alts) != sorted(set(alts)):
             raise InvalidConfigError("altitudes must be strictly increasing and > 0")

@@ -148,6 +148,58 @@ def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
     assert '"gen"' not in err
 
 
+def exit_code_and_err(tmp_path, capsys, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code = main(["optimize", "--config", str(p), "--out", str(tmp_path / "o"), "--threads", "1"])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,field", [
+    ("candidates", "count", "candidates.count"),
+    ("ga", "tournament_size", "ga.tournament_size"),
+    ("ga", "population_size", "ga.population_size"),
+    ("ga", "crossover_rate", "ga.crossover_rate"),
+    ("area", "lat_up_deg", "area.lat_up_deg"),
+    ("jammers", "power_w", "jammers.power_w"),
+])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_number_exit_2(tmp_path, capsys, section, key, field, value):
+    """JSON true/false is not a number, although Python's bool is an int."""
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    doc.setdefault(section, {})[key] = value
+    code, err = exit_code_and_err(tmp_path, capsys, doc)
+    assert code == EXIT_USAGE
+    assert field in err
+    assert '"gen"' not in err
+
+
+def test_tournament_above_population_exit_2(tmp_path, capsys):
+    """Rejected while parsing; the search never draws the tournaments."""
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    doc["ga"]["tournament_size"] = 1_000_000_000
+    code, err = exit_code_and_err(tmp_path, capsys, doc)
+    assert code == EXIT_USAGE
+    assert "ga: tournament_size" in err
+    assert '"gen"' not in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("lat_up_deg", 91.0),
+    ("lat_low_deg", -91.0),
+    ("lon_up_deg", 181.0),
+    ("lon_low_deg", -181.0),
+    ("lat_up_deg", 200.0),
+])
+def test_area_out_of_range_exit_2(tmp_path, capsys, key, value):
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    doc["area"][key] = value
+    code, err = exit_code_and_err(tmp_path, capsys, doc)
+    assert code == EXIT_USAGE
+    assert "area:" in err
+    assert '"gen"' not in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-1", "two"])
 @pytest.mark.parametrize("command", ["optimize", "augment"])
 def test_bad_threads_exit_2(config_file, tmp_path, capsys, command, threads):

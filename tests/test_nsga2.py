@@ -6,12 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adsbplace.nsga2 import (
     Chromosome,
     GaConfig,
-    Individual,
     _dominance,
+    _survivors,
     _update_archive,
     crossover,
     crowding_distance,
@@ -60,24 +61,24 @@ class TestDominanceMatrix:
 
 class TestUpdateArchive:
     @staticmethod
-    def individuals(vectors, start):
-        return [
-            Individual(chromosome=make_chromosome([int(b) for b in f"{start + i:08b}"]),
-                       raw=None, objectives=np.asarray(v, dtype=float))
+    def entries(vectors, start):
+        return {
+            make_chromosome([int(b) for b in f"{start + i:08b}"]).key():
+                (None, np.asarray(v, dtype=float))
             for i, v in enumerate(vectors)
-        ]
+        }
 
     def test_keeps_brute_force_non_dominated_set(self, rng):
         values = np.array([0.0, 1.0, 2.0, 3.0, math.inf])
-        old = self.individuals(rng.choice(values, (20, 3)), 0)
-        new = self.individuals(rng.choice(values, (30, 3)), 20)
+        old = self.entries(rng.choice(values, (20, 3)), 0)
+        new = self.entries(rng.choice(values, (30, 3)), 20)
         archive = {}
         _update_archive(archive, old)
         _update_archive(archive, new)
-        pool = {ind.chromosome.key(): ind for ind in old + new}
+        pool = {**old, **new}
         expected = [
-            key for key, ind in pool.items()
-            if not any(dominates(o.objectives, ind.objectives) for o in pool.values())
+            key for key, (_, vec) in pool.items()
+            if not any(dominates(other, vec) for _, other in pool.values())
         ]
         assert list(archive) == expected
         assert all(archive[key] is pool[key] for key in expected)
@@ -129,90 +130,175 @@ class TestCrowdingDistance:
 
 
 class TestTournament:
+    # Tournaments of 50 entrants from two individuals: in each of the 20
+    # tournaments both enter, except with probability 2 ** -49.
     @staticmethod
-    def individual(rank, crowding):
-        c = make_chromosome([True, False])
-        return Individual(chromosome=c, raw=None, objectives=np.zeros(3),
-                          rank=rank, crowding=crowding)
+    def winners(rank, crowding):
+        rank = np.repeat(rank, 10)
+        crowding = np.repeat(crowding, 10)
+        return tournament_select(rank, crowding, np.random.default_rng(0), 50) // 10
 
     def test_rank_wins(self):
-        # Large k guarantees both candidates enter the tournament.
-        pop = [self.individual(1, 10.0), self.individual(0, 0.0)]
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert tournament_select(pop, rng, 50) is pop[1]
+        assert np.all(self.winners([1, 0], [10.0, 0.0]) == 1)
 
     def test_crowding_breaks_rank_tie(self):
-        pop = [self.individual(0, 0.4), self.individual(0, math.inf)]
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert tournament_select(pop, rng, 50) is pop[1]
+        assert np.all(self.winners([0, 0], [0.4, math.inf]) == 1)
 
     def test_index_breaks_full_tie(self):
-        pop = [self.individual(0, 1.0), self.individual(0, 1.0)]
+        # With fully identical competitors present, determinism demands
+        # the lowest index.
+        winners = tournament_select(np.zeros(20, dtype=int), np.ones(20),
+                                    np.random.default_rng(0), 20)
         rng = np.random.default_rng(0)
-        # With both (fully identical) competitors present, determinism
-        # demands the lower index.
-        for _ in range(20):
-            assert tournament_select(pop, rng, 50) is pop[0]
+        entrants = rng.integers(0, 20, size=(20, 20))
+        assert np.array_equal(winners, entrants.min(axis=1))
+
+    def test_one_winner_per_individual_in_range(self, rng):
+        rank = rng.integers(0, 3, 30)
+        winners = tournament_select(rank, rng.random(30), rng, 2)
+        assert winners.shape == (30,)
+        assert np.all((0 <= winners) & (winners < 30))
+
+
+def rows(bits):
+    return np.array(bits, dtype=bool)
 
 
 class TestOperators:
     def test_crossover_rate_zero_clones(self, rng):
-        p1 = make_chromosome([1, 0, 1, 0])
-        p2 = make_chromosome([0, 1, 0, 1])
+        p1 = rows([[1, 0, 1, 0], [1, 1, 0, 0]])
+        p2 = rows([[0, 1, 0, 1], [0, 0, 1, 1]])
         c1, c2 = crossover(p1, p2, 0.0, rng)
-        assert np.array_equal(c1.genes, p1.genes)
-        assert np.array_equal(c2.genes, p2.genes)
+        assert np.array_equal(c1, p1)
+        assert np.array_equal(c2, p2)
 
     def test_crossover_bits_from_parents(self, rng):
-        p1 = make_chromosome(rng.random(32) < 0.5)
-        p2 = make_chromosome(rng.random(32) < 0.5)
+        p1 = rng.random((8, 32)) < 0.5
+        p2 = rng.random((8, 32)) < 0.5
         c1, c2 = crossover(p1, p2, 1.0, rng)
         for c in (c1, c2):
-            assert np.all((c.genes == p1.genes) | (c.genes == p2.genes))
+            assert np.all((c == p1) | (c == p2))
+        # Each bit of a pair goes to one child and the other to the other.
+        assert np.array_equal(c1 ^ c2, p1 ^ p2)
 
     def test_crossover_identical_parents(self, rng):
-        p = make_chromosome([1, 1, 0, 0])
+        p = rows([[1, 1, 0, 0], [0, 1, 0, 1]])
         c1, c2 = crossover(p, p, 1.0, rng)
-        assert np.array_equal(c1.genes, p.genes) and np.array_equal(c2.genes, p.genes)
+        assert np.array_equal(c1, p) and np.array_equal(c2, p)
 
     def test_crossover_preserves_forced(self, rng):
-        forced = [1, 0, 0, 0]
-        p1 = make_chromosome([1, 0, 1, 0], forced)
-        p2 = make_chromosome([1, 1, 0, 1], forced)
-        for _ in range(10):
-            c1, c2 = crossover(p1, p2, 1.0, rng)
-            assert c1.genes[0] and c2.genes[0]
-
-    def test_crossover_mask_mismatch(self, rng):
-        p1 = make_chromosome([1, 0], [1, 0])
-        p2 = make_chromosome([0, 1], [0, 1])
-        with pytest.raises(ValueError):
-            crossover(p1, p2, 1.0, rng)
+        p1 = np.tile(rows([1, 0, 1, 0]), (10, 1))
+        p2 = np.tile(rows([1, 1, 0, 1]), (10, 1))
+        c1, c2 = crossover(p1, p2, 1.0, rng)
+        assert c1[:, 0].all() and c2[:, 0].all()
 
     def test_mutate_rate_zero_identity(self, rng):
-        c = make_chromosome([1, 0, 1, 0])
-        assert np.array_equal(mutate(c, 0.0, rng).genes, c.genes)
+        genes = rows([[1, 0, 1, 0], [0, 1, 1, 0]])
+        out = mutate(genes, np.zeros(4, dtype=bool), 0.0, rng)
+        assert np.array_equal(out, genes)
 
     def test_mutate_rate_one_flips_all_free(self, rng):
-        c = make_chromosome([1, 0, 1, 0], [1, 0, 0, 0])
-        out = mutate(c, 1.0, rng)
-        assert out.genes[0]  # forced kept
-        assert np.array_equal(out.genes[1:], ~c.genes[1:])
+        genes = rows([[1, 0, 1, 0], [1, 1, 1, 1]])
+        out = mutate(genes, rows([1, 0, 0, 0]), 1.0, rng)
+        assert out[:, 0].all()  # forced kept
+        assert np.array_equal(out[:, 1:], ~genes[:, 1:])
 
     def test_mutate_respects_n_max(self, rng):
-        c = make_chromosome([0] * 20)
-        for _ in range(30):
-            out = mutate(c, 0.9, rng, n_max=5)
-            assert out.popcount() <= 5
+        out = mutate(np.zeros((30, 20), dtype=bool), np.zeros(20, dtype=bool), 0.9, rng,
+                     n_max=5)
+        assert np.all(out.sum(axis=1) <= 5)
 
     def test_forced_never_dropped_by_repair(self, rng):
-        forced = [1] * 4 + [0] * 16
-        c = make_chromosome([1] * 20, forced)
-        out = mutate(c, 0.5, rng, n_max=6)
-        assert np.all(out.genes[:4])
-        assert out.popcount() <= 6
+        forced = rows([1] * 4 + [0] * 16)
+        out = mutate(np.ones((10, 20), dtype=bool), forced, 0.5, rng, n_max=6)
+        assert out[:, :4].all()
+        assert np.all(out.sum(axis=1) <= 6)
+
+    def test_rates_within_binomial_bounds(self):
+        """Fixed seed: flip rate and parent-bit share stay within five
+        standard deviations of their binomial means, and repair drops
+        each droppable bit about equally often and no other bit."""
+        rng = np.random.default_rng(2022)
+
+        def within(count, trials, p):
+            return abs(count - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
+
+        zeros = np.zeros((200, 100), dtype=bool)
+        flips = mutate(zeros, zeros[0], 0.1, rng)
+        assert within(flips.sum(), flips.size, 0.1)
+        c1, c2 = crossover(~zeros, zeros, 1.0, rng)
+        assert within(c1.sum(), c1.size, 0.5)
+        assert np.array_equal(c2, ~c1)
+
+        forced = rows([1] * 4 + [0] * 16)
+        genes = np.ones((2000, 20), dtype=bool)
+        genes[:, 4] = False  # not selected, so not droppable
+        out = mutate(genes, forced, 0.0, rng, n_max=10)
+        assert np.all(out.sum(axis=1) == 10)
+        assert out[:, :4].all() and not out[:, 4].any()
+        dropped = (genes & ~out).sum(axis=0)[5:]
+        # Each row drops 9 of its 15 droppable bits.
+        assert all(within(d, len(genes), 9 / 15) for d in dropped)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_offspring_step_properties(data):
+    """Tournament, crossover and mutation as ``evolve`` chains them keep
+    every forced bit and the sensor cap; with rate-1 crossover and no
+    mutation every child bit comes from one of its two parents."""
+    size = 2 * data.draw(st.integers(1, 12), label="pairs")
+    n = data.draw(st.integers(1, 40), label="n")
+    forced = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    n_max = data.draw(st.none() | st.integers(int(forced.sum()), n), label="n_max")
+    cross_rate = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1), label="crossover")
+    mut_rate = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1), label="mutation")
+    k = data.draw(st.integers(1, size), label="tournament")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    genes = (rng.random((size, n)) < rng.random()) | forced
+    rank = rng.integers(0, 3, size)
+    crowding = rng.choice([0.0, 0.5, math.inf], size)
+
+    winners = tournament_select(rank, crowding, rng, k)
+    p1, p2 = genes[winners[0::2]], genes[winners[1::2]]
+    c1, c2 = crossover(p1, p2, cross_rate, rng)
+    children = mutate(np.concatenate([c1, c2]), forced, mut_rate, rng, n_max)
+    assert children.shape == (size, n)
+    assert children[:, forced].all()
+    if n_max is not None:
+        assert np.all(children.sum(axis=1) <= n_max)
+
+    c1, c2 = crossover(p1, p2, 1.0, rng)
+    parents = np.concatenate([p1, p1]), np.concatenate([p2, p2])
+    children = mutate(np.concatenate([c1, c2]), forced, 0.0, rng)
+    assert np.all((children == parents[0]) | (children == parents[1]))
+    assert children[:, forced].all()
+
+
+class TestSurvivors:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_and_crowding_match_recomputed(self, seed):
+        """Survivors' ranks and crowding distances equal a fresh sort and
+        crowding of the survivors, on populations with tied vectors."""
+        rng = np.random.default_rng(seed)
+        vecs = rng.integers(0, 4, (40, 3)).astype(float)
+        keep, rank, crowding = _survivors(vecs, 20)
+        assert len(set(keep.tolist())) == 20
+        kept = vecs[keep]
+        fronts = non_dominated_sort(kept)
+        for r, front in enumerate(fronts):
+            assert np.all(rank[front] == r)
+            assert np.array_equal(crowding[front], crowding_distance(kept[front]))
+        # Whole fronts of the merged sort come first, in rank order.
+        merged = non_dominated_sort(vecs)
+        whole = [i for front in merged[:len(fronts) - 1] for i in front]
+        assert keep[:len(whole)].tolist() == whole
+        # Then the overflowing front's most crowding-distant members,
+        # lower index first on ties.
+        last = merged[len(fronts) - 1]
+        dist = crowding_distance(vecs[last])
+        best = sorted(range(len(last)), key=lambda i: (-dist[i], last[i]))
+        assert keep[len(whole):].tolist() == [last[i] for i in best[:20 - len(whole)]]
 
 
 class TestChromosome:
@@ -231,6 +317,13 @@ class TestGaConfig:
     def test_odd_population_rejected(self):
         with pytest.raises(InvalidConfigError):
             GaConfig(population_size=7)
+
+    def test_tournament_above_population_rejected(self):
+        GaConfig(population_size=8, tournament_size=8)
+        with pytest.raises(InvalidConfigError, match="tournament_size"):
+            GaConfig(population_size=8, tournament_size=9)
+        with pytest.raises(InvalidConfigError, match="tournament_size"):
+            GaConfig(population_size=8, tournament_size=1_000_000_000)
 
     def test_bad_rates_rejected(self):
         with pytest.raises(InvalidConfigError):

@@ -40,6 +40,13 @@ class TestAreaBounds:
         with pytest.raises(InvalidConfigError):
             AreaBounds(47.0, 51.0, 5.71, 9.71, (6000.0, 3000.0))
 
+    def test_range_checked(self):
+        AreaBounds(-90.0, 90.0, -180.0, 180.0)
+        for corners in ((-90.5, 51.0, 5.0, 9.0), (47.0, 90.5, 5.0, 9.0),
+                        (47.0, 51.0, -180.5, 9.0), (47.0, 51.0, 5.0, 180.5)):
+            with pytest.raises(InvalidConfigError, match="must lie in"):
+                AreaBounds(*corners)
+
     def test_contains(self, area_bounds):
         assert area_bounds.contains(49.0, 7.0)
         assert not area_bounds.contains(46.0, 7.0)
