@@ -286,15 +286,19 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _thread_count(text: str) -> int:
-    """argparse type of --threads: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _available_cores() -> int:
@@ -318,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_search(p):
         add_common(p)
-        p.add_argument("--seed", type=int, help="override the GA seed")
+        p.add_argument("--seed", type=_int_at_least(0), help="override the GA seed")
         p.add_argument(
-            "--threads", type=_thread_count, default=_available_cores(),
+            "--threads", type=_int_at_least(1), default=_available_cores(),
             help="evaluation worker count",
         )
 

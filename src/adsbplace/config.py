@@ -20,6 +20,9 @@ from .scenario import (
 )
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 class ConfigError(ValueError):
     """Invalid run configuration; carries the offending field path."""
 
@@ -48,6 +51,17 @@ def _get(data: dict, path: str, key: str, kind, default=None, required=False):
         return _number(where, value)
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(where, f"expected {kind.__name__}")
+    # Counts and seeds reach numpy as int64; a larger JSON integer would
+    # overflow there.
+    if kind is int and not _INT64_MIN <= value <= _INT64_MAX:
+        raise ConfigError(where, "integer out of the 64-bit range")
+    return value
+
+
+def _non_negative(where: str, value):
+    """Seeds and heights: None (unset) or at least 0."""
+    if value is not None and value < 0:
+        raise ConfigError(where, f"must be >= 0, got {value}")
     return value
 
 
@@ -153,8 +167,11 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     cand = _get(data, "", "candidates", dict, default={})
     candidate_count = _get(cand, "candidates", "count", int, default=400)
     candidate_pattern = _get(cand, "candidates", "pattern", str, default="lattice")
-    candidate_seed = _get(cand, "candidates", "seed", int)
-    antenna_height_m = _get(cand, "candidates", "antenna_height_m", float, default=0.0)
+    candidate_seed = _non_negative("candidates.seed", _get(cand, "candidates", "seed", int))
+    antenna_height_m = _non_negative(
+        "candidates.antenna_height_m",
+        _get(cand, "candidates", "antenna_height_m", float, default=0.0),
+    )
     if candidate_count < 1:
         raise ConfigError("candidates.count", "must be >= 1")
     if candidate_pattern not in ("lattice", "seeded-uniform"):
@@ -163,10 +180,12 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     jam = _get(data, "", "jammers", dict, default={})
     jammer_count = _get(jam, "jammers", "count", int, default=75)
     heights = _numbers(jam, "jammers", "heights_m", default=[3000.0, 6000.0, 10000.0])
+    for i, h in enumerate(heights):
+        _non_negative(f"jammers.heights_m[{i}]", h)
     jammer_pattern = _get(jam, "jammers", "pattern", str, default="grid")
     if jammer_pattern not in ("grid", "seeded-uniform"):
         raise ConfigError("jammers.pattern", "must be grid or seeded-uniform")
-    jammer_seed = _get(jam, "jammers", "seed", int)
+    jammer_seed = _non_negative("jammers.seed", _get(jam, "jammers", "seed", int))
     jammer_params = {}
     for key, kind, dflt in (
         ("power_w", float, 1.0),
@@ -222,6 +241,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         value = _get(ga_data, "ga", key, kind)
         if value is not None:
             ga_kwargs[key] = value
+    _non_negative("ga.rng_seed", ga_kwargs.get("rng_seed"))
     try:
         ga = GaConfig(**ga_kwargs)
     except InvalidConfigError as exc:

@@ -17,6 +17,17 @@ by many 4-subsets, so the kernel computes D and the squared-minor sum
 Q = D^2 + |c|^2 once per triple and gathers them per subset: det(B) is
 the signed sum of the four triples' D (cofactor expansion along the ones
 column) and sum(cofactor(B)^2) is the sum of their Q.
+
+The floor is decided per point, not per subset. A subset's trace is the
+sum of its rows' 1 + |b|^2, and every step of the floor (rounded
+addition, the exact * 0.25, squaring non-negative numbers, dividing by a
+positive constant) is monotone in each row's value. So every subset's
+floor lies between lo and hi, the floor of four copies of the point's
+smallest and of its largest usable row value. det(B)^2 > hi is above the
+subset's own floor and det(B)^2 <= lo is not; only entries in (lo, hi]
+get their own floor, computed exactly as before. The decision therefore
+equals the per-subset one bit for bit, and since the arithmetic keeps
+its operand order, so does every GDOP.
 """
 
 from __future__ import annotations
@@ -68,30 +79,80 @@ def gdop_min_batched(
     # Component-major (3, k, m): gathering whole rows keeps points contiguous.
     x, y, z = np.ascontiguousarray(dc.transpose(2, 1, 0))
     a, b, c = table.T
-    ux, uy, uz = x[a], y[a], z[a]
-    ex, ey, ez = x[b] - ux, y[b] - uy, z[b] - uz
-    fx, fy, fz = x[c] - ux, y[c] - uy, z[c] - uz
-    cx = ey * fz - ez * fy
-    cy = ez * fx - ex * fz
-    cz = ex * fy - ey * fx
-    det3 = ux * cx + uy * cy + uz * cz  # (T, m)
-    minor_sq = det3 * det3 + cx * cx + cy * cy + cz * cz
+    # Per triple (T, m), in place: e = v - u, f = w - u, c = e x f,
+    # D = u . c and Q = D^2 + |c|^2, each sum evaluated left to right.
+    ux, uy, uz = x.take(a, 0), y.take(a, 0), z.take(a, 0)
+    ex, ey, ez = x.take(b, 0), y.take(b, 0), z.take(b, 0)
+    fx, fy, fz = x.take(c, 0), y.take(c, 0), z.take(c, 0)
+    ex -= ux
+    ey -= uy
+    ez -= uz
+    fx -= ux
+    fy -= uy
+    fz -= uz
+    cx = ey * fz
+    cx -= ez * fy
+    cy = np.multiply(ez, fx, out=ez)
+    cy -= np.multiply(ex, fz, out=fz)
+    cz = np.multiply(ex, fy, out=ex)
+    cz -= np.multiply(ey, fx, out=fx)
+    det3 = np.multiply(ux, cx, out=ux)
+    det3 += np.multiply(uy, cy, out=uy)
+    det3 += np.multiply(uz, cz, out=uz)
+    minor_sq = np.multiply(det3, det3, out=ey)
+    minor_sq += np.multiply(cx, cx, out=cx)
+    minor_sq += np.multiply(cy, cy, out=cy)
+    minor_sq += np.multiply(cz, cz, out=cz)
 
+    # Per subset (S, m): det(B)^2 and sum(cofactor(B)^2).
     i0, i1, i2, i3 = index.T
-    det_sq = det3[i3] - det3[i2] + det3[i1] - det3[i0]  # (S, m)
+    det_sq = det3.take(i3, 0)
+    det_sq -= det3.take(i2, 0)
+    det_sq += det3.take(i1, 0)
+    det_sq -= det3.take(i0, 0)
     det_sq *= det_sq
-    cof_sq = minor_sq[i0] + minor_sq[i1] + minor_sq[i2] + minor_sq[i3]
-    row_sq = 1.0 + x * x + y * y + z * z  # (k, m)
-    s0, s1, s2, s3 = subsets.T
-    trace = row_sq[s0] + row_sq[s1] + row_sq[s2] + row_sq[s3]
+    cof_sq = minor_sq.take(i0, 0)
+    cof_sq += minor_sq.take(i1, 0)
+    cof_sq += minor_sq.take(i2, 0)
+    cof_sq += minor_sq.take(i3, 0)
+
+    # Singular: det_sq not above the subset's floor. The floor is monotone
+    # in each row norm, so the point's smallest and largest usable norms
+    # bound every subset's floor; only entries between them need their own.
+    row_sq = 1.0 + x * x  # (k, m)
+    row_sq += y * y
+    row_sq += z * z
+    unusable = np.arange(len(row_sq))[:, None] >= valid_counts
+    # fmin and fmax skip NaN, so the masked rows drop out of both.
+    masked = np.where(unusable, np.nan, row_sq)
+    bounds = np.empty((2, m))
+    np.fmin.reduce(masked, axis=0, out=bounds[0])
+    np.fmax.reduce(masked, axis=0, out=bounds[1])
+    lo, hi = _floor(bounds, bounds, bounds, bounds)
+    bad = ~(det_sq > hi)  # det_sq <= hi, or NaN
+    unsure = bad & (det_sq > lo)
+    if unsure.any():
+        s, p = np.nonzero(unsure)
+        r0, r1, r2, r3 = row_sq[subsets[s].T, p]
+        bad[s, p] = ~(det_sq[s, p] > _floor(r0, r1, r2, r3))
+    bad |= unusable[subsets.max(axis=1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cof_sq /= det_sq
+    cof_sq.reshape(-1)[np.flatnonzero(bad)] = np.inf
+    # sqrt is monotone, so the root of the minimum is the minimal root.
+    best = np.sqrt(cof_sq.min(axis=0))
+    best[valid_counts < 4] = np.inf
+    return best
+
+
+def _floor(r0, r1, r2, r3):
+    """Singularity floor (tr / 4)^4 / SINGULARITY_COND of 4-subsets whose
+    rows have 1 + |b|^2 = r0, r1, r2, r3, summed in that order."""
+    trace = r0 + r1
+    trace += r2
+    trace += r3
     trace *= 0.25
     trace *= trace
     trace *= trace
-    ok = det_sq > trace / SINGULARITY_COND
-    ok &= subsets.max(axis=1)[:, None] < valid_counts[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gdop_sq = np.where(ok, cof_sq / det_sq, np.inf)
-    # sqrt is monotone, so the root of the minimum is the minimal root.
-    best = np.sqrt(gdop_sq.min(axis=0))
-    best[valid_counts < 4] = np.inf
-    return best
+    trace /= SINGULARITY_COND
+    return trace

@@ -5,11 +5,13 @@ the geometry matrices and ``evaluator.PlacementEvaluator`` reduces them.
 This module computes the same quantities one point and one sensor at a
 time: scalar WGS-84/ECEF/NED geometry, a LAPACK GDOP per 4-subset, and
 loop-based OF1-OF3. ``gdop_min_batched_lapack`` is the batched LAPACK
-GDOP kernel the library had before its closed form, and
-``masked_sort_of1_of2`` the evaluator's OF1/OF2 path before its rank
-matrix, ``score_one`` its per-chromosome scoring before it scored a batch
-in groups of equal sensor count. It also holds the random geometries, tiny grids and the
-brute-force front partition the tests build their cases from.
+GDOP kernel the library had before its closed form,
+``gdop_min_batched_reference`` the closed form before its per-point
+singularity bounds, ``masked_sort_of1_of2`` the evaluator's OF1/OF2 path
+before its rank matrix, ``score_one`` its per-chromosome scoring before
+it scored a batch in groups of equal sensor count. It also holds the
+random geometries, tiny grids and the brute-force front partition the
+tests build their cases from.
 Nothing in the library imports it.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from adsbplace import geo
 from adsbplace.evaluator import RawScores
-from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched
+from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched, subset_triples
 from adsbplace.geo import DEFAULT_PROPAGATION, GeodeticPosition, PropagationParams
 from adsbplace.objectives import JammerModel, ObjectiveRequirements, knapsack_penalty
 from adsbplace.scenario import AirspaceGrid, PlacementProblem
@@ -226,6 +228,50 @@ def gdop_min_batched_lapack(
     usable = subsets.max(axis=1)[None, :] < valid_counts[:, None]
     gd = np.where(ok & usable, gd, np.inf)
     best = gd.min(axis=1) if gd.shape[1] else np.full(m, np.inf)
+    best[valid_counts < 4] = np.inf
+    return best
+
+
+def gdop_min_batched_reference(
+    dc: np.ndarray,
+    valid_counts: np.ndarray,
+    subsets: np.ndarray,
+    triples: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """``gdop_min_batched`` before its per-point singularity bounds: every
+    subset's floor is computed from its own four row norms, and each
+    expression allocates its result. The library kernel must return the
+    same bits."""
+    m = dc.shape[0]
+    if len(subsets) == 0:
+        return np.full(m, np.inf)
+    table, index = subset_triples(subsets) if triples is None else triples
+    x, y, z = np.ascontiguousarray(dc.transpose(2, 1, 0))
+    a, b, c = table.T
+    ux, uy, uz = x[a], y[a], z[a]
+    ex, ey, ez = x[b] - ux, y[b] - uy, z[b] - uz
+    fx, fy, fz = x[c] - ux, y[c] - uy, z[c] - uz
+    cx = ey * fz - ez * fy
+    cy = ez * fx - ex * fz
+    cz = ex * fy - ey * fx
+    det3 = ux * cx + uy * cy + uz * cz  # (T, m)
+    minor_sq = det3 * det3 + cx * cx + cy * cy + cz * cz
+
+    i0, i1, i2, i3 = index.T
+    det_sq = det3[i3] - det3[i2] + det3[i1] - det3[i0]  # (S, m)
+    det_sq *= det_sq
+    cof_sq = minor_sq[i0] + minor_sq[i1] + minor_sq[i2] + minor_sq[i3]
+    row_sq = 1.0 + x * x + y * y + z * z  # (k, m)
+    s0, s1, s2, s3 = subsets.T
+    trace = row_sq[s0] + row_sq[s1] + row_sq[s2] + row_sq[s3]
+    trace *= 0.25
+    trace *= trace
+    trace *= trace
+    ok = det_sq > trace / SINGULARITY_COND
+    ok &= subsets.max(axis=1)[:, None] < valid_counts[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gdop_sq = np.where(ok, cof_sq / det_sq, np.inf)
+    best = np.sqrt(gdop_sq.min(axis=0))
     best[valid_counts < 4] = np.inf
     return best
 

@@ -253,7 +253,7 @@ class TestCriterion6Determinism:
 
 @pytest.fixture(scope="session")
 def experiment_run():
-    """The full experiment-scale optimization (criterion 7); minutes-long."""
+    """The full experiment-scale optimization (criterion 7), 9-20 s."""
     cfg = parse_config(section8_preset(seed=1))
     problem = cfg.build_problem()
     ga = cfg.ga_for_problem(problem)

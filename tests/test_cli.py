@@ -134,6 +134,16 @@ NAN = float("nan")
     ("ga", "gdop_subset_cap", 3, "gdop_subset_cap"),
     (None, "requirements", {"range_cap_km": -50.0}, "requirements"),
     (None, "requirements", {"range_cap_km": 0}, "requirements"),
+    ("ga", "rng_seed", -1, "ga.rng_seed"),
+    (None, "candidates", {"count": 16, "pattern": "seeded-uniform", "seed": -1},
+     "candidates.seed"),
+    (None, "jammers", {"count": 8, "heights_m": [3000.0], "pattern": "seeded-uniform",
+                       "seed": -5}, "jammers.seed"),
+    ("ga", "n_max", 10**30, "ga.n_max"),
+    (None, "requirements", {"max_sensors_in_jammer_los": 10**30},
+     "requirements.max_sensors_in_jammer_los"),
+    ("candidates", "antenna_height_m", -10, "candidates.antenna_height_m"),
+    ("jammers", "heights_m", [-100], "jammers.heights_m"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
     """Rejected before the search starts, with a message naming the field."""
@@ -210,6 +220,18 @@ def test_bad_threads_exit_2(config_file, tmp_path, capsys, command, threads):
         argv += ["--sensors", str(clustered21_path())]
     assert main(argv) == EXIT_USAGE
     assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "augment"])
+def test_negative_seed_exit_2(config_file, tmp_path, capsys, command):
+    """A seed below 0 is a usage error, before any search."""
+    argv = [command, "--config", str(config_file), "--out", str(tmp_path / "o"),
+            "--seed", "-1", "--threads", "1"]
+    if command == "augment":
+        argv += ["--sensors", str(clustered21_path())]
+    assert main(argv) == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adsbplace.gdop import gdop_min_batched, subset_triples
+from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched, subset_triples
 from adsbplace.geo import GeodeticPosition
 
 from oracles import (
     best_gdop_at,
     gdop_matrix,
     gdop_min_batched_lapack,
+    gdop_min_batched_reference,
     gdop_of_four,
     geodetic_to_ecef,
     oracle_direction_cosine,
@@ -171,3 +174,85 @@ class TestBatchedGdop:
         got = gdop_min_batched(dc, np.array([v]), subsets_of(k))
         expected = best_gdop_at(aircraft, sensors[:v], None)
         assert got[0] == pytest.approx(expected, rel=1e-9)
+
+
+ROW_KINDS = ["unit", "scaled", "zero", "duplicate", "near_duplicate", "cone"]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(dc, valid_counts, subsets) for a few points at one k in 4..12.
+
+    Each valid row is a unit vector, a vector of another norm, a zero row
+    (a candidate at the point), an exact or a 1e-6-perturbed copy of an
+    earlier row, or a row on the point's cone of equal depression angle
+    (four cone rows are singular). Rows past the valid count are NaN.
+    """
+    k = draw(st.integers(4, 12))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dc = np.full((m, k, 3), np.nan)
+    valid = np.array(draw(st.lists(st.integers(0, k), min_size=m, max_size=m)))
+    for i in range(m):
+        kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=k, max_size=k))
+        depression = rng.uniform(0.05, 1.5)
+        for j, kind in enumerate(kinds[:valid[i]]):
+            row = rng.normal(size=3)
+            row /= np.linalg.norm(row)
+            if kind == "scaled":
+                row *= rng.uniform(0.3, 3.0)
+            elif kind == "zero":
+                row[:] = 0.0
+            elif kind in ("duplicate", "near_duplicate") and j:
+                row = dc[i, rng.integers(0, j)] + (1e-6 * row if kind == "near_duplicate" else 0.0)
+            elif kind == "cone":
+                azimuth = rng.uniform(0.0, 2 * np.pi)
+                row = np.array([np.cos(depression) * np.cos(azimuth),
+                                np.cos(depression) * np.sin(azimuth),
+                                np.sin(depression)])
+            dc[i, j] = row
+    return dc, valid, subsets_of(k)
+
+
+class TestKernelProperties:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=kernel_inputs())
+    def test_matches_references(self, case):
+        """Bit for bit the per-subset-floor kernel; within the LAPACK
+        tolerances the LAPACK one."""
+        dc, valid, subsets = case
+        got = gdop_min_batched(dc, valid, subsets)
+        assert np.array_equal(got, gdop_min_batched_reference(dc, valid, subsets))
+        # The LAPACK kernel forms every subset's matrix, so its garbage
+        # rows must be numbers; no valid subset reads them.
+        expected = gdop_min_batched_lapack(np.nan_to_num(dc), valid, subsets)
+        assert np.array_equal(np.isinf(got), np.isinf(expected))
+        finite = np.isfinite(expected)
+        assert np.allclose(got[finite], expected[finite], rtol=1e-9, atol=0.0)
+
+    def test_floor_between_point_bounds(self):
+        """A subset whose det(B)^2 lies between the point's bounds gets its
+        own floor: above it at point 0, not above it at point 1."""
+        u1, u2 = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8])
+        d = np.array([0.48, -0.6, 0.64])  # a unit vector
+        # Rows 0, u1, u2 and u1 + eps d: det(B) = eps * g, linear in eps.
+        rows = np.array([np.zeros(3), u1, u2, u1 + d])
+        g = np.linalg.det(np.hstack([rows, np.ones((4, 1))]))
+
+        def floor(trace):
+            return (trace / 4) ** 4 / SINGULARITY_COND
+
+        # Row values 1 + |b|^2 are about 1, 2, 2, 2.
+        lo, own, hi = floor(4.0), floor(7.0), floor(8.0)
+        dc = np.empty((2, 4, 3))
+        for i, target in enumerate([np.sqrt(own * hi), np.sqrt(lo * own)]):
+            dc[i] = rows
+            dc[i, 3] = u1 + np.sqrt(target) / abs(g) * d
+            row_sq = 1.0 + (dc[i] ** 2).sum(axis=1)
+            det_sq = np.linalg.det(np.hstack([dc[i], np.ones((4, 1))])) ** 2
+            assert floor(4 * row_sq.min()) < det_sq <= floor(4 * row_sq.max())
+            assert (det_sq > floor(row_sq.sum())) == (i == 0)
+        valid, subsets = np.array([4, 4]), subsets_of(4)
+        got = gdop_min_batched(dc, valid, subsets)
+        assert np.array_equal(got, gdop_min_batched_reference(dc, valid, subsets))
+        assert np.isfinite(got[0]) and np.isinf(got[1])
