@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluator import Diagnostics, PlacementEvaluator
+from .evaluator import Diagnostics, PlacementEvaluator, RawScores
 from .nsga2 import Chromosome, ParetoFront
 from .objectives import Normalization, ObjectiveScores, saturation_normalization
 from .scenario import PlacementProblem
@@ -71,20 +71,7 @@ def evaluate_placement(
                                           problem.n_candidates)
     evaluator = PlacementEvaluator(problem, gdop_subset_cap=gdop_subset_cap)
     raw, diag = evaluator.evaluate(chromosome.genes, diagnostics=True)
-    of3 = bounds.of3(raw.d1, raw.d2, raw.d3, of3_weights)
-    normalized = {
-        "of1": bounds.normalize("of1", raw.of1),
-        "of2": bounds.normalize("of2", raw.of2),
-        "of3": bounds.normalize("of3", of3),
-    }
-    scores = ObjectiveScores(
-        of1=raw.of1,
-        of2=raw.of2,
-        of3=of3,
-        of3_components=(raw.d1, raw.d2, raw.d3),
-        penalty=raw.penalty,
-        normalized=normalized,
-    )
+    scores = _objective_scores(raw, bounds, of3_weights)
     grid = problem.grid
     coverage = CoverageGrid(
         lat_deg=grid.lat_deg,
@@ -96,6 +83,20 @@ def evaluate_placement(
     )
     report = _jam_report(problem, diag)
     return scores, coverage, report
+
+
+def _objective_scores(raw: RawScores, bounds: Normalization,
+                      of3_weights: Sequence[float]) -> ObjectiveScores:
+    """The reported scores of one chromosome's raw scores: OF3 under the
+    run's normalization, as the search computed it, and the normalized
+    OF1, OF2 and OF3."""
+    of3 = bounds.of3(raw.d1, raw.d2, raw.d3, of3_weights)
+    normalized = {
+        "of1": bounds.normalize("of1", raw.of1),
+        "of2": bounds.normalize("of2", raw.of2),
+        "of3": bounds.normalize("of3", of3),
+    }
+    return ObjectiveScores(raw.of1, raw.of2, of3, (raw.d1, raw.d2, raw.d3), raw.penalty, normalized)
 
 
 def _jam_report(problem: PlacementProblem, diag: Diagnostics) -> JamReport:
@@ -120,10 +121,6 @@ def gdop_distribution(coverage: CoverageGrid, thresholds: Sequence[float]) -> Gd
     return GdopDistribution(thresholds=t, fraction_above=fractions)
 
 
-def fraction_gdop_above(coverage: CoverageGrid, threshold: float) -> float:
-    return float(np.mean(coverage.best_gdop > threshold))
-
-
 def pareto_summary(front: ParetoFront, of3_weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> list[dict]:
     """One row per archived solution with raw and normalized scores.
 
@@ -137,7 +134,7 @@ def pareto_summary(front: ParetoFront, of3_weights: Sequence[float] = (1 / 3, 1 
     rows = []
     for sol_id, member in enumerate(front.members):
         raw = member.raw
-        of3 = front.bounds.of3(raw.d1, raw.d2, raw.d3, of3_weights)
+        scores = _objective_scores(raw, front.bounds, of3_weights)
         rows.append(
             {
                 "solution_id": sol_id,
@@ -145,10 +142,10 @@ def pareto_summary(front: ParetoFront, of3_weights: Sequence[float] = (1 / 3, 1 
                 "n_forced": int(member.chromosome.forced_mask.sum()),
                 "of1": raw.of1,
                 "of2": raw.of2,
-                "of3": of3,
-                "of1_norm": front.bounds.normalize("of1", raw.of1),
-                "of2_norm": front.bounds.normalize("of2", raw.of2),
-                "of3_norm": front.bounds.normalize("of3", of3),
+                "of3": scores.of3,
+                "of1_norm": scores.normalized["of1"],
+                "of2_norm": scores.normalized["of2"],
+                "of3_norm": scores.normalized["of3"],
                 "d1": raw.d1,
                 "d2": raw.d2,
                 "d3": raw.d3,

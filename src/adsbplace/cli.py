@@ -140,12 +140,14 @@ def _read_sensor_file(path: Path) -> tuple[list, int | None]:
 
 
 def _map_to_candidates(problem, rows) -> np.ndarray | None:
-    """Chromosome over the problem's candidates, or None if rows do not
-    correspond to candidate sites."""
+    """Chromosome over the problem's candidates, or None unless each row
+    matches one candidate site in latitude, longitude and altitude, up to
+    ``fmt``'s rounding to 9 significant digits."""
     genes = np.zeros(problem.n_candidates, dtype=bool)
-    for _, lat, lon, _alt in rows:
+    for _, lat, lon, alt in rows:
         close = np.flatnonzero(
             (np.abs(problem.cand_lat - lat) < 1e-6) & (np.abs(problem.cand_lon - lon) < 1e-6)
+            & np.isclose(problem.cand_alt, alt, rtol=1e-8, atol=1e-6)
         )
         if close.size != 1:
             return None

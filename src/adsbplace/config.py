@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Any
 
 from .nsga2 import GaConfig
-from .objectives import InvalidConfigError, ObjectiveRequirements
+from .objectives import InvalidConfigError, ObjectiveRequirements, of3_weight_vector
 from .scenario import (
     AreaBounds,
     PlacementProblem,
@@ -220,10 +220,10 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError("requirements", str(exc)) from exc
 
     weights = _numbers(data, "", "of3_weights", default=[1 / 3, 1 / 3, 1 / 3])
-    if len(weights) != 3 or any(w < 0 for w in weights):
-        raise ConfigError("of3_weights", "must be three non-negative numbers")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ConfigError("of3_weights", "must sum to 1")
+    try:
+        of3_weight_vector(weights)
+    except InvalidConfigError as exc:
+        raise ConfigError("of3_weights", str(exc)) from exc
 
     ga_data = _get(data, "", "ga", dict, default={})
     ga_kwargs = {}

@@ -19,16 +19,17 @@ selected columns: one key sort gives every point's nearest sensors, and
 the spacing, jammer and OF2 terms come from (G, n, n), (J, G, n) and
 (m, G) gathers. Every mean reduces a contiguous row, so a chromosome's
 scores do not depend on the group it was scored in. Its GDOP rows, one
-per grid point, queue by nearest-sensor count k, and the kernel runs
-once per full chunk of (chromosome, point) rows. So on a small grid a
-population costs a few dozen array operations and a few kernel calls,
-not a set of each per chromosome.
+per grid point, are collected per nearest-sensor count k, and the kernel
+runs once per chunk of each k's (chromosome, point) rows. So on a small
+grid a population costs a few dozen array operations and a few kernel
+calls, not a set of each per chromosome. A batch's scores come back as
+one ``RawScores`` of (B,) columns.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,7 +57,8 @@ _SLICE_ELEMS = 1 << 20
 
 @dataclass
 class RawScores:
-    """Raw (unnormalized) objective values of one chromosome."""
+    """Raw (unnormalized) objective values: floats and an int for one
+    chromosome, or (B,) columns of them for a batch of B."""
 
     of1: float
     of2: float
@@ -65,6 +67,10 @@ class RawScores:
     d3: float
     penalty: float
     n_selected: int
+
+    def row(self, i: int) -> RawScores:
+        """The scores of chromosome ``i`` of a batch."""
+        return RawScores(*(getattr(self, f.name)[i].item() for f in fields(self)))
 
 
 @dataclass
@@ -89,6 +95,10 @@ class PlacementEvaluator:
         self.problem = problem
         self.cap = int(gdop_subset_cap)
         n = problem.n_candidates
+        self.dc_flat = problem.dc_point_cand.reshape(3, -1)  # (3, N * m)
+        # Penalty by sensor count from the scalar formula: numpy squares by a
+        # multiply, Python's ``**`` by pow(); they can differ in the last bit.
+        self.penalty_by_count = np.array([knapsack_penalty(c, n) for c in range(n + 1)])
         self._key_dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
         # Per nearest-sensor count k: the 4-subsets of range(k) and their
         # triple table, built once rather than on every kernel call (at
@@ -100,7 +110,7 @@ class PlacementEvaluator:
             self.tables[k] = (subsets, subset_triples(subsets))
 
     def evaluate(self, genes: np.ndarray, diagnostics: bool = False):
-        """Raw scores of one chromosome (N,), or a list of them for a
+        """Raw scores of one chromosome (N,), or columns of them for a
         (B, N) batch. With ``diagnostics``, one chromosome only, returns
         (raw, diagnostics)."""
         problem = self.problem
@@ -119,8 +129,14 @@ class PlacementEvaluator:
         # the kernel rows of one k fill consecutive rows of ``best``.
         order = np.argsort(counts, kind="stable")
         sizes = counts[order]
-        best = np.full((len(batch), m), np.inf)
-        rows = _GdopRows(self, best)
+        # Per k: the first slot of its chromosomes and its kernel rows, as
+        # (k, rows) flat gather indices and (rows,) valid counts.
+        ks = np.minimum(sizes, self.cap)
+        gathers = {}
+        for k in np.unique(ks[ks >= 4]).tolist():
+            first, last = np.searchsorted(ks, [k, k + 1]).tolist()
+            rows = (last - first) * m
+            gathers[k] = (first, np.empty((k, rows), dtype=np.intp), np.empty(rows, dtype=np.intp))
         terms = np.empty((4, len(batch)))  # OF2, d1, d2, d3 by slot
         starts = np.flatnonzero(np.diff(sizes, prepend=-1))
         for start, stop in zip(starts, [*starts[1:], len(batch)]):
@@ -129,8 +145,15 @@ class PlacementEvaluator:
             for lo in range(start, stop, step):
                 hi = min(lo + step, stop)
                 sel = np.nonzero(batch[order[lo:hi]])[1].reshape(hi - lo, n)
-                terms[:, lo:hi], detail = self._score_group(sel, rows, lo)
-        rows.flush()
+                terms[:, lo:hi], gather, detail = self._score_group(sel)
+                if gather is not None:
+                    first, flat, valid = gathers[min(self.cap, n)]
+                    span = slice((lo - first) * m, (hi - first) * m)
+                    flat[:, span], valid[span] = gather
+        best = np.full((len(batch), m), np.inf)
+        out = best.reshape(-1)  # a view: row slot * m + point
+        for k, (first, flat, valid) in gathers.items():
+            self._gdop(k, flat, valid, out[first * m:first * m + valid.size])
 
         # OF1: best 4-subset GDOP per point, capped nearest enumeration.
         achieved_gdop = np.where(np.isinf(best), req.gdop_cap, best)
@@ -139,14 +162,11 @@ class PlacementEvaluator:
         values = np.empty((5, len(batch)))
         values[0, order] = np.mean(achieved_gdop, axis=1)
         values[1:, order] = terms
-        scores = [
-            RawScores(of1, of2, d1, d2, d3, knapsack_penalty(n, problem.n_candidates), n)
-            for of1, of2, d1, d2, d3, n in zip(*values.tolist(), counts.tolist())
-        ]
+        scores = RawScores(*values, self.penalty_by_count[counts], counts)
         if genes.ndim == 2:
             return scores
         if not diagnostics:
-            return scores[0]
+            return scores.row(0)
         vis_counts, second_km, jam_counts, min_dist = (a[:, 0] for a in detail)
         diag = Diagnostics(
             k_visible=vis_counts,
@@ -155,13 +175,32 @@ class PlacementEvaluator:
             affected_per_jammer=jam_counts,
             min_jam_distance_km=min_dist,
         )
-        return scores[0], diag
+        return scores.row(0), diag
 
-    def _score_group(self, sel: np.ndarray, rows: _GdopRows, slot: int):
+    def _gdop(self, k: int, flat: np.ndarray, valid: np.ndarray, out: np.ndarray) -> None:
+        """Minimal GDOP of kernel rows with k nearest sensors, given as
+        (k, rows) flat gather indices and (rows,) valid counts, into
+        ``out``. Each call takes the budget's rows, down to whole
+        chromosomes where one fits. Every kernel operation is elementwise
+        along the rows, so a row's GDOP does not depend on its call."""
+        subsets, shared = self.tables[k]
+        m = len(self.problem.grid)
+        rows = max(_MIN_ROWS, _ROW_BYTES // (8 * max(len(shared[0]), len(subsets))))
+        chunk = rows - rows % m if rows >= m else rows
+        for start in range(0, valid.size, chunk):
+            # One contiguous (3, k, rows) gather, whose (rows, k, 3) view
+            # the kernel reads without a copy.
+            dc = np.take(self.dc_flat, flat[:, start:start + chunk], axis=1)
+            out[start:start + chunk] = gdop_min_batched(
+                dc.transpose(2, 1, 0), valid[start:start + chunk], subsets, shared
+            )
+
+    def _score_group(self, sel: np.ndarray):
         """Everything but OF1 of G chromosomes with n sensors each, given
-        as their (G, n) selected candidates, whose kernel rows go to
-        ``rows`` from row ``slot`` on: (OF2, d1, d2, d3), each (G,), and
-        the diagnostic arrays, (m, G) per point and (J, G) per jammer."""
+        as their (G, n) selected candidates: (OF2, d1, d2, d3), each (G,);
+        their kernel rows as (k, G * m) flat gather indices and (G * m,)
+        valid counts, None below 4 sensors; and the diagnostic arrays,
+        (m, G) per point and (J, G) per jammer."""
         problem = self.problem
         req = problem.requirements
         grid = problem.grid
@@ -187,6 +226,7 @@ class PlacementEvaluator:
         achieved_range = np.where(vis_counts >= 2, second_km, problem.range_cap_km)
         of2 = _row_mean((grid.required_range_km - achieved_range.T) ** 2)
 
+        gather = None
         if n >= 4:
             # Flat (candidate, point) indices into the component-major
             # direction cosines, one row per (chromosome, point); below 4
@@ -194,7 +234,7 @@ class PlacementEvaluator:
             flat = near.transpose(2, 1, 0).astype(np.intp, order="C")
             flat *= m
             flat += np.arange(m)
-            rows.add(slot, flat.reshape(k, g * m), np.minimum(vis_counts.T, k).reshape(-1))
+            gather = flat.reshape(k, g * m), np.minimum(vis_counts.T, k).reshape(-1)
 
         # OF3 direction 1: nearest-neighbor spacing shortfall.
         target = req.min_sensor_spacing_km
@@ -222,7 +262,7 @@ class PlacementEvaluator:
             d2 = d3 = np.zeros(g)
             jam_counts = np.zeros((n_jam, g), dtype=int)
             min_dist = np.full((n_jam, g), np.inf)
-        return (of2, d1, d2, d3), (vis_counts, second_km, jam_counts, min_dist)
+        return (of2, d1, d2, d3), gather, (vis_counts, second_km, jam_counts, min_dist)
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:
@@ -231,66 +271,3 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
     depend on the rows scored with it."""
     return np.mean(np.ascontiguousarray(x), axis=1)
 
-
-class _GdopRows:
-    """Kernel rows of one batch, queued in order of nearest-sensor count k.
-
-    Each chromosome with n >= 4 sensors queues one row per point: k flat
-    gather indices and a valid count, and its GDOP goes to its row of
-    ``best``. Every kernel operation is elementwise along the rows, so a
-    row's GDOP does not depend on which rows share its call. A call runs
-    as soon as a full chunk of rows is queued, and when k changes.
-    """
-
-    def __init__(self, evaluator: PlacementEvaluator, best: np.ndarray):
-        self.tables = evaluator.tables
-        self.dc_flat = evaluator.problem.dc_point_cand.reshape(3, -1)  # (3, N * m)
-        self.out = best.reshape(-1)  # a view: row slot * m + point
-        self.m = best.shape[1]
-        self.k = 0
-        self.pos = 0                 # where the first queued row's GDOP goes
-        self.flats: list[np.ndarray] = []
-        self.valids: list[np.ndarray] = []
-        self.queued = 0
-
-    def add(self, slot: int, flat: np.ndarray, valid: np.ndarray) -> None:
-        k = flat.shape[0]
-        if k != self.k:
-            self.flush()
-            self.k, self.pos = k, slot * self.m
-        self.flats.append(flat)
-        self.valids.append(valid)
-        self.queued += valid.size
-        if self.queued >= self._chunk():
-            self._run(final=False)
-
-    def flush(self) -> None:
-        """Run every queued row."""
-        if self.queued:
-            self._run(final=True)
-
-    def _chunk(self) -> int:
-        """Rows per call: the budget's, down to whole chromosomes where
-        one fits."""
-        subsets, (triples, _) = self.tables[self.k]
-        rows = max(_MIN_ROWS, _ROW_BYTES // (8 * max(len(triples), len(subsets))))
-        return rows - rows % self.m if rows >= self.m else rows
-
-    def _run(self, final: bool) -> None:
-        """Run the queued full chunks, and with ``final`` the rest."""
-        flat = np.concatenate(self.flats, axis=1)
-        valid = np.concatenate(self.valids)
-        subsets, shared = self.tables[self.k]
-        chunk = self._chunk()
-        stop = valid.size if final else valid.size - valid.size % chunk
-        for start in range(0, stop, chunk):
-            end = min(start + chunk, stop)
-            # One contiguous (3, k, rows) gather, whose (rows, k, 3) view
-            # the kernel reads without a copy.
-            dc = np.take(self.dc_flat, flat[:, start:end], axis=1)
-            self.out[self.pos + start:self.pos + end] = gdop_min_batched(
-                dc.transpose(2, 1, 0), valid[start:end], subsets, shared
-            )
-        self.pos += stop
-        self.queued = valid.size - stop
-        self.flats, self.valids = ([flat[:, stop:]], [valid[stop:]]) if self.queued else ([], [])

@@ -184,6 +184,11 @@ def mutate(genes: np.ndarray, forced: np.ndarray, per_bit_rate: float,
     return out
 
 
+# A cached evaluation: (its batch's columnar raw scores, its index there)
+# and its objective vector.
+_Entry = tuple[tuple[RawScores, int], np.ndarray]
+
+
 class _Evaluation:
     """Shared evaluation cache.
 
@@ -208,32 +213,29 @@ class _Evaluation:
             from concurrent.futures import ThreadPoolExecutor
 
             self.pool = ThreadPoolExecutor(max_workers=threads)
-        self.cache: dict[bytes, tuple[RawScores, np.ndarray]] = {}
+        self.cache: dict[bytes, _Entry] = {}
 
     def evaluate_batch(self, batch: np.ndarray) -> tuple[list[bytes], np.ndarray]:
         """Keys and (B, 3) objective vectors of a (B, N) gene batch."""
         keys = [row.tobytes() for row in np.packbits(batch, axis=1)]
         todo = {key: i for i, key in enumerate(keys) if key not in self.cache}
         if todo:
-            genes = batch[list(todo.values())]
+            new, genes = list(todo), batch[list(todo.values())]
             parts = min(self.threads, len(todo))
             if parts > 1:
-                raws = [None] * len(todo)
-                subs = [genes[i::parts] for i in range(parts)]
-                for i, part in enumerate(self.pool.map(self.evaluator.evaluate, subs)):
-                    raws[i::parts] = part
+                # Sub-batch i holds every parts-th new row from row i; its
+                # columns are joined, and the keys reordered to match.
+                subs = self.pool.map(self.evaluator.evaluate, [genes[i::parts] for i in range(parts)])
+                raws = RawScores(*map(np.concatenate, zip(*(vars(sub).values() for sub in subs))))
+                new = [key for i in range(parts) for key in new[i::parts]]
             else:
                 raws = self.evaluator.evaluate(genes)
             # The batch's (B, 3) objective vectors, by the same elementwise
             # formulas the reports apply to one chromosome.
-            of1, of2, d1, d2, d3, penalty = np.array(
-                [(r.of1, r.of2, r.d1, r.d2, r.d3, r.penalty) for r in raws]
-            ).T
-            of3 = self.bounds.of3(d1, d2, d3, self.of3_weights)
-            vecs = weighted_fitness(
-                np.stack([of1, of2, of3], axis=1), penalty[:, None], self.config.pareto_weight_a
-            )
-            self.cache.update(zip(todo, zip(raws, vecs)))
+            of3 = self.bounds.of3(raws.d1, raws.d2, raws.d3, self.of3_weights)
+            vecs = weighted_fitness(np.stack([raws.of1, raws.of2, of3], axis=1),
+                                    raws.penalty[:, None], self.config.pareto_weight_a)
+            self.cache.update((key, ((raws, i), vec)) for i, (key, vec) in enumerate(zip(new, vecs)))
         return keys, np.array([self.cache[key][1] for key in keys])
 
     def close(self) -> None:
@@ -262,10 +264,8 @@ def _survivors(vecs: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.
     return np.concatenate(keep), np.concatenate(ranks), np.concatenate(crowds)
 
 
-def _update_archive(archive: dict[bytes, tuple[RawScores, np.ndarray]],
-                    entries: dict[bytes, tuple[RawScores, np.ndarray]]) -> None:
-    """Add the keyed (raw scores, objective vector) entries and keep the
-    archive's non-dominated ones."""
+def _update_archive(archive: dict[bytes, _Entry], entries: dict[bytes, _Entry]) -> None:
+    """Add the keyed entries and keep the archive's non-dominated ones."""
     archive.update(entries)
     items = list(archive.items())
     dominated = _dominance(np.array([vec for _, (_, vec) in items])).any(axis=0)
@@ -302,7 +302,7 @@ def evolve(
     extra = rng.integers(forced_count, high + 1, size=size) - forced_count
     children = forced | _lowest(np.where(forced, np.inf, rng.random((size, n))), extra)
     genes, vecs = np.empty((0, n), dtype=bool), np.empty((0, 3))
-    archive: dict[bytes, tuple[RawScores, np.ndarray]] = {}
+    archive: dict[bytes, _Entry] = {}
     evaluation = _Evaluation(evaluator, config, of3_weights, bounds, threads=threads)
     try:
         for gen in range(config.generations + 1):
@@ -323,13 +323,13 @@ def evolve(
         evaluation.close()
 
     members = []
-    for key, (raw, vec) in sorted(archive.items()):
+    for key, ((raws, i), vec) in sorted(archive.items()):
         genes = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n).astype(bool)
-        members.append(FrontMember(Chromosome(genes, forced), raw, vec.copy()))
+        members.append(FrontMember(Chromosome(genes, forced), raws.row(i), vec.copy()))
     return ParetoFront(members=members, seed=config.rng_seed, bounds=bounds)
 
 
-def _emit(progress, gen: int, archive: dict[bytes, tuple[RawScores, np.ndarray]]) -> None:
+def _emit(progress, gen: int, archive: dict[bytes, _Entry]) -> None:
     if progress is None:
         return
     vectors = sorted(vec.tolist() for _, vec in archive.values())

@@ -121,14 +121,14 @@ def weighted_fitness(objective_score: float, penalty: float, pareto_weight_a: fl
     return (1.0 - pareto_weight_a) * objective_score + pareto_weight_a * penalty
 
 
-def normalize_score(score, low: float, high: float):
-    """Min-max normalization clamped to [0, 1]; 0 on a degenerate range.
+def normalize_score(score, high: float):
+    """Score divided by ``high``, clamped to [0, 1]; 0 when ``high`` is 0.
     Elementwise over arrays, a float for scalars; NaN maps to 0."""
-    if high < low:
-        raise ValueError("high must be >= low")
-    if high == low:
+    if high < 0:
+        raise ValueError("high must be >= 0")
+    if high == 0:
         return _scalar_or_array(np.zeros(np.shape(score)))
-    v = (np.asarray(score, dtype=float) - low) / (high - low)
+    v = np.asarray(score, dtype=float) / high
     v = np.where(v > 0.0, v, 0.0)
     return _scalar_or_array(np.where(v < 1.0, v, 1.0))
 
@@ -146,7 +146,7 @@ class Normalization:
     saturation: dict[str, float]
 
     def normalize(self, key: str, value):
-        return normalize_score(value, 0.0, self.saturation[key])
+        return normalize_score(value, self.saturation[key])
 
     def of3(self, d1, d2, d3, weights: Sequence[float]):
         """OF3: the weighted sum of the normalized anti-jamming directions,

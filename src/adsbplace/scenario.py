@@ -89,11 +89,17 @@ def sample_grid(
     )
 
 
-def _lattice_shape(count: int) -> tuple[int, int]:
+def _lattice_centers(bounds: AreaBounds, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Latitudes and longitudes of the centers of a near-square split of
+    the area into ``count`` rectangles."""
     rows = int(round(math.sqrt(count)))
     while rows > 1 and count % rows:
         rows -= 1
-    return rows, count // rows
+    cols = count // rows
+    lat_step = (bounds.lat_up - bounds.lat_low) / rows
+    lon_step = (bounds.lon_up - bounds.lon_low) / cols
+    return (bounds.lat_low + lat_step * (np.arange(rows) + 0.5),
+            bounds.lon_low + lon_step * (np.arange(cols) + 0.5))
 
 
 def generate_candidates(
@@ -108,11 +114,7 @@ def generate_candidates(
         raise InvalidConfigError("candidate count must be >= 1")
     if pattern == "lattice":
         # One site per rectangle of the area split, placed at the center.
-        rows, cols = _lattice_shape(count)
-        lat_step = (bounds.lat_up - bounds.lat_low) / rows
-        lon_step = (bounds.lon_up - bounds.lon_low) / cols
-        lats = bounds.lat_low + lat_step * (np.arange(rows) + 0.5)
-        lons = bounds.lon_low + lon_step * (np.arange(cols) + 0.5)
+        lats, lons = _lattice_centers(bounds, count)
         lon_g, lat_g = np.meshgrid(lons, lats, indexing="ij")
         lat_arr, lon_arr = lat_g.ravel(), lon_g.ravel()
     elif pattern == "seeded-uniform":
@@ -141,12 +143,7 @@ def generate_jammers(
     if pattern == "grid":
         if count % len(heights_m):
             raise InvalidConfigError("jammer count must be divisible by the height count")
-        per_level = count // len(heights_m)
-        rows, cols = _lattice_shape(per_level)
-        lat_step = (bounds.lat_up - bounds.lat_low) / rows
-        lon_step = (bounds.lon_up - bounds.lon_low) / cols
-        lats = bounds.lat_low + lat_step * (np.arange(rows) + 0.5)
-        lons = bounds.lon_low + lon_step * (np.arange(cols) + 0.5)
+        lats, lons = _lattice_centers(bounds, count // len(heights_m))
         for h in heights_m:
             for lo in lons:
                 for la in lats:
@@ -396,7 +393,6 @@ def build_problem(
     candidate_pattern: str = "lattice",
     candidate_seed: int | None = None,
     antenna_height_m: float = 0.0,
-    propagation: PropagationParams | None = None,
 ) -> PlacementProblem:
     """Assemble and precompute a placement problem.
 
@@ -426,7 +422,6 @@ def build_problem(
         forced_mask=forced,
         jammers=list(jammers or []),
         requirements=requirements,
-        propagation=propagation or PropagationParams(),
     )
     return precompute(problem)
 
@@ -438,7 +433,6 @@ def build_problem_from_sites(
     requirements: ObjectiveRequirements,
     sites: Sequence[tuple[str, float, float, float]],
     jammers: list[JammerModel] | None = None,
-    propagation: PropagationParams | None = None,
 ) -> PlacementProblem:
     """Problem whose candidate set is exactly the given sensor sites.
 
@@ -462,7 +456,6 @@ def build_problem_from_sites(
         forced_mask=np.ones(len(sites), dtype=bool),
         jammers=list(jammers or []),
         requirements=requirements,
-        propagation=propagation or PropagationParams(),
     )
     return precompute(problem)
 

@@ -209,8 +209,11 @@ def gdop_min_batched_lapack(
 ) -> np.ndarray:
     """``gdop_min_batched`` through LAPACK: form every subset's 4x4 normal
     matrix B^T B, floor its determinant against its trace, invert it and
-    take sqrt(trace). Same contract as the closed-form kernel."""
-    m = dc.shape[0]
+    take sqrt(trace). Same contract as the closed-form kernel: rows past
+    a point's valid count are zeroed first, since no usable subset reads
+    them and NaN there would reach np.linalg.det."""
+    m, k = dc.shape[:2]
+    dc = np.where(np.arange(k)[None, :, None] < valid_counts[:, None, None], dc, 0.0)
     ones = np.ones(dc.shape[:2] + (1,))
     rows = np.concatenate([dc, ones], axis=-1)  # (m, k, 4)
     b = rows[:, subsets, :]  # (m, S, 4, 4)

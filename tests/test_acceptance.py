@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from adsbplace import geo
-from adsbplace.analysis import evaluate_placement, fraction_gdop_above, pareto_summary
+from adsbplace.analysis import evaluate_placement, gdop_distribution, pareto_summary
 from adsbplace.cli import main, read_pareto_csv
 from adsbplace.config import parse_config, section8_preset
 from adsbplace.evaluator import PlacementEvaluator
@@ -285,13 +285,13 @@ class TestCriterion7ExperimentScale:
     def test_gdop_coverage_halved_vs_clustered(self, experiment_run, clustered_baseline):
         cfg, problem, front, _ = experiment_run
         _, base_cov, _ = clustered_baseline
-        base_frac = fraction_gdop_above(base_cov, 60.0)
+        base_frac = gdop_distribution(base_cov, [60.0]).fraction_above[0]
         assert base_frac >= 0.75  # clustered deployment leaves most points poor
         best = min(front.members, key=lambda m: m.raw.of1)
         _, cov, _ = evaluate_placement(
             problem, best.chromosome, bounds=front.bounds, gdop_subset_cap=6
         )
-        frac = fraction_gdop_above(cov, 60.0)
+        frac = gdop_distribution(cov, [60.0]).fraction_above[0]
         assert frac <= 0.5 * base_frac
 
     def test_jamming_impact_halved_vs_clustered(self, experiment_run, clustered_baseline):

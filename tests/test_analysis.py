@@ -7,7 +7,6 @@ from adsbplace.analysis import (
     CoverageGrid,
     NoFeasibleSolutionError,
     evaluate_placement,
-    fraction_gdop_above,
     gdop_distribution,
     pareto_summary,
     select_solution,
@@ -101,9 +100,9 @@ class TestGdopDistribution:
         dist = gdop_distribution(coverage_with_gdop(values), [5, 20, 60, 150])
         assert np.all(np.diff(dist.fraction_above) <= 0)
 
-    def test_fraction_helper(self):
-        cov = coverage_with_gdop([10.0, 70.0, np.inf])
-        assert fraction_gdop_above(cov, 60.0) == pytest.approx(2 / 3)
+    def test_infinite_gdop_exceeds_threshold(self):
+        dist = gdop_distribution(coverage_with_gdop([10.0, 70.0, np.inf]), [60.0])
+        assert dist.fraction_above[0] == pytest.approx(2 / 3)
 
 
 def toy_front():

@@ -14,6 +14,7 @@ from adsbplace.cli import (
     main,
     read_pareto_csv,
 )
+from adsbplace.config import parse_config
 from adsbplace.scenario import clustered21_path
 
 SMALL_CONFIG = {
@@ -144,6 +145,9 @@ NAN = float("nan")
      "requirements.max_sensors_in_jammer_los"),
     ("candidates", "antenna_height_m", -10, "candidates.antenna_height_m"),
     ("jammers", "heights_m", [-100], "jammers.heights_m"),
+    (None, "of3_weights", [0.5, 0.5, 0.5], "of3_weights"),
+    (None, "of3_weights", [-0.5, 0.75, 0.75], "of3_weights"),
+    (None, "of3_weights", [0.5, 0.5], "of3_weights"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
     """Rejected before the search starts, with a message naming the field."""
@@ -360,6 +364,32 @@ class TestEvaluate:
             scores[name] = json.loads((out / "scores.json").read_text())
         assert scores["three"]["n_sensors"] == 3
         assert scores["three"]["of1"] == scores["none"]["of1"]
+
+    def test_sensor_altitude_is_scored(self, tmp_path, capsys):
+        """Rows at lattice sites but another altitude are scored at their
+        own altitude, as free-standing sensors, not at the candidates'."""
+        doc = dict(SMALL_CONFIG, grid={"lat_count": 4, "lon_count": 4})
+        config = tmp_path / "grid4.json"
+        config.write_text(json.dumps(doc))
+        problem = parse_config(doc).build_problem()
+        scores = {}
+        # Lattice sites at 0 m and 2000 m, and off the lattice by 1e-5 deg
+        # at 2000 m, which is always a free-standing placement.
+        for shift, alt in ((0.0, 0.0), (0.0, 2000.0), (1e-5, 2000.0)):
+            sensors = tmp_path / "sensors.csv"
+            sensors.write_text("\n".join(["id,lat_deg,lon_deg,alt_m", *(
+                f"s{i},{fmt(problem.cand_lat[i] + shift)},{fmt(problem.cand_lon[i])},{fmt(alt)}"
+                for i in (0, 3, 5, 10, 15)
+            )]) + "\n")
+            out = tmp_path / f"eval{shift}_{alt}"
+            code = main(["evaluate", "--config", str(config), "--sensors", str(sensors),
+                         "--out", str(out)])
+            assert code == EXIT_OK
+            scores[shift, alt] = json.loads((out / "scores.json").read_text())
+        assert problem.cand_alt.tolist() == [0.0] * 16
+        assert all(s["n_sensors"] == 5 for s in scores.values())
+        assert scores[0.0, 0.0]["of1"] != scores[0.0, 2000.0]["of1"]
+        assert scores[0.0, 2000.0]["of1"] == pytest.approx(scores[1e-5, 2000.0]["of1"], rel=1e-3)
 
     def test_bad_seed_line_exit_2(self, config_file, tmp_path, capsys):
         sensors = tmp_path / "sol.csv"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adsbplace import evaluator as evaluator_module
-from adsbplace.evaluator import PlacementEvaluator
+from adsbplace.evaluator import PlacementEvaluator, RawScores
 from adsbplace.geo import GeodeticPosition
 from adsbplace.objectives import ObjectiveRequirements, knapsack_penalty
 from adsbplace.scenario import AreaBounds, build_problem
@@ -205,13 +205,35 @@ class TestBatch:
             evaluator_module, _ROW_BYTES=0, _MIN_ROWS=rows, _SLICE_ELEMS=elems
         ):
             scores = evaluator.evaluate(batch)
-        assert isinstance(scores, list) and len(scores) == len(batch)
-        for genes, raw in zip(batch, scores):
+        assert isinstance(scores, RawScores)
+        columns = list(vars(scores).values())
+        assert all(c.shape == (len(batch),) for c in columns)
+        assert all(c.dtype == np.float64 for c in columns[:6])
+        assert columns[6].dtype.kind == "i"
+        for i, genes in enumerate(batch):
+            raw = scores.row(i)
             assert raw == evaluator.evaluate(genes)
             assert raw == score_one(small_problem, genes, cap)
             assert all(type(v) is float for v in astuple(raw)[:6])
             of1, of2, *_ = masked_sort_of1_of2(small_problem, genes, cap)
             assert (raw.of1, raw.of2) == (of1, of2)
+
+    def test_penalty_column_is_scalar_formula(self):
+        """The penalty column holds knapsack_penalty(n, N) bit for bit.
+        At N = 421 (400 candidates and 21 deployed sensors), numpy's
+        0.5 * (n / N) ** 2 differs from it in the last bit at n = 69
+        and 138."""
+        problem = build_problem(
+            bounds=AreaBounds(47.4, 51.4, 5.71, 9.71, altitude_levels_m=(3000.0,)),
+            lat_count=2, lon_count=2, candidate_count=421,
+            requirements=ObjectiveRequirements(),
+        )
+        n = problem.n_candidates
+        batch = np.arange(n)[None, :] < np.arange(n + 1)[:, None]
+        scores = PlacementEvaluator(problem, gdop_subset_cap=4).evaluate(batch)
+        expected = [knapsack_penalty(count, n) for count in range(n + 1)]
+        assert scores.n_selected.tolist() == list(range(n + 1))
+        assert scores.penalty.tolist() == expected
 
     def test_batch_diagnostics_rejected(self, small_problem):
         evaluator = PlacementEvaluator(small_problem)

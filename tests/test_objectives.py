@@ -264,14 +264,14 @@ class TestCombination:
         assert weighted_fitness(0.2, 0.1, 0.5) == pytest.approx(0.15)
 
     def test_normalize_endpoints_and_midpoint(self):
-        assert normalize_score(2.0, 2.0, 12.0) == 0.0
-        assert normalize_score(12.0, 2.0, 12.0) == 1.0
-        assert normalize_score(7.0, 2.0, 12.0) == 0.5
+        assert normalize_score(0.0, 10.0) == 0.0
+        assert normalize_score(10.0, 10.0) == 1.0
+        assert normalize_score(5.0, 10.0) == 0.5
 
     def test_normalize_degenerate_and_clamped(self):
-        assert normalize_score(5.0, 5.0, 5.0) == 0.0
-        assert normalize_score(99.0, 0.0, 10.0) == 1.0
-        assert normalize_score(-5.0, 0.0, 10.0) == 0.0
+        assert normalize_score(5.0, 0.0) == 0.0
+        assert normalize_score(99.0, 10.0) == 1.0
+        assert normalize_score(-5.0, 10.0) == 0.0
 
 
 class TestSaturationNormalization:
