@@ -24,11 +24,26 @@ runs once per chunk of each k's (chromosome, point) rows. So on a small
 grid a population costs a few dozen array operations and a few kernel
 calls, not a set of each per chromosome. A batch's scores come back as
 one ``RawScores`` of (B,) columns.
+
+With four or more forced sites (Scenario 2, augmenting a deployment),
+every chromosome holds the forced sensors, so the forced ones among a
+point's usable nearest k are always its f' nearest visible forced ones.
+The evaluator tables, per point, the best GDOP over the subsets inside
+its first j forced sensors and the minors of their row triples, from one
+kernel pass when it is built. A row whose usable sensors are all forced
+reads the table; a row with 4 <= f' < valid puts its forced sensors
+first and runs only the subsets and triples reaching past them, the rest
+read from the table. All-forced subsets keep their rank order, so those
+rows give the rank-order GDOP bit for bit; a mixed subset's rows change
+order, so a mixed row's GDOP may differ from it in the last bits. A row
+of a chromosome lacking a forced site, or with f' < 4, runs every subset
+in rank order. Without forced sites nothing changes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -108,6 +123,39 @@ class PlacementEvaluator:
         for k in range(4, min(self.cap, problem.n_candidates) + 1):
             subsets = np.array(list(itertools.combinations(range(k), 4)), dtype=np.intp)
             self.tables[k] = (subsets, subset_triples(subsets))
+        # Scenario 2: the forced sites are in every chromosome, so the
+        # forced sensors among a point's usable nearest k are always its
+        # f' nearest visible forced sensors, whatever else is selected.
+        # Their subsets' GDOP and their triples' values are per-point
+        # facts, tabled once here for the rows that are forced-first.
+        self.n_forced = int(problem.forced_mask.sum())
+        self.best_forced = self.forced_values = self.forced_upto = None
+        if self.n_forced >= 4:
+            self._build_forced_tables()
+
+    def _build_forced_tables(self) -> None:
+        """Per point, from its kf = min(cap, n_forced) nearest visible
+        forced sensors in rank order: ``best_forced`` (m, kf + 1), column j
+        the minimal GDOP over the subsets inside the first j of them;
+        ``forced_values`` (2, C(kf, 3), m), the D and Q of their triples;
+        and ``forced_upto`` (m, N), the number of visible forced sensors
+        ranked at or before each rank."""
+        problem = self.problem
+        m, n = len(problem.grid), problem.n_candidates
+        forced = np.flatnonzero(problem.forced_mask)
+        kf = min(self.cap, forced.size)
+        key = np.multiply(problem.rank_point_cand[:, forced], n, dtype=self._key_dtype)
+        key += forced
+        key.sort(axis=1)
+        flat = (key[:, :kf] % n).T.astype(np.intp) * m + np.arange(m)  # (kf, m)
+        visible = problem.los_point_cand[:, forced]
+        dc = np.take(self.dc_flat, flat, axis=1).transpose(2, 1, 0)
+        self.best_forced, self.forced_values = prefix_gdop(
+            dc, np.minimum(visible.sum(axis=1), kf), self.tables[kf]
+        )
+        upto = np.zeros((m, n), dtype=np.int32)
+        upto[np.arange(m)[:, None], problem.rank_point_cand[:, forced]] = visible
+        self.forced_upto = np.cumsum(upto, axis=1, out=upto)
 
     def evaluate(self, genes: np.ndarray, diagnostics: bool = False):
         """Raw scores of one chromosome (N,), or columns of them for a
@@ -130,13 +178,17 @@ class PlacementEvaluator:
         order = np.argsort(counts, kind="stable")
         sizes = counts[order]
         # Per k: the first slot of its chromosomes and its kernel rows, as
-        # (k, rows) flat gather indices and (rows,) valid counts.
+        # (k, rows) flat gather indices, (rows,) valid counts and, with a
+        # forced table, (rows,) forced counts f'.
         ks = np.minimum(sizes, self.cap)
         gathers = {}
         for k in np.unique(ks[ks >= 4]).tolist():
             first, last = np.searchsorted(ks, [k, k + 1]).tolist()
             rows = (last - first) * m
-            gathers[k] = (first, np.empty((k, rows), dtype=np.intp), np.empty(rows, dtype=np.intp))
+            arrays = [np.empty((k, rows), dtype=np.intp), np.empty(rows, dtype=np.intp)]
+            if self.best_forced is not None:
+                arrays.append(np.empty(rows, dtype=np.intp))
+            gathers[k] = first, arrays
         terms = np.empty((4, len(batch)))  # OF2, d1, d2, d3 by slot
         starts = np.flatnonzero(np.diff(sizes, prepend=-1))
         for start, stop in zip(starts, [*starts[1:], len(batch)]):
@@ -147,13 +199,14 @@ class PlacementEvaluator:
                 sel = np.nonzero(batch[order[lo:hi]])[1].reshape(hi - lo, n)
                 terms[:, lo:hi], gather, detail = self._score_group(sel)
                 if gather is not None:
-                    first, flat, valid = gathers[min(self.cap, n)]
+                    first, arrays = gathers[min(self.cap, n)]
                     span = slice((lo - first) * m, (hi - first) * m)
-                    flat[:, span], valid[span] = gather
+                    for dst, src in zip(arrays, gather):
+                        dst[..., span] = src
         best = np.full((len(batch), m), np.inf)
         out = best.reshape(-1)  # a view: row slot * m + point
-        for k, (first, flat, valid) in gathers.items():
-            self._gdop(k, flat, valid, out[first * m:first * m + valid.size])
+        for k, (first, arrays) in gathers.items():
+            self._gdop(k, out[first * m:first * m + arrays[1].size], *arrays)
 
         # OF1: best 4-subset GDOP per point, capped nearest enumeration.
         achieved_gdop = np.where(np.isinf(best), req.gdop_cap, best)
@@ -177,30 +230,67 @@ class PlacementEvaluator:
         )
         return scores.row(0), diag
 
-    def _gdop(self, k: int, flat: np.ndarray, valid: np.ndarray, out: np.ndarray) -> None:
+    def _gdop(self, k: int, out: np.ndarray, flat: np.ndarray, valid: np.ndarray,
+              fprime: np.ndarray | None = None) -> None:
         """Minimal GDOP of kernel rows with k nearest sensors, given as
         (k, rows) flat gather indices and (rows,) valid counts, into
-        ``out``. Each call takes the budget's rows, down to whole
-        chromosomes where one fits. Every kernel operation is elementwise
-        along the rows, so a row's GDOP does not depend on its call."""
-        subsets, shared = self.tables[k]
+        ``out``. With forced counts f', a row whose usable sensors are all
+        forced reads the point's forced table, and the others run in
+        groups of equal f'; rows with fewer than 4 usable sensors keep
+        their inf."""
+        if fprime is None:
+            self._kernel(k, 0, out, flat, valid)
+            return
+        point = np.arange(valid.size) % len(self.problem.grid)
+        tabled = (fprime > 0) & (fprime == valid)
+        out[tabled] = self.best_forced[point[tabled], fprime[tabled]]
+        rest = ~tabled & (valid >= 4)
+        for f in np.unique(fprime[rest]).tolist():
+            rows = np.flatnonzero(rest & (fprime == f))
+            part = np.empty(rows.size)
+            self._kernel(k, f, part, flat[:, rows], valid[rows], point[rows])
+            out[rows] = part
+
+    def _kernel(self, k: int, f: int, out: np.ndarray, flat: np.ndarray, valid: np.ndarray,
+                point: np.ndarray | None = None) -> None:
+        """Minimal GDOP of rows whose first f sensors, f = 0 or 4 <= f <
+        valid, are their points' nearest forced ones. Each call takes the
+        budget's rows, down to whole chromosomes where one fits. Every
+        kernel operation is elementwise along the rows, so a row's GDOP
+        does not depend on its call."""
+        subsets, (table, index) = self.tables[k]
+        known = 0
+        if f:
+            # Only the subsets reaching past the forced sensors, and only
+            # the triples doing so; the rest come from the forced table.
+            keep = subsets[:, 3] >= f
+            subsets, index = subsets[keep], index[keep]
+            known = math.comb(f, 3)
         m = len(self.problem.grid)
-        rows = max(_MIN_ROWS, _ROW_BYTES // (8 * max(len(shared[0]), len(subsets))))
+        rows = max(_MIN_ROWS, _ROW_BYTES // (8 * max(len(table), len(subsets))))
         chunk = rows - rows % m if rows >= m else rows
         for start in range(0, valid.size, chunk):
+            span = slice(start, start + chunk)
             # One contiguous (3, k, rows) gather, whose (rows, k, 3) view
             # the kernel reads without a copy.
-            dc = np.take(self.dc_flat, flat[:, start:start + chunk], axis=1)
-            out[start:start + chunk] = gdop_min_batched(
-                dc.transpose(2, 1, 0), valid[start:start + chunk], subsets, shared
+            dc = np.take(self.dc_flat, flat[:, span], axis=1)
+            values = None
+            if f:
+                values = np.empty((2, len(table), dc.shape[2]))
+                np.take(self.forced_values[:, :known], point[span], axis=2, out=values[:, :known])
+            out[span] = gdop_min_batched(
+                dc.transpose(2, 1, 0), valid[span], subsets, (table, index), values, known
             )
+            if f:
+                np.minimum(out[span], self.best_forced[point[span], f], out=out[span])
 
     def _score_group(self, sel: np.ndarray):
         """Everything but OF1 of G chromosomes with n sensors each, given
         as their (G, n) selected candidates: (OF2, d1, d2, d3), each (G,);
-        their kernel rows as (k, G * m) flat gather indices and (G * m,)
-        valid counts, None below 4 sensors; and the diagnostic arrays,
-        (m, G) per point and (J, G) per jammer."""
+        their kernel rows as (k, G * m) flat gather indices, (G * m,)
+        valid counts and, with a forced table, (G * m,) forced counts f',
+        None below 4 sensors; and the diagnostic arrays, (m, G) per point
+        and (J, G) per jammer."""
         problem = self.problem
         req = problem.requirements
         grid = problem.grid
@@ -228,13 +318,17 @@ class PlacementEvaluator:
 
         gather = None
         if n >= 4:
+            valid = np.minimum(vis_counts, k)
+            fprime = None if self.best_forced is None else self._forced_first(sel, key, near, valid)
             # Flat (candidate, point) indices into the component-major
             # direction cosines, one row per (chromosome, point); below 4
             # sensors OF1 is inf everywhere.
             flat = near.transpose(2, 1, 0).astype(np.intp, order="C")
             flat *= m
             flat += np.arange(m)
-            gather = flat.reshape(k, g * m), np.minimum(vis_counts.T, k).reshape(-1)
+            gather = flat.reshape(k, g * m), valid.T.reshape(-1)
+            if fprime is not None:
+                gather += (fprime.T.reshape(-1),)
 
         # OF3 direction 1: nearest-neighbor spacing shortfall.
         target = req.min_sensor_spacing_km
@@ -263,6 +357,58 @@ class PlacementEvaluator:
             jam_counts = np.zeros((n_jam, g), dtype=int)
             min_dist = np.full((n_jam, g), np.inf)
         return (of2, d1, d2, d3), gather, (vis_counts, second_km, jam_counts, min_dist)
+
+    def _forced_first(self, sel, key, near, valid) -> np.ndarray:
+        """Forced counts f' of a group's (m, G) rows: the forced sensors
+        among a row's usable nearest, 0 where that is below 4 or the
+        chromosome lacks a forced site. Rows with 4 <= f' < valid get their
+        (m, G, k) ``near`` reordered forced first, stably, in place; the
+        others keep rank order."""
+        problem = self.problem
+        m = len(problem.grid)
+        # With every forced site selected, the forced sensors ranked up to
+        # a row's last usable one are exactly those among its usable ones.
+        last = np.take_along_axis(key, np.maximum(valid - 1, 0)[:, :, None], axis=2)
+        fprime = self.forced_upto[np.arange(m)[:, None], last[:, :, 0] // problem.n_candidates]
+        fprime[(fprime < 4) | (problem.forced_mask[sel].sum(axis=1) < self.n_forced)] = 0
+        mixed = np.nonzero((fprime > 0) & (fprime < valid))
+        rows = near[mixed]
+        position = np.arange(rows.shape[1])
+        forced = problem.forced_mask[rows]
+        forced &= position < valid[mixed][:, None]
+        # A row's f' forced usable sensors fill its first f' places and the
+        # others follow, each in rank order: masks select row-major.
+        lead = position < fprime[mixed][:, None]
+        reordered = np.empty_like(rows)
+        reordered[lead] = rows[forced]
+        reordered[~lead] = rows[~forced]
+        near[mixed] = reordered
+        return fprime
+
+
+def prefix_gdop(dc: np.ndarray, valid_counts: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal GDOP of each point over the subsets inside its first j
+    rows, for j = 0..k, as (m, k + 1) (inf below 4), and the D and Q of
+    every row triple, as (2, T, m). ``table`` is the evaluator's
+    (combinations(range(k), 4), subset_triples) pair. Each subset and each
+    triple is computed once: one kernel call per largest row j - 1 takes
+    its subsets and the triples new at j, the earlier ones known."""
+    subsets, (triples, index) = table
+    m, k = dc.shape[:2]
+    values = np.empty((2, len(triples), m))
+    best = np.full((m, k + 1), np.inf)
+    known = 0
+    for j in range(4, k + 1):
+        group = subsets[:, 3] == j - 1
+        t = math.comb(j, 3)
+        best[:, j] = gdop_min_batched(
+            dc, valid_counts, subsets[group], (triples[:t], index[group]), values[:, :t], known
+        )
+        known = t
+    # sqrt is monotone, so the minimum of the groups' roots is the root
+    # of the minimum over their union.
+    np.minimum.accumulate(best, axis=1, out=best)
+    return best, values
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,10 @@ other three minors are the components of c. Each row triple is shared
 by many 4-subsets, so the kernel computes D and the squared-minor sum
 Q = D^2 + |c|^2 once per triple and gathers them per subset: det(B) is
 the signed sum of the four triples' D (cofactor expansion along the ones
-column) and sum(cofactor(B)^2) is the sum of their Q.
+column) and sum(cofactor(B)^2) is the sum of their Q. The triple table
+is in colex order, so the triples inside the first j rows come first, and
+a caller that knows their D and Q (the same rows in the same order give
+the same bits) passes them in and the kernel computes only the rest.
 
 The floor is decided per point, not per subset. A subset's trace is the
 sum of its rows' 1 + |b|^2, and every step of the floor (rounded
@@ -47,40 +50,23 @@ def subset_triples(subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row triples of the 4-subsets and each subset's four triples.
 
     Returns (triples, index): triples (T, 3) holds each ascending row
-    triple once; index (S, 4) gives, per subset, the triples left after
-    deleting its smallest, second, third and largest row.
+    triple once, in colex order (by largest row, then middle, then
+    smallest), so the triples inside the first j rows come first whatever
+    the subsets' largest row; index (S, 4) gives, per subset, the triples
+    left after deleting its smallest, second, third and largest row.
     """
     drop = np.sort(subsets, axis=1)[:, _DROP].reshape(-1, 3)
-    table, index = np.unique(drop, axis=0, return_inverse=True)
-    return table.astype(np.intp), index.reshape(-1, 4).astype(np.intp)
+    table, index = np.unique(drop[:, ::-1], axis=0, return_inverse=True)
+    return table[:, ::-1].astype(np.intp), index.reshape(-1, 4).astype(np.intp)
 
 
-def gdop_min_batched(
-    dc: np.ndarray,
-    valid_counts: np.ndarray,
-    subsets: np.ndarray,
-    triples: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Minimal GDOP per point over precomputed 4-subsets, in closed form.
-
-    dc:           (m, k, 3) direction cosines to the k nearest sensors
-                  (rows beyond a point's valid count may hold garbage).
-    valid_counts: (m,) number of usable leading rows per point.
-    subsets:      (S, 4) index rows into the k dimension, distinct per row.
-    triples:      subset_triples(subsets), computed here when omitted.
-
-    Returns (m,) minimal GDOP over the subsets, inf where no valid
-    non-singular subset exists.
-    """
-    m = dc.shape[0]
-    if len(subsets) == 0:
-        return np.full(m, np.inf)
-    table, index = subset_triples(subsets) if triples is None else triples
-    # Component-major (3, k, m): gathering whole rows keeps points contiguous.
-    x, y, z = np.ascontiguousarray(dc.transpose(2, 1, 0))
+def triple_values(x, y, z, table, out=None):
+    """D = u . c and Q = D^2 + |c|^2 of each row triple (u, v, w) of
+    ``table`` (T, 3), with c = (v - u) x (w - u), from the component-major
+    (k, m) direction cosines x, y, z. Returns (D, Q), each (T, m), written
+    into ``out`` (2, T, m) when given."""
     a, b, c = table.T
-    # Per triple (T, m), in place: e = v - u, f = w - u, c = e x f,
-    # D = u . c and Q = D^2 + |c|^2, each sum evaluated left to right.
+    # In place: e = v - u, f = w - u, c = e x f, each sum left to right.
     ux, uy, uz = x.take(a, 0), y.take(a, 0), z.take(a, 0)
     ex, ey, ez = x.take(b, 0), y.take(b, 0), z.take(b, 0)
     fx, fy, fz = x.take(c, 0), y.take(c, 0), z.take(c, 0)
@@ -96,13 +82,50 @@ def gdop_min_batched(
     cy -= np.multiply(ex, fz, out=fz)
     cz = np.multiply(ex, fy, out=ex)
     cz -= np.multiply(ey, fx, out=fx)
-    det3 = np.multiply(ux, cx, out=ux)
+    det3 = np.multiply(ux, cx, out=ux if out is None else out[0])
     det3 += np.multiply(uy, cy, out=uy)
     det3 += np.multiply(uz, cz, out=uz)
-    minor_sq = np.multiply(det3, det3, out=ey)
+    minor_sq = np.multiply(det3, det3, out=ey if out is None else out[1])
     minor_sq += np.multiply(cx, cx, out=cx)
     minor_sq += np.multiply(cy, cy, out=cy)
     minor_sq += np.multiply(cz, cz, out=cz)
+    return det3, minor_sq
+
+
+def gdop_min_batched(
+    dc: np.ndarray,
+    valid_counts: np.ndarray,
+    subsets: np.ndarray,
+    triples: tuple[np.ndarray, np.ndarray] | None = None,
+    values: np.ndarray | None = None,
+    known: int = 0,
+) -> np.ndarray:
+    """Minimal GDOP per point over precomputed 4-subsets, in closed form.
+
+    dc:           (m, k, 3) direction cosines to the k nearest sensors
+                  (rows beyond a point's valid count may hold garbage).
+    valid_counts: (m,) number of usable leading rows per point.
+    subsets:      (S, 4) index rows into the k dimension, distinct per row.
+    triples:      subset_triples(subsets), or a table holding at least
+                  their triples and an index into it; computed when omitted.
+    values:       (2, T, m) buffer for the D and Q of the T table triples.
+                  Its first ``known`` triples are read as given, and only
+                  the others are computed into it.
+
+    Returns (m,) minimal GDOP over the subsets, inf where no valid
+    non-singular subset exists.
+    """
+    m = dc.shape[0]
+    if len(subsets) == 0:
+        return np.full(m, np.inf)
+    table, index = subset_triples(subsets) if triples is None else triples
+    # Component-major (3, k, m): gathering whole rows keeps points contiguous.
+    x, y, z = np.ascontiguousarray(dc.transpose(2, 1, 0))
+    if values is None:
+        det3, minor_sq = triple_values(x, y, z, table)
+    else:
+        triple_values(x, y, z, table[known:], values[:, known:])
+        det3, minor_sq = values
 
     # Per subset (S, m): det(B)^2 and sum(cofactor(B)^2).
     i0, i1, i2, i3 = index.T

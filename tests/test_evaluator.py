@@ -1,5 +1,6 @@
 """Vectorized evaluator vs the per-point reference objective functions."""
 
+import dataclasses
 import itertools
 from dataclasses import astuple
 from unittest import mock
@@ -13,7 +14,13 @@ from adsbplace import evaluator as evaluator_module
 from adsbplace.evaluator import PlacementEvaluator, RawScores
 from adsbplace.geo import GeodeticPosition
 from adsbplace.objectives import ObjectiveRequirements, knapsack_penalty
-from adsbplace.scenario import AreaBounds, build_problem
+from adsbplace.scenario import (
+    AreaBounds,
+    build_problem,
+    build_problem_from_sites,
+    clustered21_path,
+    load_deployed_csv,
+)
 
 from oracles import (
     geodetic_to_ecef,
@@ -218,6 +225,63 @@ class TestBatch:
             of1, of2, *_ = masked_sort_of1_of2(small_problem, genes, cap)
             assert (raw.of1, raw.of2) == (of1, of2)
 
+    @pytest.mark.parametrize("cap", [4, 6, 12])
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_forced_batch_matches_single_and_references(self, small_problem, cap, data):
+        """With a drawn forced mask, every batch row equals the 1-D call
+        bit for bit, and all but OF1 equal the per-chromosome scorer.
+        Rows whose usable sensors are all forced, or hold fewer than 4
+        forced ones, give the rank-order GDOP bit for bit; mixed rows put
+        their forced sensors first, so their GDOP and OF1 may move in the
+        last bits only."""
+        n = small_problem.n_candidates
+        forced = np.zeros(n, dtype=bool)
+        count = data.draw(st.integers(0, n), label="forced count")
+        forced[data.draw(st.permutations(range(n)), label="forced sites")[:count]] = True
+        problem = dataclasses.replace(small_problem, forced_mask=forced)
+        evaluator = PlacementEvaluator(problem, gdop_subset_cap=cap)
+        assert (evaluator.best_forced is None) == (count < 4)
+        chromosomes = []
+        for _ in range(data.draw(st.integers(1, 8), label="chromosomes")):
+            size = data.draw(st.integers(0, n), label="size")
+            genes = np.zeros(n, dtype=bool)
+            genes[data.draw(st.permutations(range(n)), label="sites")[:size]] = True
+            # Mostly complete chromosomes, as the optimizer makes them.
+            if data.draw(st.integers(0, 3), label="lacks forced") > 0:
+                genes |= forced
+            chromosomes.append(genes)
+        batch = np.array(chromosomes)
+        rows = data.draw(st.sampled_from([5, 50, 107, 250, 10_000]), label="rows per call")
+        elems = data.draw(st.sampled_from([0, 5000, 1 << 20]), label="elements per slice")
+
+        with mock.patch.multiple(
+            evaluator_module, _ROW_BYTES=0, _MIN_ROWS=rows, _SLICE_ELEMS=elems
+        ):
+            scores = evaluator.evaluate(batch)
+        for i, genes in enumerate(batch):
+            raw = scores.row(i)
+            assert raw == evaluator.evaluate(genes)
+            expected = score_one(problem, genes, cap)
+            assert raw.of1 == pytest.approx(expected.of1, rel=1e-9)
+            assert astuple(raw)[1:] == astuple(expected)[1:]
+
+            _, diag = evaluator.evaluate(genes, diagnostics=True)
+            _, _, best, _, k_visible = masked_sort_of1_of2(problem, genes, cap)
+            sel = np.flatnonzero(genes)
+            los = problem.los_point_cand[:, sel]
+            masked = np.where(los, problem.dist_point_cand[:, sel], np.inf)
+            near = sel[np.argsort(masked, axis=1, kind="stable")]
+            valid = np.minimum(k_visible, cap)
+            fprime = (forced[near] & (np.arange(sel.size) < valid[:, None])).sum(axis=1)
+            if count < 4 or not genes[forced].all():
+                fprime[:] = 0
+            same = (fprime < 4) | (fprime == valid)
+            assert diag.best_gdop[same].tobytes() == best[same].tobytes()
+            assert np.array_equal(np.isinf(diag.best_gdop), np.isinf(best))
+            finite = np.isfinite(best)
+            assert np.allclose(diag.best_gdop[finite], best[finite], rtol=1e-12, atol=0.0)
+
     def test_penalty_column_is_scalar_formula(self):
         """The penalty column holds knapsack_penalty(n, N) bit for bit.
         At N = 421 (400 candidates and 21 deployed sensors), numpy's
@@ -240,3 +304,29 @@ class TestBatch:
         genes = np.ones((1, small_problem.n_candidates), dtype=bool)
         with pytest.raises(ValueError, match="one chromosome"):
             evaluator.evaluate(genes, diagnostics=True)
+
+
+class TestForcedTable:
+    @pytest.mark.parametrize("cap", [4, 6, 12])
+    def test_all_forced_rows_read_the_table(self, area_bounds, small_problem, cap):
+        """A free-standing deployment forces every site, so each row's
+        usable sensors are all forced: its GDOP comes from the table, with
+        no kernel call, and equals the rank-order GDOP bit for bit."""
+        problem = build_problem_from_sites(
+            bounds=area_bounds, lat_count=6, lon_count=6,
+            requirements=small_problem.requirements,
+            sites=load_deployed_csv(clustered21_path()), jammers=small_problem.jammers,
+        )
+        evaluator = PlacementEvaluator(problem, gdop_subset_cap=cap)
+        genes = problem.forced_mask.copy()
+        with mock.patch.object(evaluator_module, "gdop_min_batched", side_effect=AssertionError):
+            raw, diag = evaluator.evaluate(genes, diagnostics=True)
+        of1, _, best, _, k_visible = masked_sort_of1_of2(problem, genes, cap)
+        assert (k_visible >= 4).any() and np.isfinite(best).any()
+        assert diag.best_gdop.tobytes() == best.tobytes()
+        assert raw.of1 == of1
+
+    def test_no_forced_sites_no_table(self, small_problem):
+        assert not small_problem.forced_mask.any()
+        evaluator = PlacementEvaluator(small_problem, gdop_subset_cap=12)
+        assert evaluator.best_forced is None and evaluator.forced_values is None

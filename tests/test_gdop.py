@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched, subset_triples
+from adsbplace.evaluator import prefix_gdop
+from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched, subset_triples, triple_values
 from adsbplace.geo import GeodeticPosition
 
 from oracles import (
@@ -145,11 +146,13 @@ class TestBatchedGdop:
 
     @pytest.mark.parametrize("k", CAPS)
     def test_subset_triples(self, k):
-        """Each row triple once; each subset indexes the triples left after
-        deleting its first, second, third and fourth row."""
+        """Each row triple once, in colex order, so the triples of range(j)
+        lead; each subset indexes the triples left after deleting its
+        first, second, third and fourth row."""
         subsets = subsets_of(k)
         table, index = subset_triples(subsets)
-        assert sorted(map(tuple, table.tolist())) == list(itertools.combinations(range(k), 3))
+        colex = sorted(itertools.combinations(range(k), 3), key=lambda t: t[::-1])
+        assert list(map(tuple, table.tolist())) == colex
         for drop in range(4):
             kept = np.delete(subsets, drop, axis=1)
             assert np.array_equal(table[index[:, drop]], kept)
@@ -227,6 +230,41 @@ class TestKernelProperties:
         assert np.array_equal(np.isinf(got), np.isinf(expected))
         finite = np.isfinite(expected)
         assert np.allclose(got[finite], expected[finite], rtol=1e-9, atol=0.0)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=kernel_inputs(), data=st.data())
+    def test_known_triple_values(self, case, data):
+        """Triple values passed in for a leading part of the table give the
+        bits of computing them, NaN garbage rows included, and the kernel
+        fills the rest of the buffer with the values it computes."""
+        dc, valid, subsets = case
+        table, index = triples = subset_triples(subsets)
+        x, y, z = np.ascontiguousarray(dc.transpose(2, 1, 0))
+        expected = np.stack(triple_values(x, y, z, table))
+        known = data.draw(st.integers(0, len(table)), label="known")
+        values = np.full_like(expected, np.nan)
+        values[:, :known] = expected[:, :known]
+        got = gdop_min_batched(dc, valid, subsets, triples, values, known)
+        assert got.tobytes() == gdop_min_batched(dc, valid, subsets).tobytes()
+        assert np.array_equal(values, expected, equal_nan=True)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=kernel_inputs())
+    def test_prefix_minima(self, case):
+        """Column j of the prefix table is the brute-force best over
+        combinations(range(j), 4), bit for bit, and its triple values are
+        those of the whole table."""
+        dc, valid, subsets = case
+        k = dc.shape[1]
+        triples = subset_triples(subsets)
+        best, values = prefix_gdop(dc, valid, (subsets, triples))
+        assert best.shape == (len(dc), k + 1)
+        assert np.all(np.isinf(best[:, :4]))
+        for j in range(4, k + 1):
+            expected = gdop_min_batched_reference(dc, valid, subsets_of(j))
+            assert best[:, j].tobytes() == expected.tobytes()
+        x, y, z = np.ascontiguousarray(dc.transpose(2, 1, 0))
+        assert np.array_equal(values, np.stack(triple_values(x, y, z, triples[0])), equal_nan=True)
 
     def test_floor_between_point_bounds(self):
         """A subset whose det(B)^2 lies between the point's bounds gets its
