@@ -139,20 +139,21 @@ def _read_sensor_file(path: Path) -> tuple[list, int | None]:
     return load_deployed_csv(path), seed
 
 
-def _map_to_candidates(problem, rows) -> np.ndarray | None:
-    """Chromosome over the problem's candidates, or None unless each row
-    matches one candidate site in latitude, longitude and altitude, up to
-    ``fmt``'s rounding to 9 significant digits."""
+def _map_to_candidates(problem, rows) -> tuple[np.ndarray | None, int | None]:
+    """Chromosome over the problem's candidates, or None and the index of
+    the first row that does not match exactly one candidate site in
+    latitude, longitude and altitude, up to ``fmt``'s rounding to 9
+    significant digits."""
     genes = np.zeros(problem.n_candidates, dtype=bool)
-    for _, lat, lon, alt in rows:
+    for i, (_, lat, lon, alt) in enumerate(rows):
         close = np.flatnonzero(
             (np.abs(problem.cand_lat - lat) < 1e-6) & (np.abs(problem.cand_lon - lon) < 1e-6)
             & np.isclose(problem.cand_alt, alt, rtol=1e-8, atol=1e-6)
         )
         if close.size != 1:
-            return None
+            return None, i
         genes[close[0]] = True
-    return genes
+    return genes, None
 
 
 def cmd_evaluate(args) -> int:
@@ -165,10 +166,17 @@ def cmd_evaluate(args) -> int:
     n_max = cfg.ga_for_problem(problem).n_max
     bounds = saturation_normalization(problem.requirements, problem.range_cap_km,
                                       problem.n_candidates if n_max is None else n_max)
-    genes = None if not rows else _map_to_candidates(problem, rows)
+    genes, miss = _map_to_candidates(problem, rows) if rows else (None, None)
     if genes is None:
         # Free-standing placement: evaluate the file's sensors directly.
         if rows:
+            sensor_id, lat, lon, alt = rows[miss]
+            log.warning(
+                "sensor %r (%s, %s, %s m), row %d of %s, matches no single candidate site of the "
+                "config; scoring the file's %d sites as a free-standing problem, so penalty "
+                "and of3 are relative to the file's own sites",
+                sensor_id, fmt(lat), fmt(lon), fmt(alt), miss + 1, args.sensors, len(rows),
+            )
             problem = build_problem_from_sites(
                 bounds=cfg.bounds,
                 lat_count=cfg.lat_count,

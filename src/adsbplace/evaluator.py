@@ -42,6 +42,7 @@ in rank order. Without forced sites nothing changes.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -68,6 +69,31 @@ _MIN_ROWS = 128
 # spacing gather and the (J, G, n) jammer gathers. 1 Mi int32 keys take
 # 4 MiB; on a 48-point grid a population's group is one slice.
 _SLICE_ELEMS = 1 << 20
+
+
+# By default glibc serves a block above its mmap threshold by mmap and trims
+# the top of its heap once more than its trim threshold lies free there.
+# Both thresholds rise only when a block served by mmap is freed, to that
+# block's size and twice it. So whether a batch's temporaries (about 7 MiB
+# at population 400 on a 48-point grid) stayed in the heap between batches
+# depended on the largest block freed before, by precompute for one; where
+# they did not, every batch paged them in again, about 33 000 minor faults
+# per 4-generation run. Fixed thresholds keep them in the heap.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt(3) parameters
+_HEAP_BYTES = 16 << 20
+
+
+def _retain_heap() -> None:
+    """Fix glibc's mmap threshold at ``_HEAP_BYTES`` and its trim threshold
+    at twice that; a no-op where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_BYTES)
 
 
 @dataclass
@@ -107,6 +133,7 @@ class PlacementEvaluator:
             raise ValueError("problem matrices missing; run scenario.precompute first")
         if gdop_subset_cap < 4:
             raise ValueError("gdop subset cap must be >= 4")
+        _retain_heap()
         self.problem = problem
         self.cap = int(gdop_subset_cap)
         n = problem.n_candidates

@@ -193,27 +193,32 @@ class PlacementProblem:
         return self.cand_lat.size
 
 
-def precompute(problem: PlacementProblem) -> PlacementProblem:
-    """Fill the distance / direction-cosine / LOS matrices in place."""
-    grid = problem.grid
-    m = len(grid)
-    params = problem.propagation
+# Bytes of one (block, origins) float64 plane in _ned_geometry's pass. A
+# block holds about eight such planes of differences, rotated components,
+# products and norms, so 128 KiB keeps its working set near 1 MiB, in
+# cache while the block is rotated, measured and scaled: 13 candidates per
+# block on a 1200-point grid.
+_PLANE_BYTES = 128 << 10
 
-    grid_ecef = geo.geodetic_to_ecef_arrays(grid.lat_deg, grid.lon_deg, grid.alt_m)
+
+def precompute(problem: PlacementProblem) -> PlacementProblem:
+    """Fill the distance / direction-cosine / LOS matrices in place.
+
+    Each value is computed once. Ground distances are computed per
+    distinct (lat, lon) of the grid and of the jammers, then gathered to
+    every altitude. NED vectors, their lengths and the unit scaling run in
+    one blocked pass, and candidate-to-candidate distances sum their
+    squared ECEF component planes. The matrices keep the bits of the
+    whole-array computation (``tests/oracles.precompute_reference``).
+    """
+    grid = problem.grid
+    params = problem.propagation
     cand_ecef = geo.geodetic_to_ecef_arrays(
         problem.cand_lat, problem.cand_lon, problem.cand_alt
     )
-
-    dc, dist = _ned_vectors(grid_ecef, grid.lat_deg, grid.lon_deg, cand_ecef)
-    # Unit vectors in place; a candidate at the point itself gets zeros.
-    pos = dist > 0.0
-    np.divide(dc, dist, out=dc, where=pos)
-    dc[:, ~pos] = 0.0
-    dist = np.ascontiguousarray(dist.T)
-    ground = geo.haversine_km_arrays(
-        grid.lat_deg[:, None], grid.lon_deg[:, None],
-        problem.cand_lat[None, :], problem.cand_lon[None, :],
-    )
+    grid_ecef = geo.geodetic_to_ecef_arrays(grid.lat_deg, grid.lon_deg, grid.alt_m)
+    dist, dc = _ned_geometry(grid_ecef, grid.lat_deg, grid.lon_deg, cand_ecef, unit=True)
+    ground = _ground_km(grid.lat_deg, grid.lon_deg, problem.cand_lat, problem.cand_lon)
     los = geo.visibility_mask_arrays(
         grid.alt_m[:, None], ground, problem.cand_alt[None, :], params
     )
@@ -228,11 +233,8 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
         jam_lon = np.array([j.position.longitude_deg for j in jams])
         jam_alt = np.array([j.position.altitude_m for j in jams])
         jam_ecef = geo.geodetic_to_ecef_arrays(jam_lat, jam_lon, jam_alt)
-        jdist = np.ascontiguousarray(_ned_vectors(jam_ecef, jam_lat, jam_lon, cand_ecef)[1].T)
-        jground = geo.haversine_km_arrays(
-            jam_lat[:, None], jam_lon[:, None],
-            problem.cand_lat[None, :], problem.cand_lon[None, :],
-        )
+        jdist, _ = _ned_geometry(jam_ecef, jam_lat, jam_lon, cand_ecef, unit=False)
+        jground = _ground_km(jam_lat, jam_lon, problem.cand_lat, problem.cand_lon)
         jlos = geo.visibility_mask_arrays(
             jam_alt[:, None], jground, problem.cand_alt[None, :], params
         )
@@ -254,8 +256,7 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
         problem.los_jam_cand = np.zeros((0, problem.n_candidates), dtype=bool)
         problem.affected_jam_cand = np.zeros((0, problem.n_candidates), dtype=bool)
 
-    cdiff = cand_ecef[:, None, :] - cand_ecef[None, :, :]
-    problem.dist_cand_cand = np.sqrt((cdiff**2).sum(axis=-1))
+    problem.dist_cand_cand = _pairwise_distance(cand_ecef)
 
     if not problem.range_cap_km:
         cap = problem.requirements.range_cap_km
@@ -263,22 +264,83 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
     return problem
 
 
-def _ned_vectors(origin_ecef, origin_lat, origin_lon, target_ecef):
-    """NED vectors from each origin to each target, component-major
-    (3, targets, origins), and their lengths (targets, origins).
+def _ned_geometry(origin_ecef, origin_lat, origin_lon, target_ecef, unit: bool):
+    """Length of the NED vector from each origin to each target, as
+    (origins, targets), and with ``unit`` the unit vectors component-major
+    (3, targets, origins), zero where the length is zero; else None.
 
-    Each component sums as (r0 d0 + r2 d2) + r1 d1, the order that
-    np.einsum("mij,mnj->mni", rot, diff) uses; another order changes the
-    low bits of the matrices and so of every score.
+    One pass over blocks of targets rotates, measures and scales each
+    block while it is in cache. Each component sums as
+    (r0 d0 + r2 d2) + r1 d1, the order that
+    np.einsum("mij,mnj->mni", rot, diff) uses, and each length as
+    (n0 n0 + n1 n1) + n2 n2; another order changes the low bits of the
+    matrices and so of every score.
     """
-    rot = geo.ned_rotation_arrays(origin_lat, origin_lon).transpose(1, 2, 0)  # (3, 3, m)
-    d0, d1, d2 = (target_ecef[:, c, None] - origin_ecef[None, :, c] for c in range(3))
-    ned = np.empty((3,) + d0.shape)
-    for i, out in enumerate(ned):
-        np.multiply(rot[i, 0], d0, out=out)
-        out += rot[i, 2] * d2
-        out += rot[i, 1] * d1
-    return ned, np.sqrt(ned[0] * ned[0] + ned[1] * ned[1] + ned[2] * ned[2])
+    rot = np.ascontiguousarray(
+        geo.ned_rotation_arrays(origin_lat, origin_lon).transpose(1, 2, 0)
+    )  # (3, 3, origins)
+    n_origins, n_targets = origin_ecef.shape[0], target_ecef.shape[0]
+    dist = np.empty((n_origins, n_targets))
+    dc = np.empty((3, n_targets, n_origins)) if unit else None
+    rows = max(1, min(n_targets, _PLANE_BYTES // (8 * max(n_origins, 1))))
+    diff = np.empty((3, rows, n_origins))
+    ned_block = None if unit else np.empty((3, rows, n_origins))
+    term = np.empty((rows, n_origins))
+    norm = np.empty((rows, n_origins))
+    for start in range(0, n_targets, rows):
+        stop = min(start + rows, n_targets)
+        k = stop - start
+        d, t, r = diff[:, :k], term[:k], norm[:k]
+        for c in range(3):
+            np.subtract(target_ecef[start:stop, c, None], origin_ecef[None, :, c], out=d[c])
+        ned = dc[:, start:stop] if unit else ned_block[:, :k]
+        for i, out in enumerate(ned):
+            np.multiply(rot[i, 0], d[0], out=out)
+            out += np.multiply(rot[i, 2], d[2], out=t)
+            out += np.multiply(rot[i, 1], d[1], out=t)
+        np.multiply(ned[0], ned[0], out=r)
+        r += np.multiply(ned[1], ned[1], out=t)
+        r += np.multiply(ned[2], ned[2], out=t)
+        np.sqrt(r, out=r)
+        dist[:, start:stop] = r.T
+        if unit:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ned /= r
+            # A target at the origin itself gets zeros.
+            zero = ~(r > 0.0)
+            if zero.any():
+                ned[:, zero] = 0.0
+    return dist, dc
+
+
+def _ground_km(lat_deg, lon_deg, cand_lat, cand_lon) -> np.ndarray:
+    """Great-circle km from each (lat, lon) origin to each candidate, as
+    (origins, candidates): computed once per distinct horizontal position
+    and gathered back to every origin that shares it."""
+    pairs = np.stack([lat_deg, lon_deg], axis=1, dtype=float)
+    # Positions of equal bits share a row. Unique over 16-byte keys sorts
+    # them several times faster than unique(axis=0) does.
+    keys, inverse = np.unique(pairs.view(np.dtype((np.void, 16))).ravel(), return_inverse=True)
+    where = keys.view(float).reshape(-1, 2)
+    ground = geo.haversine_km_arrays(
+        where[:, 0, None], where[:, 1, None], cand_lat[None, :], cand_lon[None, :]
+    )
+    return ground[inverse]
+
+
+def _pairwise_distance(ecef: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every pair of ECEF rows, summing the
+    squared x, y and z planes in the order of a length-3 ``sum(axis=-1)``."""
+    x, y, z = ecef.T
+    dist = np.subtract.outer(x, x)
+    dist *= dist
+    plane = np.subtract.outer(y, y)
+    plane *= plane
+    dist += plane
+    np.subtract.outer(z, z, out=plane)
+    plane *= plane
+    dist += plane
+    return np.sqrt(dist, out=dist)
 
 
 def nearest_rank(masked: np.ndarray) -> np.ndarray:
@@ -406,20 +468,19 @@ def build_problem(
     lat_arr, lon_arr, alt_arr = generate_candidates(
         bounds, candidate_count, candidate_pattern, candidate_seed, antenna_height_m
     )
-    forced = np.zeros(candidate_count, dtype=bool)
-    for _, lat, lon, alt in deployed:
+    for _, lat, lon, _alt in deployed:
         if not bounds.contains(lat, lon):
             log.warning("deployed sensor (%.4f, %.4f) lies outside the area bounds", lat, lon)
-        lat_arr = np.append(lat_arr, lat)
-        lon_arr = np.append(lon_arr, lon)
-        alt_arr = np.append(alt_arr, alt)
-        forced = np.append(forced, True)
+    sites = np.array([site[1:] for site in deployed], dtype=float).reshape(-1, 3)
+    lat_arr, lon_arr, alt_arr = np.concatenate(
+        [np.stack([lat_arr, lon_arr, alt_arr]), sites.T], axis=1
+    )
     problem = PlacementProblem(
         grid=grid,
         cand_lat=lat_arr,
         cand_lon=lon_arr,
         cand_alt=alt_arr,
-        forced_mask=forced,
+        forced_mask=np.arange(lat_arr.size) >= candidate_count,
         jammers=list(jammers or []),
         requirements=requirements,
     )

@@ -6,7 +6,8 @@ This module computes the same quantities one point and one sensor at a
 time: scalar WGS-84/ECEF/NED geometry, a LAPACK GDOP per 4-subset, and
 loop-based OF1-OF3. ``gdop_min_batched_lapack`` is the batched LAPACK
 GDOP kernel the library had before its closed form,
-``gdop_min_batched_reference`` the closed form before its per-point
+``precompute_reference`` the problem matrices before their blocked
+NED pass, ``gdop_min_batched_reference`` the closed form before its per-point
 singularity bounds, ``masked_sort_of1_of2`` the evaluator's OF1/OF2 path
 before its rank matrix, ``score_one`` its per-chromosome scoring before
 it scored a batch in groups of equal sensor count. It also holds the
@@ -29,7 +30,7 @@ from adsbplace.evaluator import RawScores
 from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched, subset_triples
 from adsbplace.geo import DEFAULT_PROPAGATION, GeodeticPosition, PropagationParams
 from adsbplace.objectives import JammerModel, ObjectiveRequirements, knapsack_penalty
-from adsbplace.scenario import AirspaceGrid, PlacementProblem
+from adsbplace.scenario import AirspaceGrid, PlacementProblem, nearest_rank
 
 from conftest import random_position
 
@@ -149,6 +150,104 @@ def is_visible(
 def grid_points(grid: AirspaceGrid) -> Iterator[GeodeticPosition]:
     for la, lo, al in zip(grid.lat_deg, grid.lon_deg, grid.alt_m):
         yield GeodeticPosition(float(la), float(lo), float(al))
+
+
+# --- Problem matrices -----------------------------------------------------
+
+
+def ned_vectors_reference(origin_ecef, origin_lat, origin_lon, target_ecef):
+    """NED vectors from each origin to each target, component-major
+    (3, targets, origins), and their lengths (targets, origins), as whole
+    arrays: ``scenario.precompute``'s NED step before it was blocked.
+
+    Each component sums as (r0 d0 + r2 d2) + r1 d1, the order that
+    np.einsum("mij,mnj->mni", rot, diff) uses.
+    """
+    rot = geo.ned_rotation_arrays(origin_lat, origin_lon).transpose(1, 2, 0)  # (3, 3, m)
+    d0, d1, d2 = (target_ecef[:, c, None] - origin_ecef[None, :, c] for c in range(3))
+    ned = np.empty((3,) + d0.shape)
+    for i, out in enumerate(ned):
+        np.multiply(rot[i, 0], d0, out=out)
+        out += rot[i, 2] * d2
+        out += rot[i, 1] * d1
+    return ned, np.sqrt(ned[0] * ned[0] + ned[1] * ned[1] + ned[2] * ned[2])
+
+
+def precompute_reference(problem: PlacementProblem) -> PlacementProblem:
+    """``scenario.precompute`` before it shared ground distances between
+    points of one horizontal position, blocked its NED pass and built the
+    candidate distances plane by plane: the bit-exact reference for all
+    nine fields it fills."""
+    grid = problem.grid
+    params = problem.propagation
+
+    grid_ecef = geo.geodetic_to_ecef_arrays(grid.lat_deg, grid.lon_deg, grid.alt_m)
+    cand_ecef = geo.geodetic_to_ecef_arrays(
+        problem.cand_lat, problem.cand_lon, problem.cand_alt
+    )
+
+    dc, dist = ned_vectors_reference(grid_ecef, grid.lat_deg, grid.lon_deg, cand_ecef)
+    pos = dist > 0.0
+    np.divide(dc, dist, out=dc, where=pos)
+    dc[:, ~pos] = 0.0
+    dist = np.ascontiguousarray(dist.T)
+    ground = geo.haversine_km_arrays(
+        grid.lat_deg[:, None], grid.lon_deg[:, None],
+        problem.cand_lat[None, :], problem.cand_lon[None, :],
+    )
+    los = geo.visibility_mask_arrays(
+        grid.alt_m[:, None], ground, problem.cand_alt[None, :], params
+    )
+    problem.dist_point_cand = dist
+    problem.dc_point_cand = dc
+    problem.los_point_cand = los
+    problem.rank_point_cand = nearest_rank(np.where(los, dist, np.inf))
+
+    jams = problem.jammers
+    if jams:
+        jam_lat = np.array([j.position.latitude_deg for j in jams])
+        jam_lon = np.array([j.position.longitude_deg for j in jams])
+        jam_alt = np.array([j.position.altitude_m for j in jams])
+        jam_ecef = geo.geodetic_to_ecef_arrays(jam_lat, jam_lon, jam_alt)
+        jdist = np.ascontiguousarray(
+            ned_vectors_reference(jam_ecef, jam_lat, jam_lon, cand_ecef)[1].T
+        )
+        jground = geo.haversine_km_arrays(
+            jam_lat[:, None], jam_lon[:, None],
+            problem.cand_lat[None, :], problem.cand_lon[None, :],
+        )
+        jlos = geo.visibility_mask_arrays(
+            jam_alt[:, None], jground, problem.cand_alt[None, :], params
+        )
+        affected = jlos.copy()
+        for l, jam in enumerate(jams):
+            if jam.affect_rule == "jsr":
+                num = jam.power_w * jam.antenna_gain * jam.nominal_signal_distance_km**2
+                den = jam.transmitter_power_w * jam.transmitter_antenna_gain
+                with np.errstate(divide="ignore"):
+                    ratio = np.where(
+                        jdist[l] > 0.0, num / (den * (jdist[l] / 1000.0) ** 2), np.inf
+                    )
+                affected[l] &= ratio >= jam.jsr_threshold
+        problem.dist_jam_cand = jdist
+        problem.los_jam_cand = jlos
+        problem.affected_jam_cand = affected
+    else:
+        problem.dist_jam_cand = np.zeros((0, problem.n_candidates))
+        problem.los_jam_cand = np.zeros((0, problem.n_candidates), dtype=bool)
+        problem.affected_jam_cand = np.zeros((0, problem.n_candidates), dtype=bool)
+
+    cdiff = cand_ecef[:, None, :] - cand_ecef[None, :, :]
+    problem.dist_cand_cand = np.sqrt((cdiff**2).sum(axis=-1))
+
+    if not problem.range_cap_km:
+        cap = problem.requirements.range_cap_km
+        if cap is None:
+            cap = geo.haversine_km_arrays(
+                grid.lat_deg.min(), grid.lon_deg.min(), grid.lat_deg.max(), grid.lon_deg.max()
+            )
+        problem.range_cap_km = float(cap)
+    return problem
 
 
 # --- GDOP -----------------------------------------------------------------

@@ -401,6 +401,34 @@ class TestEvaluate:
         assert "line 2:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_free_standing_fallback_warns(self, config_file, tmp_path, capsys, caplog):
+        """An augment solution scored under the plain config matches none of
+        its deployed rows, so evaluate warns naming the first one; under the
+        augment config every row is a candidate and nothing is logged."""
+        out = tmp_path / "aug"
+        assert main(["augment", "--config", str(config_file), "--sensors",
+                     str(clustered21_path()), "--out", str(out), "--threads", "1"]) == EXIT_OK
+        solution = out / "solution_0.csv"
+        lines = [l for l in solution.read_text().splitlines() if not l.startswith("#")]
+        first_forced = next(l.split(",")[0] for l in lines[1:] if l.endswith(",1"))
+        augment_config = tmp_path / "augment.json"
+        augment_config.write_text(json.dumps(dict(
+            SMALL_CONFIG, scenario={"kind": "augment", "deployed_file": str(clustered21_path())})))
+        for config, warns in ((config_file, True), (augment_config, False)):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="adsbplace.cli"):
+                code = main(["evaluate", "--config", str(config), "--sensors", str(solution),
+                             "--out", str(tmp_path / f"eval_{warns}")])
+            assert code == EXIT_OK
+            records = [r for r in caplog.records if r.name == "adsbplace.cli"]
+            if warns:
+                assert len(records) == 1 and records[0].levelname == "WARNING"
+                message = records[0].getMessage()
+                assert f"sensor {first_forced!r}" in message
+                assert "penalty and of3 are relative to the file's own sites" in message
+            else:
+                assert records == []
+
     @pytest.mark.parametrize("flag", ["--threads", "--seed"])
     def test_search_flags_rejected(self, config_file, tmp_path, capsys, flag):
         code = main(["evaluate", "--config", str(config_file), "--sensors", str(clustered21_path()),

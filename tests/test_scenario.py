@@ -1,5 +1,6 @@
 """Problem construction: grids, candidates, jammers, deployed files."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adsbplace.geo import GeodeticPosition
-from adsbplace.objectives import InvalidConfigError, ObjectiveRequirements
+from adsbplace.objectives import InvalidConfigError, JammerModel, ObjectiveRequirements
 from adsbplace.scenario import (
+    AirspaceGrid,
     AreaBounds,
     DeployedFileError,
+    PlacementProblem,
     build_problem,
     build_problem_from_sites,
     clustered21_path,
@@ -19,6 +22,7 @@ from adsbplace.scenario import (
     generate_jammers,
     load_deployed_csv,
     nearest_rank,
+    precompute,
     sample_grid,
 )
 
@@ -28,6 +32,7 @@ from oracles import (
     geodetic_to_ecef,
     grid_points,
     ground_distance_km,
+    precompute_reference,
 )
 
 
@@ -326,6 +331,70 @@ class TestBuildProblem:
                 bounds=area_bounds, lat_count=4, lon_count=4,
                 requirements=ObjectiveRequirements(), sites=[],
             )
+
+
+_PRECOMPUTED = ("dist_point_cand", "dc_point_cand", "los_point_cand", "rank_point_cand",
+                "dist_jam_cand", "los_jam_cand", "affected_jam_cand", "dist_cand_cand",
+                "range_cap_km")
+
+
+@st.composite
+def _small_problems(draw) -> PlacementProblem:
+    """A problem before precompute: a sampled grid at 1-3 altitude levels or
+    a hand-built one whose horizontal positions repeat in shuffled order;
+    lattice or uniform candidates on masts of 0 or 30 m; deployed sites,
+    one at a grid point; no jammers, or LOS and JSR ones, one at a site."""
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    levels = draw(st.lists(st.sampled_from([1500.0, 3000.0, 6000.0, 10000.0]),
+                           min_size=1, max_size=3, unique=True))
+    bounds = AreaBounds(47.4, 51.4, 5.71, 9.71, tuple(sorted(levels)))
+    if draw(st.booleans()):
+        grid = sample_grid(bounds, draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    else:
+        lat = rng.uniform(47.4, 51.4, draw(st.integers(1, 5)))
+        lon = rng.uniform(5.71, 9.71, lat.size)
+        pick = rng.integers(0, lat.size, draw(st.integers(1, 15)))
+        grid = AirspaceGrid(lat[pick], lon[pick], rng.choice(levels, pick.size),
+                            np.full(pick.size, 10.0), np.full(pick.size, 150.0))
+    cand = generate_candidates(bounds, draw(st.integers(1, 9)),
+                               draw(st.sampled_from(["lattice", "seeded-uniform"])), seed,
+                               draw(st.sampled_from([0.0, 30.0])))
+    p = int(rng.integers(len(grid)))
+    sites = [(grid.lat_deg[p], grid.lon_deg[p], grid.alt_m[p])]
+    sites += [(la, lo, 0.0) for la, lo in rng.uniform((47.4, 5.71), (51.4, 9.71), (2, 2))]
+    cand_lat, cand_lon, cand_alt = (np.append(c, [s[i] for s in sites])
+                                    for i, c in enumerate(cand))
+    jammers = []
+    for rule in draw(st.lists(st.sampled_from(["los", "jsr"]), max_size=4)):
+        at_site = not jammers and draw(st.booleans())
+        la, lo, h = sites[-1] if at_site else (*rng.uniform((47.4, 5.71), (51.4, 9.71)), 6000.0)
+        jammers.append(JammerModel(GeodeticPosition(la, lo, h), power_w=100.0, affect_rule=rule))
+    return PlacementProblem(
+        grid=grid, cand_lat=cand_lat, cand_lon=cand_lon, cand_alt=cand_alt,
+        forced_mask=np.arange(cand_lat.size) >= cand[0].size, jammers=jammers,
+        requirements=ObjectiveRequirements(),
+    )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(problem=_small_problems())
+def test_precompute_matches_reference_bits(problem):
+    """Every matrix precompute fills has the reference's dtype and bits;
+    the point matrices are finite and each direction is unit or zero."""
+    got = precompute(dataclasses.replace(problem))
+    want = precompute_reference(dataclasses.replace(problem))
+    for name in _PRECOMPUTED:
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        # Bitwise, so signed zeros must agree too.
+        assert a.tobytes() == b.tobytes(), name
+    assert np.all(np.isfinite(got.dist_point_cand)) and np.all(np.isfinite(got.dc_point_cand))
+    norms = np.linalg.norm(got.dc_point_cand, axis=0)
+    zero = got.dist_point_cand.T == 0.0
+    assert zero.any()  # the deployed site at a grid point
+    assert np.all(got.dc_point_cand[:, zero] == 0.0)
+    assert np.allclose(norms[~zero], 1.0, atol=1e-12)
 
 
 class TestNearestRank:
