@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_int_at_least(0), help="override the GA seed")
         p.add_argument(
             "--threads", type=_int_at_least(1), default=_available_cores(),
-            help="evaluation worker count",
+            help="GDOP kernel worker count (outputs do not depend on it)",
         )
 
     p_opt = sub.add_parser("optimize", help="scenario 1: placement from scratch")

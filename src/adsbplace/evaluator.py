@@ -25,6 +25,12 @@ grid a population costs a few dozen array operations and a few kernel
 calls, not a set of each per chromosome. A batch's scores come back as
 one ``RawScores`` of (B,) columns.
 
+With ``threads > 1`` the groups are still scored on the calling thread;
+only the kernel calls, over every k and f' group of the batch, are dealt
+out as that many interleaved job lists, one per pool worker. Each call
+writes its own rows of the result, and the chunking does not depend on
+the thread count, so neither do the scores.
+
 With four or more forced sites (Scenario 2, augmenting a deployment),
 every chromosome holds the forced sensors, so the forced ones among a
 point's usable nearest k are always its f' nearest visible forced ones.
@@ -43,6 +49,7 @@ in rank order. Without forced sites nothing changes.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -126,9 +133,11 @@ class Diagnostics:
 
 
 class PlacementEvaluator:
-    """Scores binary site-selection chromosomes against one problem."""
+    """Scores binary site-selection chromosomes against one problem. With
+    ``threads > 1`` its kernel calls run on a pool of that many workers,
+    which lasts until ``close``."""
 
-    def __init__(self, problem: PlacementProblem, gdop_subset_cap: int = 12):
+    def __init__(self, problem: PlacementProblem, gdop_subset_cap: int = 12, threads: int = 1):
         if problem.dist_point_cand is None:
             raise ValueError("problem matrices missing; run scenario.precompute first")
         if gdop_subset_cap < 4:
@@ -159,6 +168,17 @@ class PlacementEvaluator:
         self.best_forced = self.forced_values = self.forced_upto = None
         if self.n_forced >= 4:
             self._build_forced_tables()
+        self.threads = threads
+        self.pool = None
+        if threads > 1:
+            # Imported only here: single-threaded runs skip its 0.6 MiB.
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.pool = ThreadPoolExecutor(max_workers=threads)
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
 
     def _build_forced_tables(self) -> None:
         """Per point, from its kf = min(cap, n_forced) nearest visible
@@ -232,8 +252,16 @@ class PlacementEvaluator:
                         dst[..., span] = src
         best = np.full((len(batch), m), np.inf)
         out = best.reshape(-1)  # a view: row slot * m + point
+        jobs = []
         for k, (first, arrays) in gathers.items():
-            self._gdop(k, out[first * m:first * m + arrays[1].size], *arrays)
+            jobs += self._gdop_jobs(k, out[first * m:first * m + arrays[1].size], *arrays)
+        parts = min(self.threads, len(jobs))
+        if parts > 1:
+            # Worker i runs every parts-th job from job i; each job writes
+            # only its own rows of ``best``.
+            list(self.pool.map(_run_jobs, [jobs[i::parts] for i in range(parts)]))
+        else:
+            _run_jobs(jobs)
 
         # OF1: best 4-subset GDOP per point, capped nearest enumeration.
         achieved_gdop = np.where(np.isinf(best), req.gdop_cap, best)
@@ -257,34 +285,34 @@ class PlacementEvaluator:
         )
         return scores.row(0), diag
 
-    def _gdop(self, k: int, out: np.ndarray, flat: np.ndarray, valid: np.ndarray,
-              fprime: np.ndarray | None = None) -> None:
-        """Minimal GDOP of kernel rows with k nearest sensors, given as
-        (k, rows) flat gather indices and (rows,) valid counts, into
-        ``out``. With forced counts f', a row whose usable sensors are all
-        forced reads the point's forced table, and the others run in
-        groups of equal f'; rows with fewer than 4 usable sensors keep
-        their inf."""
+    def _gdop_jobs(self, k: int, out: np.ndarray, flat: np.ndarray, valid: np.ndarray,
+                   fprime: np.ndarray | None = None) -> list:
+        """Kernel jobs for the minimal GDOP of rows with k nearest sensors,
+        given as (k, rows) flat gather indices and (rows,) valid counts,
+        into ``out``. With forced counts f', a row whose usable sensors
+        are all forced reads the point's forced table here, and the others
+        run in groups of equal f'; rows with fewer than 4 usable sensors
+        keep their inf."""
         if fprime is None:
-            self._kernel(k, 0, out, flat, valid)
-            return
-        point = np.arange(valid.size) % len(self.problem.grid)
+            return self._kernel_jobs(k, 0, out, flat, valid)
+        m = len(self.problem.grid)
         tabled = (fprime > 0) & (fprime == valid)
-        out[tabled] = self.best_forced[point[tabled], fprime[tabled]]
+        rows = np.flatnonzero(tabled)
+        out[rows] = self.best_forced[rows % m, fprime[rows]]
         rest = ~tabled & (valid >= 4)
+        jobs = []
         for f in np.unique(fprime[rest]).tolist():
             rows = np.flatnonzero(rest & (fprime == f))
-            part = np.empty(rows.size)
-            self._kernel(k, f, part, flat[:, rows], valid[rows], point[rows])
-            out[rows] = part
+            jobs += self._kernel_jobs(k, f, out, flat, valid, rows)
+        return jobs
 
-    def _kernel(self, k: int, f: int, out: np.ndarray, flat: np.ndarray, valid: np.ndarray,
-                point: np.ndarray | None = None) -> None:
-        """Minimal GDOP of rows whose first f sensors, f = 0 or 4 <= f <
-        valid, are their points' nearest forced ones. Each call takes the
-        budget's rows, down to whole chromosomes where one fits. Every
-        kernel operation is elementwise along the rows, so a row's GDOP
-        does not depend on its call."""
+    def _kernel_jobs(self, k: int, f: int, out: np.ndarray, flat: np.ndarray, valid: np.ndarray,
+                     rows: np.ndarray | None = None) -> list:
+        """One job per kernel call over ``rows`` (all rows when None), whose
+        first f sensors, f = 0 or 4 <= f < valid, are their points' nearest
+        forced ones. Each call takes the budget's rows, down to whole
+        chromosomes where one fits. Every kernel operation is elementwise
+        along the rows, so a row's GDOP does not depend on its call."""
         subsets, (table, index) = self.tables[k]
         known = 0
         if f:
@@ -294,22 +322,30 @@ class PlacementEvaluator:
             subsets, index = subsets[keep], index[keep]
             known = math.comb(f, 3)
         m = len(self.problem.grid)
-        rows = max(_MIN_ROWS, _ROW_BYTES // (8 * max(len(table), len(subsets))))
-        chunk = rows - rows % m if rows >= m else rows
-        for start in range(0, valid.size, chunk):
-            span = slice(start, start + chunk)
-            # One contiguous (3, k, rows) gather, whose (rows, k, 3) view
-            # the kernel reads without a copy.
-            dc = np.take(self.dc_flat, flat[:, span], axis=1)
-            values = None
-            if f:
-                values = np.empty((2, len(table), dc.shape[2]))
-                np.take(self.forced_values[:, :known], point[span], axis=2, out=values[:, :known])
-            out[span] = gdop_min_batched(
-                dc.transpose(2, 1, 0), valid[span], subsets, (table, index), values, known
-            )
-            if f:
-                np.minimum(out[span], self.best_forced[point[span], f], out=out[span])
+        size = valid.size if rows is None else rows.size
+        budget = max(_MIN_ROWS, _ROW_BYTES // (8 * max(len(table), len(subsets))))
+        chunk = budget - budget % m if budget >= m else budget
+        spans = [slice(start, start + chunk) for start in range(0, size, chunk)]
+        if rows is not None:
+            spans = [rows[span] for span in spans]
+        return [functools.partial(self._kernel, f, out, at, flat, valid, subsets, (table, index), known)
+                for at in spans]
+
+    def _kernel(self, f, out, at, flat, valid, subsets, table, known) -> None:
+        """Minimal GDOP of the rows ``at`` (a slice or indices) into their
+        places in ``out``."""
+        # One contiguous (3, k, rows) gather, whose (rows, k, 3) view the
+        # kernel reads without a copy.
+        dc = np.take(self.dc_flat, flat[:, at], axis=1)
+        values = None
+        if f:
+            point = at % len(self.problem.grid)
+            values = np.empty((2, len(table[0]), dc.shape[2]))
+            np.take(self.forced_values[:, :known], point, axis=2, out=values[:, :known])
+        gdop = gdop_min_batched(dc.transpose(2, 1, 0), valid[at], subsets, table, values, known)
+        if f:
+            np.minimum(gdop, self.best_forced[point, f], out=gdop)
+        out[at] = gdop
 
     def _score_group(self, sel: np.ndarray):
         """Everything but OF1 of G chromosomes with n sensors each, given
@@ -436,6 +472,11 @@ def prefix_gdop(dc: np.ndarray, valid_counts: np.ndarray, table) -> tuple[np.nda
     # of the minimum over their union.
     np.minimum.accumulate(best, axis=1, out=best)
     return best, values
+
+
+def _run_jobs(jobs) -> None:
+    for job in jobs:
+        job()
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:

@@ -196,23 +196,15 @@ class _Evaluation:
     objective vector is a pure function of its raw scores under a fixed
     normalization, so it never changes afterwards and the archive stays
     monotone across generations. A batch's new rows go to the evaluator
-    in one call or, with ``threads > 1``, as that many interleaved
-    sub-batches on a pool that lives until ``close``.
+    in one call.
     """
 
     def __init__(self, evaluator: PlacementEvaluator, config: GaConfig, of3_weights,
-                 bounds: Normalization, threads: int = 1):
+                 bounds: Normalization):
         self.evaluator = evaluator
         self.config = config
         self.of3_weights = of3_weight_vector(of3_weights)
         self.bounds = bounds
-        self.threads = threads
-        self.pool = None
-        if threads > 1:
-            # Imported only here: single-threaded runs skip its 0.6 MiB.
-            from concurrent.futures import ThreadPoolExecutor
-
-            self.pool = ThreadPoolExecutor(max_workers=threads)
         self.cache: dict[bytes, _Entry] = {}
 
     def evaluate_batch(self, batch: np.ndarray) -> tuple[list[bytes], np.ndarray]:
@@ -220,27 +212,14 @@ class _Evaluation:
         keys = [row.tobytes() for row in np.packbits(batch, axis=1)]
         todo = {key: i for i, key in enumerate(keys) if key not in self.cache}
         if todo:
-            new, genes = list(todo), batch[list(todo.values())]
-            parts = min(self.threads, len(todo))
-            if parts > 1:
-                # Sub-batch i holds every parts-th new row from row i; its
-                # columns are joined, and the keys reordered to match.
-                subs = self.pool.map(self.evaluator.evaluate, [genes[i::parts] for i in range(parts)])
-                raws = RawScores(*map(np.concatenate, zip(*(vars(sub).values() for sub in subs))))
-                new = [key for i in range(parts) for key in new[i::parts]]
-            else:
-                raws = self.evaluator.evaluate(genes)
+            raws = self.evaluator.evaluate(batch[list(todo.values())])
             # The batch's (B, 3) objective vectors, by the same elementwise
             # formulas the reports apply to one chromosome.
             of3 = self.bounds.of3(raws.d1, raws.d2, raws.d3, self.of3_weights)
             vecs = weighted_fitness(np.stack([raws.of1, raws.of2, of3], axis=1),
                                     raws.penalty[:, None], self.config.pareto_weight_a)
-            self.cache.update((key, ((raws, i), vec)) for i, (key, vec) in enumerate(zip(new, vecs)))
+            self.cache.update((key, ((raws, i), vec)) for i, (key, vec) in enumerate(zip(todo, vecs)))
         return keys, np.array([self.cache[key][1] for key in keys])
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
 
 
 def _survivors(vecs: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,7 +271,6 @@ def evolve(
     mutation_rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
     size = config.population_size
     rng = np.random.default_rng(config.rng_seed)
-    evaluator = PlacementEvaluator(problem, gdop_subset_cap=config.gdop_subset_cap)
     bounds = saturation_normalization(problem.requirements, problem.range_cap_km,
                                       n_max if n_max is not None else n)
 
@@ -303,7 +281,9 @@ def evolve(
     children = forced | _lowest(np.where(forced, np.inf, rng.random((size, n))), extra)
     genes, vecs = np.empty((0, n), dtype=bool), np.empty((0, 3))
     archive: dict[bytes, _Entry] = {}
-    evaluation = _Evaluation(evaluator, config, of3_weights, bounds, threads=threads)
+    # The evaluator's kernel pool, with threads > 1, lasts the whole run.
+    evaluator = PlacementEvaluator(problem, gdop_subset_cap=config.gdop_subset_cap, threads=threads)
+    evaluation = _Evaluation(evaluator, config, of3_weights, bounds)
     try:
         for gen in range(config.generations + 1):
             if gen:
@@ -320,7 +300,7 @@ def evolve(
             _update_archive(archive, {key: evaluation.cache[key] for key in keys})
             _emit(progress, gen, archive)
     finally:
-        evaluation.close()
+        evaluator.close()
 
     members = []
     for key, ((raws, i), vec) in sorted(archive.items()):

@@ -315,17 +315,38 @@ def _ned_geometry(origin_ecef, origin_lat, origin_lon, target_ecef, unit: bool):
 
 def _ground_km(lat_deg, lon_deg, cand_lat, cand_lon) -> np.ndarray:
     """Great-circle km from each (lat, lon) origin to each candidate, as
-    (origins, candidates): computed once per distinct horizontal position
-    and gathered back to every origin that shares it."""
+    (origins, candidates), by ``geo.haversine_km_arrays``'s formula and
+    operand order. It runs once per distinct horizontal position and is
+    gathered back to every origin that shares it. Its sin^2(dlat / 2),
+    cos(lat1) cos(lat2) and sin^2(dlon / 2) terms each depend on two
+    latitudes or two longitudes only, so they are tabled over the
+    distinct ones and gathered per pair."""
     pairs = np.stack([lat_deg, lon_deg], axis=1, dtype=float)
     # Positions of equal bits share a row. Unique over 16-byte keys sorts
     # them several times faster than unique(axis=0) does.
     keys, inverse = np.unique(pairs.view(np.dtype((np.void, 16))).ravel(), return_inverse=True)
     where = keys.view(float).reshape(-1, 2)
-    ground = geo.haversine_km_arrays(
-        where[:, 0, None], where[:, 1, None], cand_lat[None, :], cand_lon[None, :]
-    )
+    lat1, i = _distinct_radians(where[:, 0])
+    lon1, u = _distinct_radians(where[:, 1])
+    lat2, j = _distinct_radians(cand_lat)
+    lon2, v = _distinct_radians(cand_lon)
+    sin_lat = np.sin((lat2 - lat1[:, None]) / 2.0) ** 2
+    sin_lon = np.sin((lon2 - lon1[:, None]) / 2.0) ** 2
+    cos_cos = np.cos(lat1)[:, None] * np.cos(lat2)
+    # a = sin_lat + cos_cos * sin_lon; IEEE sums and products commute.
+    a = np.take(cos_cos[i], j, axis=1)
+    a *= np.take(sin_lon[u], v, axis=1)
+    a += np.take(sin_lat[i], j, axis=1)
+    ground = np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0, out=a), out=a), out=a)
+    ground *= geo.EARTH_MEAN_RADIUS_KM * 2.0
     return ground[inverse]
+
+
+def _distinct_radians(deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a float array, by their bits, in radians,
+    and the index of each element's value among them."""
+    bits, inverse = np.unique(np.asarray(deg, dtype=float).view(np.int64), return_inverse=True)
+    return np.radians(bits.view(float)), inverse
 
 
 def _pairwise_distance(ecef: np.ndarray) -> np.ndarray:

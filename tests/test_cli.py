@@ -17,6 +17,8 @@ from adsbplace.cli import (
 from adsbplace.config import parse_config
 from adsbplace.scenario import clustered21_path
 
+from test_acceptance import SMALL_RUN_CONFIG
+
 SMALL_CONFIG = {
     "area": {
         "lat_low_deg": 47.4,
@@ -266,6 +268,26 @@ class TestAugment:
         for row in rows:
             assert row["n_forced"] == 21
             assert row["n_sensors"] >= 21
+
+    def test_default_threads_byte_identical(self, tmp_path, capsys):
+        """The pool that ``--threads`` sizes changes no output: every file
+        but run_meta.json and the stderr progress stream are identical at
+        one and two threads."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(SMALL_RUN_CONFIG))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"aug{threads}"
+            code = main(["augment", "--config", str(config), "--sensors", str(clustered21_path()),
+                         "--out", str(out), "--threads", threads])
+            assert code == EXIT_OK
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_meta.json"}
+            outputs.append((files, capsys.readouterr().err))
+        (files, err), (files2, err2) = outputs
+        assert "pareto.csv" in files and "solution_0.csv" in files
+        assert files == files2
+        assert err.count("\n") == SMALL_RUN_CONFIG["ga"]["generations"] + 1
+        assert err == err2
 
     def test_malformed_deployed_exit_2(self, config_file, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from dataclasses import astuple
 from unittest import mock
 
@@ -334,6 +335,74 @@ class TestForcedTable:
         assert not small_problem.forced_mask.any()
         evaluator = PlacementEvaluator(small_problem, gdop_subset_cap=12)
         assert evaluator.best_forced is None and evaluator.forced_values is None
+
+
+class TestKernelPool:
+    """Kernel calls dealt out to a pool give the inline run's scores bit
+    for bit: every call writes exactly its own rows of the result."""
+
+    @pytest.fixture(scope="class")
+    def augment_problem(self, area_bounds, small_problem):
+        """The small problem's 25 candidates plus clustered21, forced."""
+        return build_problem(
+            bounds=area_bounds, lat_count=6, lon_count=6, candidate_count=25,
+            requirements=small_problem.requirements, jammers=small_problem.jammers,
+            deployed=load_deployed_csv(clustered21_path()),
+        )
+
+    @pytest.mark.parametrize("cap", [6, 12])
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_pool_matches_inline_and_single(self, small_problem, augment_problem, forced,
+                                            threads, cap):
+        """With forced sites every job takes rows by index, in groups of
+        equal f'; without, by slice."""
+        problem = augment_problem if forced else small_problem
+        n = problem.n_candidates
+        rng = np.random.default_rng(10 * threads + cap)
+        batch = rng.random((30, n)) < rng.uniform(0.0, 0.6, (30, 1))
+        batch[:26] |= problem.forced_mask  # the rest lack a forced site
+        inline = PlacementEvaluator(problem, gdop_subset_cap=cap)
+        pooled = PlacementEvaluator(problem, gdop_subset_cap=cap, threads=threads)
+        real = evaluator_module.gdop_min_batched
+        calls = {}
+
+        def spy(dc, valid, subsets, *rest):
+            # known: 0 for rank-order rows, C(f', 3) for a mixed f' group.
+            calls.setdefault(threading.get_ident(), []).append((len(valid), rest[-1]))
+            return real(dc, valid, subsets, *rest)
+
+        # Workers switching often interleave their jobs' writes into the
+        # shared result.
+        switch = sys.getswitchinterval()
+        try:
+            with mock.patch.multiple(evaluator_module, _ROW_BYTES=0, _MIN_ROWS=37,
+                                     gdop_min_batched=spy):
+                want = inline.evaluate(batch)
+                serial, calls = calls, {}
+                sys.setswitchinterval(1e-5)
+                got = pooled.evaluate(batch)
+        finally:
+            sys.setswitchinterval(switch)
+            pooled.close()
+        main = threading.get_ident()
+        assert list(serial) == [main]
+        assert main not in calls and 1 <= len(calls) <= threads
+        # The same calls, dealt out: several jobs per worker and, with
+        # forced sites, more than one mixed f' group.
+        assert sorted(sum(calls.values(), [])) == sorted(serial[main])
+        assert len(serial[main]) > 2 * threads
+        assert (len({known for _, known in serial[main]} - {0}) >= 2) == forced
+        for name, column in vars(got).items():
+            assert column.dtype == getattr(want, name).dtype
+            assert column.tobytes() == getattr(want, name).tobytes(), name
+            assert np.array_equal(column, getattr(want, name))
+        for i, genes in enumerate(batch):
+            raw = got.row(i)
+            assert raw == inline.evaluate(genes)
+            expected = score_one(problem, genes, cap)
+            assert raw.of1 == pytest.approx(expected.of1, rel=1e-9)
+            assert astuple(raw)[1:] == astuple(expected)[1:]
 
 
 _REPEAT_BATCH = """
