@@ -31,6 +31,8 @@ PARETO_COLUMNS = [
     "of1", "of2", "of3", "of1_norm", "of2_norm", "of3_norm",
     "d1", "d2", "d3", "penalty",
 ]
+# The raw scores of scores.json, in ObjectiveScores order.
+SCORE_FIELDS = ("of1", "of2", "of3", "d1", "d2", "d3", "penalty")
 
 
 def fmt(value) -> str:
@@ -51,43 +53,42 @@ def _progress_writer(stream):
     return emit
 
 
+def _write_table(path: Path, meta: dict, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        _print_table(fh, meta, header, rows)
+
+
+def _print_table(stream, meta: dict, header: list[str], rows) -> None:
+    """Every table the CLI writes: a ``# key=value`` line per ``meta``
+    item, the header, then each row's values through ``fmt``; every line
+    ends in LF."""
+    stream.writelines(f"# {key}={value}\n" for key, value in meta.items())
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt(value) for value in row] for row in rows)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _write_front(cfg: RunConfig, problem, front, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_hash = cfg.config_hash()
+    meta = {"config_hash": cfg.config_hash(), "seed": front.seed}
+    _write_json(out_dir / "run_meta.json", dict(meta, total_cells=problem.n_candidates))
     rows = analysis.pareto_summary(front, cfg.of3_weights)
-    meta = {
-        "config_hash": config_hash,
-        "seed": front.seed,
-        "total_cells": problem.n_candidates,
-    }
-    (out_dir / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-    with open(out_dir / "pareto.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config_hash}\n# seed={front.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(PARETO_COLUMNS)
-        for row in rows:
-            writer.writerow([fmt(row[c]) for c in PARETO_COLUMNS])
-
+    _write_table(out_dir / "pareto.csv", meta, PARETO_COLUMNS,
+                 ([row[c] for c in PARETO_COLUMNS] for row in rows))
     for row, member in zip(rows, front.members):
         sol_id = row["solution_id"]
-        with open(out_dir / f"solution_{sol_id}.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write(
-                f"# config_hash={config_hash}\n# seed={front.seed}\n"
-                f"# solution_id={sol_id}\n# total_cells={problem.n_candidates}\n"
-            )
-            writer = csv.writer(fh)
-            writer.writerow(["id", "lat_deg", "lon_deg", "alt_m", "forced"])
-            for idx in np.flatnonzero(member.chromosome.genes):
-                writer.writerow(
-                    [
-                        int(idx),
-                        fmt(problem.cand_lat[idx]),
-                        fmt(problem.cand_lon[idx]),
-                        fmt(problem.cand_alt[idx]),
-                        int(member.chromosome.forced_mask[idx]),
-                    ]
-                )
+        idx = np.flatnonzero(member.chromosome.genes)
+        _write_table(
+            out_dir / f"solution_{sol_id}.csv",
+            dict(meta, solution_id=sol_id, total_cells=problem.n_candidates),
+            ["id", "lat_deg", "lon_deg", "alt_m", "forced"],
+            zip(idx, problem.cand_lat[idx], problem.cand_lon[idx], problem.cand_alt[idx],
+                member.chromosome.forced_mask[idx].astype(int)),
+        )
 
 
 def _run_optimization(cfg: RunConfig, out_dir: Path, seed_override: int | None, threads: int) -> int:
@@ -204,59 +205,29 @@ def cmd_evaluate(args) -> int:
 
     out_dir = Path(args.out or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_hash = cfg.config_hash()
-    payload = {
-        "config_hash": config_hash,
-        "seed": seed,
+    meta = {"config_hash": cfg.config_hash(), "seed": seed}
+    values = (scores.of1, scores.of2, scores.of3, *scores.of3_components, scores.penalty)
+    _write_json(out_dir / "scores.json", {
+        **meta,
         "n_sensors": int(chromosome.popcount()),
-        "of1": float(fmt(scores.of1)),
-        "of2": float(fmt(scores.of2)),
-        "of3": float(fmt(scores.of3)),
-        "d1": float(fmt(scores.of3_components[0])),
-        "d2": float(fmt(scores.of3_components[1])),
-        "d3": float(fmt(scores.of3_components[2])),
-        "penalty": float(fmt(scores.penalty)),
-        "normalized": {k: float(fmt(v)) for k, v in scores.normalized.items()},
-    }
-    (out_dir / "scores.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-    with open(out_dir / "coverage.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config_hash}\n# seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["lat_deg", "lon_deg", "alt_m", "k", "gdop", "range2_km"])
-        for i in range(coverage.lat_deg.size):
-            writer.writerow(
-                [
-                    fmt(coverage.lat_deg[i]),
-                    fmt(coverage.lon_deg[i]),
-                    fmt(coverage.alt_m[i]),
-                    int(coverage.k_visible[i]),
-                    fmt(coverage.best_gdop[i]),
-                    fmt(coverage.second_range_km[i]),
-                ]
-            )
-
-    with open(out_dir / "jam_report.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config_hash}\n# seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["jammer_id", "lat_deg", "lon_deg", "alt_m", "affected", "min_dist_km"])
-        for i in range(report.affected_count.size):
-            writer.writerow(
-                [
-                    i,
-                    fmt(report.jammer_lat[i]),
-                    fmt(report.jammer_lon[i]),
-                    fmt(report.jammer_alt[i]),
-                    int(report.affected_count[i]),
-                    fmt(report.min_distance_km[i]),
-                ]
-            )
+        **{key: float(fmt(value)) for key, value in zip(SCORE_FIELDS, values)},
+        "normalized": {key: float(fmt(value)) for key, value in scores.normalized.items()},
+    })
+    _write_table(
+        out_dir / "coverage.csv", meta, ["lat_deg", "lon_deg", "alt_m", "k", "gdop", "range2_km"],
+        zip(coverage.lat_deg, coverage.lon_deg, coverage.alt_m, coverage.k_visible,
+            coverage.best_gdop, coverage.second_range_km),
+    )
+    _write_table(
+        out_dir / "jam_report.csv", meta,
+        ["jammer_id", "lat_deg", "lon_deg", "alt_m", "affected", "min_dist_km"],
+        zip(range(report.affected_count.size), report.jammer_lat, report.jammer_lon,
+            report.jammer_alt, report.affected_count, report.min_distance_km),
+    )
     return EXIT_OK
 
 
 def read_pareto_csv(path: Path) -> list[dict]:
-    if not path.exists():
-        raise FileNotFoundError(path)
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
@@ -284,10 +255,7 @@ def cmd_report(args) -> int:
         print("error: --weights must be three non-negative values summing to 1", file=sys.stderr)
         return EXIT_USAGE
 
-    header = PARETO_COLUMNS
-    print(",".join(header))
-    for row in rows:
-        print(",".join(fmt(row[c]) for c in header))
+    _print_table(sys.stdout, {}, PARETO_COLUMNS, ([row[c] for c in PARETO_COLUMNS] for row in rows))
 
     if best is None:
         print("no feasible solution under the sensor budget", file=sys.stderr)

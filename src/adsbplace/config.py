@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -21,6 +20,10 @@ from .scenario import (
 
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# Far beyond any height, distance, power or GDOP of a run, and small enough
+# that the squares and link-budget products formed of such numbers stay
+# finite in float64.
+_MAX_MAGNITUDE = 1e50
 
 
 class ConfigError(ValueError):
@@ -35,8 +38,8 @@ def _number(where: str, value) -> float:
     # JSON true/false parse as bool, which is an int subclass: not a number here.
     if isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, float) or not math.isfinite(value):
-        raise ConfigError(where, "expected a finite number")
+    if not isinstance(value, float) or not abs(value) <= _MAX_MAGNITUDE:
+        raise ConfigError(where, f"expected a finite number of magnitude at most {_MAX_MAGNITUDE:g}")
     return value
 
 
@@ -58,6 +61,12 @@ def _get(data: dict, path: str, key: str, kind, default=None, required=False):
     return value
 
 
+def _fields(data: dict, path: str, table) -> dict:
+    """The checked values of the ``(key, kind)`` pairs of ``table`` that
+    ``data`` sets; unset keys keep the defaults of the class they build."""
+    return {key: _get(data, path, key, kind) for key, kind in table if key in data}
+
+
 def _non_negative(where: str, value):
     """Seeds and heights: None (unset) or at least 0."""
     if value is not None and value < 0:
@@ -66,7 +75,7 @@ def _non_negative(where: str, value):
 
 
 def _numbers(data: dict, path: str, key: str, default=None, required=False) -> tuple[float, ...]:
-    """A non-empty list of finite numbers."""
+    """A non-empty list of numbers, each checked by ``_number``."""
     where = f"{path}.{key}" if path else key
     values = _get(data, path, key, list, default, required)
     if not values:
@@ -130,15 +139,13 @@ class RunConfig:
         )
 
     def ga_for_problem(self, problem: PlacementProblem, seed_override: int | None = None) -> GaConfig:
-        """GA config with the augmentation budget folded into n_max."""
+        """GA config with the augmentation budget folded into n_max: the
+        forced sites do not count against it."""
         ga = self.ga
-        n_max = ga.n_max
-        if n_max is not None and self.scenario_kind == "augment":
-            n_max = n_max + int(problem.forced_mask.sum())
         return replace(
             ga,
             rng_seed=seed_override if seed_override is not None else ga.rng_seed,
-            n_max=n_max,
+            n_max=None if ga.n_max is None else ga.n_max + int(problem.forced_mask.sum()),
         )
 
 
@@ -186,36 +193,29 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     if jammer_pattern not in ("grid", "seeded-uniform"):
         raise ConfigError("jammers.pattern", "must be grid or seeded-uniform")
     jammer_seed = _non_negative("jammers.seed", _get(jam, "jammers", "seed", int))
-    jammer_params = {}
-    for key, kind, dflt in (
-        ("power_w", float, 1.0),
-        ("antenna_gain", float, 1.0),
-        ("transmitter_power_w", float, 100.0),
-        ("transmitter_antenna_gain", float, 1.0),
-        ("affect_rule", str, "los"),
-        ("jsr_threshold", float, 1.0),
-        ("nominal_signal_distance_km", float, 150.0),
-    ):
-        jammer_params[key] = _get(jam, "jammers", key, kind, default=dflt)
-    if jammer_params["affect_rule"] not in ("los", "jsr"):
+    jammer_params = _fields(jam, "jammers", (
+        ("power_w", float),
+        ("antenna_gain", float),
+        ("transmitter_power_w", float),
+        ("transmitter_antenna_gain", float),
+        ("affect_rule", str),
+        ("jsr_threshold", float),
+        ("nominal_signal_distance_km", float),
+    ))
+    if jammer_params.get("affect_rule") not in (None, "los", "jsr"):
         raise ConfigError("jammers.affect_rule", "must be los or jsr")
 
     req_data = _get(data, "", "requirements", dict, default={})
-    req_kwargs = {}
-    for key, kind in (
-        ("required_gdop", float),
-        ("required_range_km", float),
-        ("min_sensor_spacing_km", float),
-        ("min_jammer_distance_km", float),
-        ("max_sensors_in_jammer_los", int),
-        ("gdop_cap", float),
-        ("range_cap_km", float),
-    ):
-        value = _get(req_data, "requirements", key, kind)
-        if value is not None:
-            req_kwargs[key] = value
     try:
-        requirements = ObjectiveRequirements(**req_kwargs)
+        requirements = ObjectiveRequirements(**_fields(req_data, "requirements", (
+            ("required_gdop", float),
+            ("required_range_km", float),
+            ("min_sensor_spacing_km", float),
+            ("min_jammer_distance_km", float),
+            ("max_sensors_in_jammer_los", int),
+            ("gdop_cap", float),
+            ("range_cap_km", float),
+        )))
     except InvalidConfigError as exc:
         raise ConfigError("requirements", str(exc)) from exc
 
@@ -226,8 +226,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError("of3_weights", str(exc)) from exc
 
     ga_data = _get(data, "", "ga", dict, default={})
-    ga_kwargs = {}
-    for key, kind in (
+    ga_kwargs = _fields(ga_data, "ga", (
         ("population_size", int),
         ("generations", int),
         ("crossover_rate", float),
@@ -237,10 +236,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         ("n_max", int),
         ("pareto_weight_a", float),
         ("gdop_subset_cap", int),
-    ):
-        value = _get(ga_data, "ga", key, kind)
-        if value is not None:
-            ga_kwargs[key] = value
+    ))
     _non_negative("ga.rng_seed", ga_kwargs.get("rng_seed"))
     try:
         ga = GaConfig(**ga_kwargs)

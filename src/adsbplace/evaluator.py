@@ -165,7 +165,7 @@ class PlacementEvaluator:
         # Their subsets' GDOP and their triples' values are per-point
         # facts, tabled once here for the rows that are forced-first.
         self.n_forced = int(problem.forced_mask.sum())
-        self.best_forced = self.forced_values = self.forced_upto = None
+        self.best_forced = self.forced_values = None
         if self.n_forced >= 4:
             self._build_forced_tables()
         self.threads = threads
@@ -183,10 +183,8 @@ class PlacementEvaluator:
     def _build_forced_tables(self) -> None:
         """Per point, from its kf = min(cap, n_forced) nearest visible
         forced sensors in rank order: ``best_forced`` (m, kf + 1), column j
-        the minimal GDOP over the subsets inside the first j of them;
-        ``forced_values`` (2, C(kf, 3), m), the D and Q of their triples;
-        and ``forced_upto`` (m, N), the number of visible forced sensors
-        ranked at or before each rank."""
+        the minimal GDOP over the subsets inside the first j of them, and
+        ``forced_values`` (2, C(kf, 3), m), the D and Q of their triples."""
         problem = self.problem
         m, n = len(problem.grid), problem.n_candidates
         forced = np.flatnonzero(problem.forced_mask)
@@ -200,9 +198,6 @@ class PlacementEvaluator:
         self.best_forced, self.forced_values = prefix_gdop(
             dc, np.minimum(visible.sum(axis=1), kf), self.tables[kf]
         )
-        upto = np.zeros((m, n), dtype=np.int32)
-        upto[np.arange(m)[:, None], problem.rank_point_cand[:, forced]] = visible
-        self.forced_upto = np.cumsum(upto, axis=1, out=upto)
 
     def evaluate(self, genes: np.ndarray, diagnostics: bool = False):
         """Raw scores of one chromosome (N,), or columns of them for a
@@ -382,7 +377,7 @@ class PlacementEvaluator:
         gather = None
         if n >= 4:
             valid = np.minimum(vis_counts, k)
-            fprime = None if self.best_forced is None else self._forced_first(sel, key, near, valid)
+            fprime = None if self.best_forced is None else self._forced_first(sel, near, valid)
             # Flat (candidate, point) indices into the component-major
             # direction cosines, one row per (chromosome, point); below 4
             # sensors OF1 is inf everywhere.
@@ -421,24 +416,21 @@ class PlacementEvaluator:
             min_dist = np.full((n_jam, g), np.inf)
         return (of2, d1, d2, d3), gather, (vis_counts, second_km, jam_counts, min_dist)
 
-    def _forced_first(self, sel, key, near, valid) -> np.ndarray:
+    def _forced_first(self, sel, near, valid) -> np.ndarray:
         """Forced counts f' of a group's (m, G) rows: the forced sensors
         among a row's usable nearest, 0 where that is below 4 or the
         chromosome lacks a forced site. Rows with 4 <= f' < valid get their
         (m, G, k) ``near`` reordered forced first, stably, in place; the
         others keep rank order."""
         problem = self.problem
-        m = len(problem.grid)
-        # With every forced site selected, the forced sensors ranked up to
-        # a row's last usable one are exactly those among its usable ones.
-        last = np.take_along_axis(key, np.maximum(valid - 1, 0)[:, :, None], axis=2)
-        fprime = self.forced_upto[np.arange(m)[:, None], last[:, :, 0] // problem.n_candidates]
+        position = np.arange(near.shape[2])
+        forced = problem.forced_mask[near]
+        forced &= position < valid[:, :, None]
+        fprime = forced.sum(axis=2)
         fprime[(fprime < 4) | (problem.forced_mask[sel].sum(axis=1) < self.n_forced)] = 0
         mixed = np.nonzero((fprime > 0) & (fprime < valid))
         rows = near[mixed]
-        position = np.arange(rows.shape[1])
-        forced = problem.forced_mask[rows]
-        forced &= position < valid[mixed][:, None]
+        forced = forced[mixed]
         # A row's f' forced usable sensors fill its first f' places and the
         # others follow, each in rank order: masks select row-major.
         lead = position < fprime[mixed][:, None]

@@ -299,6 +299,24 @@ class TestAugment:
         assert code == EXIT_USAGE
 
 
+def test_outputs_end_lines_in_lf(config_file, tmp_path, capsys):
+    """Every file optimize, augment and evaluate write, and the table
+    report prints, end their lines in LF alone."""
+    opt, aug, ev = tmp_path / "opt", tmp_path / "aug", tmp_path / "eval"
+    run_optimize(config_file, opt)
+    assert main(["augment", "--config", str(config_file), "--sensors", str(clustered21_path()),
+                 "--out", str(aug), "--threads", "1"]) == EXIT_OK
+    assert main(["evaluate", "--config", str(config_file), "--sensors",
+                 str(opt / "solution_0.csv"), "--out", str(ev)]) == EXIT_OK
+    files = [p for out in (opt, aug, ev) for p in out.iterdir()]
+    assert {"pareto.csv", "solution_0.csv", "run_meta.json", "scores.json", "coverage.csv",
+            "jam_report.csv"} <= {p.name for p in files}
+    assert [p.name for p in files if b"\r" in p.read_bytes()] == []
+    capsys.readouterr()
+    assert main(["report", str(opt)]) == EXIT_OK
+    assert "\r" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["augment", "evaluate"])
 @pytest.mark.parametrize("row", ["x,nan,7.0,0", "x,48.0,inf,0", "x,95.0,7.0,0", "x,48.0,181.0,0"])
 def test_bad_sensor_coordinates_exit_2(config_file, tmp_path, capsys, command, row):
