@@ -17,7 +17,9 @@ from . import analysis
 from .config import ConfigError, RunConfig, load_config
 from .nsga2 import Chromosome, evolve
 from .objectives import InvalidConfigError, saturation_normalization
-from .scenario import DeployedFileError, build_problem_from_sites, deployed_lines, load_deployed_csv
+from .scenario import (
+    DeployedFileError, build_problem, csv_rows, deployed_lines, load_deployed_csv,
+)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -167,33 +169,21 @@ def cmd_evaluate(args) -> int:
     n_max = cfg.ga_for_problem(problem).n_max
     bounds = saturation_normalization(problem.requirements, problem.range_cap_km,
                                       problem.n_candidates if n_max is None else n_max)
-    genes, miss = _map_to_candidates(problem, rows) if rows else (None, None)
+    genes, miss = _map_to_candidates(problem, rows)
     if genes is None:
-        # Free-standing placement: evaluate the file's sensors directly.
-        if rows:
-            sensor_id, lat, lon, alt = rows[miss]
-            log.warning(
-                "sensor %r (%s, %s, %s m), row %d of %s, matches no single candidate site of the "
-                "config; scoring the file's %d sites as a free-standing problem, so penalty "
-                "and of3 are relative to the file's own sites",
-                sensor_id, fmt(lat), fmt(lon), fmt(alt), miss + 1, args.sensors, len(rows),
-            )
-            problem = build_problem_from_sites(
-                bounds=cfg.bounds,
-                lat_count=cfg.lat_count,
-                lon_count=cfg.lon_count,
-                requirements=cfg.requirements,
-                sites=rows,
-                jammers=problem.jammers,
-            )
-            chromosome = Chromosome(problem.forced_mask.copy(), problem.forced_mask)
-        else:
-            chromosome = Chromosome(
-                np.zeros(problem.n_candidates, dtype=bool), problem.forced_mask
-            )
-    else:
-        forced = problem.forced_mask
-        chromosome = Chromosome(genes | forced, forced)
+        sensor_id, lat, lon, alt = rows[miss]
+        log.warning(
+            "sensor %r (%s, %s, %s m), row %d of %s, matches no single candidate site of the "
+            "config; scoring the file's %d sites as a free-standing problem, so penalty "
+            "and of3 are relative to the file's own sites",
+            sensor_id, fmt(lat), fmt(lon), fmt(alt), miss + 1, args.sensors, len(rows),
+        )
+        problem = build_problem(
+            cfg.bounds, cfg.lat_count, cfg.lon_count, 0, cfg.requirements,
+            jammers=problem.jammers, deployed=rows,
+        )
+        genes = problem.forced_mask
+    chromosome = Chromosome(genes | problem.forced_mask, problem.forced_mask)
 
     scores, coverage, report = analysis.evaluate_placement(
         problem,
@@ -228,25 +218,37 @@ def cmd_evaluate(args) -> int:
 
 
 def read_pareto_csv(path: Path) -> list[dict]:
+    """``pareto.csv``'s rows as dicts over PARETO_COLUMNS. Text that is
+    not UTF-8 or CSV, a missing column and a cell that is not a number
+    raise ``DeployedFileError`` naming the line."""
+    records = ((line_no, row) for line_no, row in csv_rows(path) if row)
+    line_no, header = next(records, (1, []))
+    missing = [key for key in PARETO_COLUMNS if key not in header]
+    if missing:
+        raise DeployedFileError(line_no, f"no column {missing[0]!r}")
+    at = {key: header.index(key) for key in PARETO_COLUMNS}
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for rec in reader:
-            rows.append(
-                {
-                    key: (int(rec[key]) if key in ("solution_id", "n_sensors", "n_forced") else float(rec[key]))
-                    for key in PARETO_COLUMNS
-                }
-            )
+    for line_no, row in records:
+        rec = {}
+        for key in PARETO_COLUMNS:
+            cell = row[at[key]] if at[key] < len(row) else ""
+            try:
+                rec[key] = (int if key in ("solution_id", "n_sensors", "n_forced") else float)(cell)
+            except ValueError:
+                raise DeployedFileError(line_no, f"column {key}: {cell!r} is not a number") from None
+        rows.append(rec)
     return rows
 
 
 def cmd_report(args) -> int:
-    front_dir = Path(args.front_dir)
+    path = Path(args.front_dir) / "pareto.csv"
     try:
-        rows = read_pareto_csv(front_dir / "pareto.csv")
+        rows = read_pareto_csv(path)
     except FileNotFoundError:
-        print(f"error: no pareto.csv in {front_dir}", file=sys.stderr)
+        print(f"error: no pareto.csv in {path.parent}", file=sys.stderr)
+        return EXIT_USAGE
+    except DeployedFileError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         weights = [float(w) for w in args.weights.split(",")]

@@ -66,10 +66,12 @@ class JammerModel:
     nominal_signal_distance_km: float = 150.0
 
     def __post_init__(self):
-        if self.power_w <= 0 or self.antenna_gain <= 0:
-            raise InvalidConfigError("jammer power and gain must be positive")
-        if self.transmitter_power_w <= 0 or self.transmitter_antenna_gain <= 0:
-            raise InvalidConfigError("transmitter power and gain must be positive")
+        for name in ("power_w", "antenna_gain", "transmitter_power_w", "transmitter_antenna_gain"):
+            if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
+                raise InvalidConfigError(f"{name} must be finite and positive")
+        for name in ("jsr_threshold", "nominal_signal_distance_km"):
+            if not (getattr(self, name) >= 0 and math.isfinite(getattr(self, name))):
+                raise InvalidConfigError(f"{name} must be finite and >= 0")
         if self.affect_rule not in ("los", "jsr"):
             raise InvalidConfigError(f"unknown affect rule: {self.affect_rule}")
 

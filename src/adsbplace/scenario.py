@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -228,33 +228,28 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
     problem.rank_point_cand = nearest_rank(np.where(los, dist, np.inf))
 
     jams = problem.jammers
-    if jams:
-        jam_lat = np.array([j.position.latitude_deg for j in jams])
-        jam_lon = np.array([j.position.longitude_deg for j in jams])
-        jam_alt = np.array([j.position.altitude_m for j in jams])
-        jam_ecef = geo.geodetic_to_ecef_arrays(jam_lat, jam_lon, jam_alt)
-        jdist, _ = _ned_geometry(jam_ecef, jam_lat, jam_lon, cand_ecef, unit=False)
-        jground = _ground_km(jam_lat, jam_lon, problem.cand_lat, problem.cand_lon)
-        jlos = geo.visibility_mask_arrays(
-            jam_alt[:, None], jground, problem.cand_alt[None, :], params
-        )
-        affected = jlos.copy()
-        for l, jam in enumerate(jams):
-            if jam.affect_rule == "jsr":
-                num = jam.power_w * jam.antenna_gain * jam.nominal_signal_distance_km**2
-                den = jam.transmitter_power_w * jam.transmitter_antenna_gain
-                with np.errstate(divide="ignore"):
-                    ratio = np.where(
-                        jdist[l] > 0.0, num / (den * (jdist[l] / 1000.0) ** 2), np.inf
-                    )
-                affected[l] &= ratio >= jam.jsr_threshold
-        problem.dist_jam_cand = jdist
-        problem.los_jam_cand = jlos
-        problem.affected_jam_cand = affected
-    else:
-        problem.dist_jam_cand = np.zeros((0, problem.n_candidates))
-        problem.los_jam_cand = np.zeros((0, problem.n_candidates), dtype=bool)
-        problem.affected_jam_cand = np.zeros((0, problem.n_candidates), dtype=bool)
+    jam_lat = np.array([j.position.latitude_deg for j in jams])
+    jam_lon = np.array([j.position.longitude_deg for j in jams])
+    jam_alt = np.array([j.position.altitude_m for j in jams])
+    jam_ecef = geo.geodetic_to_ecef_arrays(jam_lat, jam_lon, jam_alt)
+    jdist, _ = _ned_geometry(jam_ecef, jam_lat, jam_lon, cand_ecef, unit=False)
+    jground = _ground_km(jam_lat, jam_lon, problem.cand_lat, problem.cand_lon)
+    jlos = geo.visibility_mask_arrays(
+        jam_alt[:, None], jground, problem.cand_alt[None, :], params
+    )
+    affected = jlos.copy()
+    for l, jam in enumerate(jams):
+        if jam.affect_rule == "jsr":
+            num = jam.power_w * jam.antenna_gain * jam.nominal_signal_distance_km**2
+            den = jam.transmitter_power_w * jam.transmitter_antenna_gain
+            with np.errstate(divide="ignore"):
+                ratio = np.where(
+                    jdist[l] > 0.0, num / (den * (jdist[l] / 1000.0) ** 2), np.inf
+                )
+            affected[l] &= ratio >= jam.jsr_threshold
+    problem.dist_jam_cand = jdist
+    problem.los_jam_cand = jlos
+    problem.affected_jam_cand = affected
 
     problem.dist_cand_cand = _pairwise_distance(cand_ecef)
 
@@ -389,7 +384,8 @@ def _area_diagonal(problem: PlacementProblem) -> float:
 
 
 class DeployedFileError(ValueError):
-    """Malformed deployed-sensor CSV; carries the offending line number."""
+    """Malformed input CSV, a sensor file or a ``pareto.csv``; carries the
+    offending line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -411,10 +407,11 @@ def deployed_lines(path: str | Path) -> Iterator[str]:
             ) from None
 
 
-def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, row) of each CSV row; malformed CSV raises
-    ``DeployedFileError``."""
-    reader = csv.reader(lines)
+def csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) of each CSV row of a UTF-8 file. Lines starting
+    with ``#`` read as blank rows, so line numbers stay the file's. Text
+    that is not UTF-8 or CSV raises ``DeployedFileError`` naming the line."""
+    reader = csv.reader("\n" if line.startswith("#") else line for line in deployed_lines(path))
     try:
         for row in reader:
             yield reader.line_num, row
@@ -433,8 +430,7 @@ def load_deployed_csv(path: str | Path) -> list[tuple[str, float, float, float]]
     """
     rows: list[tuple[str, float, float, float]] = []
     seen: set[tuple[float, float, float]] = set()
-    # Comment lines become blank rows, so line numbers stay the file's.
-    reader = _csv_rows("\n" if line.startswith("#") else line for line in deployed_lines(path))
+    reader = csv_rows(path)
     line_no, header = next(((n, row) for n, row in reader if row), (0, None))
     if header is None:
         return rows
@@ -481,61 +477,32 @@ def build_problem(
 
     ``deployed`` sites are appended to the candidate list with their
     forced-mask bits set (Scenario 2); leave it empty for Scenario 1.
+    With ``candidate_count=0`` no candidates are generated: the deployed
+    sites are the whole candidate set and all forced, a free-standing
+    deployment.
     """
+    if not candidate_count and not deployed:
+        raise InvalidConfigError("need at least one sensor site")
     grid = sample_grid(
         bounds, lat_count, lon_count,
         requirements.required_gdop, requirements.required_range_km,
     )
-    lat_arr, lon_arr, alt_arr = generate_candidates(
-        bounds, candidate_count, candidate_pattern, candidate_seed, antenna_height_m
-    )
+    generated = np.empty((3, 0))
+    if candidate_count:
+        generated = np.stack(generate_candidates(
+            bounds, candidate_count, candidate_pattern, candidate_seed, antenna_height_m
+        ))
     for _, lat, lon, _alt in deployed:
         if not bounds.contains(lat, lon):
             log.warning("deployed sensor (%.4f, %.4f) lies outside the area bounds", lat, lon)
     sites = np.array([site[1:] for site in deployed], dtype=float).reshape(-1, 3)
-    lat_arr, lon_arr, alt_arr = np.concatenate(
-        [np.stack([lat_arr, lon_arr, alt_arr]), sites.T], axis=1
-    )
+    lat_arr, lon_arr, alt_arr = np.concatenate([generated, sites.T], axis=1)
     problem = PlacementProblem(
         grid=grid,
         cand_lat=lat_arr,
         cand_lon=lon_arr,
         cand_alt=alt_arr,
         forced_mask=np.arange(lat_arr.size) >= candidate_count,
-        jammers=list(jammers or []),
-        requirements=requirements,
-    )
-    return precompute(problem)
-
-
-def build_problem_from_sites(
-    bounds: AreaBounds,
-    lat_count: int,
-    lon_count: int,
-    requirements: ObjectiveRequirements,
-    sites: Sequence[tuple[str, float, float, float]],
-    jammers: list[JammerModel] | None = None,
-) -> PlacementProblem:
-    """Problem whose candidate set is exactly the given sensor sites.
-
-    Used to evaluate free-standing deployments that do not correspond to
-    any generated candidate lattice; all sites are forced.
-    """
-    if not sites:
-        raise InvalidConfigError("need at least one sensor site")
-    grid = sample_grid(
-        bounds, lat_count, lon_count,
-        requirements.required_gdop, requirements.required_range_km,
-    )
-    for _, lat, lon, _alt in sites:
-        if not bounds.contains(lat, lon):
-            log.warning("sensor (%.4f, %.4f) lies outside the area bounds", lat, lon)
-    problem = PlacementProblem(
-        grid=grid,
-        cand_lat=np.array([s[1] for s in sites], dtype=float),
-        cand_lon=np.array([s[2] for s in sites], dtype=float),
-        cand_alt=np.array([s[3] for s in sites], dtype=float),
-        forced_mask=np.ones(len(sites), dtype=bool),
         jammers=list(jammers or []),
         requirements=requirements,
     )

@@ -34,7 +34,7 @@ from adsbplace.objectives import (
     knapsack_penalty,
     weighted_fitness,
 )
-from adsbplace.scenario import build_problem_from_sites, clustered21_path, load_deployed_csv
+from adsbplace.scenario import build_problem, clustered21_path, load_deployed_csv
 
 from conftest import random_geodetic
 from oracles import (
@@ -183,7 +183,7 @@ class TestCriterion5Nsga2Correctness:
     def test_toy_problem_matches_exhaustive_search(self, area_bounds):
         """On 10 candidates the archive's per-objective minima equal the
         optimum of enumerating all 2^10 selections."""
-        from adsbplace.scenario import build_problem, generate_jammers
+        from adsbplace.scenario import generate_jammers
 
         req = ObjectiveRequirements()
         jams = generate_jammers(area_bounds, 4, (6000.0,), "grid", None)
@@ -268,9 +268,10 @@ def clustered_baseline(experiment_run):
     """The clustered 21-sensor deployment scored on the same grid/jammers."""
     cfg, problem, _, _ = experiment_run
     sites = load_deployed_csv(clustered21_path())
-    baseline = build_problem_from_sites(
+    baseline = build_problem(
         bounds=cfg.bounds, lat_count=cfg.lat_count, lon_count=cfg.lon_count,
-        requirements=cfg.requirements, sites=sites, jammers=problem.jammers,
+        candidate_count=0, requirements=cfg.requirements, jammers=problem.jammers,
+        deployed=sites,
     )
     chromosome = Chromosome(baseline.forced_mask.copy(), baseline.forced_mask)
     return evaluate_placement(baseline, chromosome, gdop_subset_cap=6)

@@ -150,6 +150,8 @@ NAN = float("nan")
     (None, "of3_weights", [0.5, 0.5, 0.5], "of3_weights"),
     (None, "of3_weights", [-0.5, 0.75, 0.75], "of3_weights"),
     (None, "of3_weights", [0.5, 0.5], "of3_weights"),
+    ("jammers", "jsr_threshold", -1, "jsr_threshold"),
+    ("jammers", "nominal_signal_distance_km", -5, "nominal_signal_distance_km"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
     """Rejected before the search starts, with a message naming the field."""
@@ -389,6 +391,26 @@ class TestEvaluate:
         data = [line for line in coverage if not line.startswith(("#", "lat_deg"))]
         assert all(line.split(",")[3] == "0" for line in data)
 
+    def test_empty_sensor_file_under_augment_config_scores_deployment(self, tmp_path, capsys):
+        """Under an augment config the forced sites are always selected, so
+        a header-only file scores the deployment alone, as the deployment
+        file itself does."""
+        config = tmp_path / "augment.json"
+        config.write_text(json.dumps(dict(
+            SMALL_CONFIG, scenario={"kind": "augment", "deployed_file": str(clustered21_path())})))
+        empty = tmp_path / "none.csv"
+        empty.write_text("id,lat_deg,lon_deg,alt_m\n")
+        outputs = []
+        for sensors in (empty, clustered21_path()):
+            out = tmp_path / sensors.stem
+            code = main(["evaluate", "--config", str(config), "--sensors", str(sensors),
+                         "--out", str(out)])
+            assert code == EXIT_OK
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ("scores.json", "coverage.csv", "jam_report.csv")})
+        assert json.loads(outputs[0]["scores.json"])["n_sensors"] == 21
+        assert outputs[0] == outputs[1]
+
     def test_three_off_lattice_sensors_saturate_of1(self, config_file, tmp_path, capsys):
         """Fewer than four sensors leave no GDOP subset: OF1 sits at the cap,
         the same as with no sensors at all."""
@@ -509,6 +531,29 @@ class TestReport:
 
     def test_missing_front_exit_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace(",n_forced,", ",n_fixed,"), "line 3: no column 'n_forced'"),
+        (lambda text: text.replace("0.5,0.5,0.5", "abc,0.5,0.5"), "line 4: column of1_norm: 'abc'"),
+        (lambda text: text.replace("0,5,0,1", "0,x,0,1"), "line 4: column n_sensors: 'x'"),
+        (lambda text: text.replace(",0.01\n", "\n"), "line 4: column penalty: ''"),
+        (lambda text: text.replace("0.01", "0.\udcff1"), "line 4: not UTF-8: byte 0xff"),
+    ], ids=["missing-column", "text-cell", "text-count", "short-row", "not-utf8"])
+    def test_malformed_pareto_exit_2(self, tmp_path, capsys, edit, message):
+        """A broken pareto.csv exits 2 naming the file and the bad column or
+        line, without a traceback."""
+        out = tmp_path / "front"
+        out.mkdir()
+        (out / "pareto.csv").write_bytes(edit(
+            "# config_hash=deadbeef\n# seed=0\n"
+            "solution_id,n_sensors,n_forced,of1,of2,of3,of1_norm,of2_norm,of3_norm,"
+            "d1,d2,d3,penalty\n"
+            "0,5,0,1,1,1,0.5,0.5,0.5,0,0,0,0.01\n"
+        ).encode("utf-8", "surrogateescape"))
+        assert main(["report", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {out / 'pareto.csv'}: {message}" in err
+        assert "Traceback" not in err
 
     def test_bad_weights_exit_2(self, config_file, tmp_path, capsys):
         out = run_optimize(config_file, tmp_path / "out")

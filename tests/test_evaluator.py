@@ -22,7 +22,6 @@ from adsbplace.objectives import ObjectiveRequirements, knapsack_penalty
 from adsbplace.scenario import (
     AreaBounds,
     build_problem,
-    build_problem_from_sites,
     clustered21_path,
     load_deployed_csv,
 )
@@ -317,10 +316,10 @@ class TestForcedTable:
         """A free-standing deployment forces every site, so each row's
         usable sensors are all forced: its GDOP comes from the table, with
         no kernel call, and equals the rank-order GDOP bit for bit."""
-        problem = build_problem_from_sites(
-            bounds=area_bounds, lat_count=6, lon_count=6,
-            requirements=small_problem.requirements,
-            sites=load_deployed_csv(clustered21_path()), jammers=small_problem.jammers,
+        problem = build_problem(
+            bounds=area_bounds, lat_count=6, lon_count=6, candidate_count=0,
+            requirements=small_problem.requirements, jammers=small_problem.jammers,
+            deployed=load_deployed_csv(clustered21_path()),
         )
         evaluator = PlacementEvaluator(problem, gdop_subset_cap=cap)
         genes = problem.forced_mask.copy()

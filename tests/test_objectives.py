@@ -222,6 +222,18 @@ class TestAffectRuleAndJsr:
         with pytest.raises(InvalidConfigError):
             JammerModel(position=GeodeticPosition(0, 0, 0), affect_rule="nope")
 
+    @pytest.mark.parametrize("field, value", [
+        ("jsr_threshold", -1.0), ("jsr_threshold", math.nan), ("jsr_threshold", math.inf),
+        ("nominal_signal_distance_km", -5.0), ("nominal_signal_distance_km", math.inf),
+        ("power_w", math.nan), ("antenna_gain", math.inf),
+        ("transmitter_power_w", math.nan), ("transmitter_antenna_gain", math.inf),
+    ])
+    def test_nonsense_link_budget_rejected(self, field, value):
+        """``nan <= 0`` is false, so each value is checked for finiteness
+        too; a negative threshold would count every jammer in LOS."""
+        with pytest.raises(InvalidConfigError, match=field):
+            JammerModel(position=GeodeticPosition(0, 0, 0), affect_rule="jsr", **{field: value})
+
 
 class TestCombination:
     def test_weighted_sum(self):

@@ -16,7 +16,6 @@ from adsbplace.scenario import (
     DeployedFileError,
     PlacementProblem,
     build_problem,
-    build_problem_from_sites,
     clustered21_path,
     generate_candidates,
     generate_jammers,
@@ -317,19 +316,21 @@ class TestBuildProblem:
         assert "outside" in caplog.text
 
     def test_from_sites_all_forced(self, area_bounds):
-        req = ObjectiveRequirements()
-        prob = build_problem_from_sites(
-            bounds=area_bounds, lat_count=4, lon_count=4, requirements=req,
-            sites=[("a", 48.0, 7.0, 0.0), ("b", 49.0, 8.0, 0.0)],
+        """No generated candidates: the sites are the whole candidate set."""
+        prob = build_problem(
+            bounds=area_bounds, lat_count=4, lon_count=4, candidate_count=0,
+            requirements=ObjectiveRequirements(),
+            deployed=[("a", 48.0, 7.0, 0.0), ("b", 49.0, 8.0, 0.0)],
         )
         assert prob.n_candidates == 2
         assert np.all(prob.forced_mask)
+        assert prob.cand_lat.tolist() == [48.0, 49.0] and prob.cand_lon.tolist() == [7.0, 8.0]
 
     def test_from_sites_empty_rejected(self, area_bounds):
-        with pytest.raises(InvalidConfigError):
-            build_problem_from_sites(
-                bounds=area_bounds, lat_count=4, lon_count=4,
-                requirements=ObjectiveRequirements(), sites=[],
+        with pytest.raises(InvalidConfigError, match="need at least one sensor site"):
+            build_problem(
+                bounds=area_bounds, lat_count=4, lon_count=4, candidate_count=0,
+                requirements=ObjectiveRequirements(),
             )
 
 
@@ -342,8 +343,9 @@ _PRECOMPUTED = ("dist_point_cand", "dc_point_cand", "los_point_cand", "rank_poin
 def _small_problems(draw) -> PlacementProblem:
     """A problem before precompute: a sampled grid at 1-3 altitude levels or
     a hand-built one whose horizontal positions repeat in shuffled order;
-    lattice or uniform candidates on masts of 0 or 30 m; deployed sites,
-    one at a grid point; no jammers, or LOS and JSR ones, one at a site."""
+    no candidates (a free-standing deployment), or lattice or uniform ones
+    on masts of 0 or 30 m; deployed sites, one at a grid point; no jammers,
+    or LOS and JSR ones, one at a site."""
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     levels = draw(st.lists(st.sampled_from([1500.0, 3000.0, 6000.0, 10000.0]),
@@ -357,9 +359,9 @@ def _small_problems(draw) -> PlacementProblem:
         pick = rng.integers(0, lat.size, draw(st.integers(1, 15)))
         grid = AirspaceGrid(lat[pick], lon[pick], rng.choice(levels, pick.size),
                             np.full(pick.size, 10.0), np.full(pick.size, 150.0))
-    cand = generate_candidates(bounds, draw(st.integers(1, 9)),
-                               draw(st.sampled_from(["lattice", "seeded-uniform"])), seed,
-                               draw(st.sampled_from([0.0, 30.0])))
+    count = draw(st.integers(0, 9))
+    cand = generate_candidates(bounds, count, draw(st.sampled_from(["lattice", "seeded-uniform"])),
+                               seed, draw(st.sampled_from([0.0, 30.0]))) if count else [[]] * 3
     p = int(rng.integers(len(grid)))
     sites = [(grid.lat_deg[p], grid.lon_deg[p], grid.alt_m[p])]
     sites += [(la, lo, 0.0) for la, lo in rng.uniform((47.4, 5.71), (51.4, 9.71), (2, 2))]
@@ -372,7 +374,7 @@ def _small_problems(draw) -> PlacementProblem:
         jammers.append(JammerModel(GeodeticPosition(la, lo, h), power_w=100.0, affect_rule=rule))
     return PlacementProblem(
         grid=grid, cand_lat=cand_lat, cand_lon=cand_lon, cand_alt=cand_alt,
-        forced_mask=np.arange(cand_lat.size) >= cand[0].size, jammers=jammers,
+        forced_mask=np.arange(cand_lat.size) >= count, jammers=jammers,
         requirements=ObjectiveRequirements(),
     )
 
