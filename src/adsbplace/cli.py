@@ -16,10 +16,8 @@ import numpy as np
 from . import analysis
 from .config import ConfigError, RunConfig, load_config
 from .nsga2 import Chromosome, evolve
-from .objectives import InvalidConfigError, saturation_normalization
-from .scenario import (
-    DeployedFileError, build_problem, csv_rows, deployed_lines, load_deployed_csv,
-)
+from .objectives import InvalidConfigError, of3_weight_vector, saturation_normalization
+from .scenario import DeployedFileError, candidate_sites, csv_rows, load_deployed_csv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -125,33 +123,17 @@ def cmd_augment(args) -> int:
     return _run_optimization(cfg, out_dir, args.seed, args.threads)
 
 
-def _read_sensor_file(path: Path) -> tuple[list, int | None]:
-    """Sensor rows plus the seed of a leading ``# seed=`` line, if any."""
-    seed = None
-    for line_no, line in enumerate(deployed_lines(path), 1):
-        if not line.startswith("#"):
-            break
-        key, sep, value = line[1:].partition("=")
-        if sep and key.strip() == "seed":
-            try:
-                seed = int(value)
-            except ValueError:
-                raise DeployedFileError(
-                    line_no, f"seed {value.strip()!r} is not an integer"
-                ) from None
-    return load_deployed_csv(path), seed
-
-
-def _map_to_candidates(problem, rows) -> tuple[np.ndarray | None, int | None]:
-    """Chromosome over the problem's candidates, or None and the index of
-    the first row that does not match exactly one candidate site in
-    latitude, longitude and altitude, up to ``fmt``'s rounding to 9
-    significant digits."""
-    genes = np.zeros(problem.n_candidates, dtype=bool)
+def _map_to_candidates(sites: np.ndarray, rows) -> tuple[np.ndarray | None, int | None]:
+    """Chromosome over the (3, N) candidate sites, or None and the index
+    of the first row that does not match exactly one site in latitude,
+    longitude and altitude, up to ``fmt``'s rounding to 9 significant
+    digits."""
+    cand_lat, cand_lon, cand_alt = sites
+    genes = np.zeros(cand_lat.size, dtype=bool)
     for i, (_, lat, lon, alt) in enumerate(rows):
         close = np.flatnonzero(
-            (np.abs(problem.cand_lat - lat) < 1e-6) & (np.abs(problem.cand_lon - lon) < 1e-6)
-            & np.isclose(problem.cand_alt, alt, rtol=1e-8, atol=1e-6)
+            (np.abs(cand_lat - lat) < 1e-6) & (np.abs(cand_lon - lon) < 1e-6)
+            & np.isclose(cand_alt, alt, rtol=1e-8, atol=1e-6)
         )
         if close.size != 1:
             return None, i
@@ -161,15 +143,13 @@ def _map_to_candidates(problem, rows) -> tuple[np.ndarray | None, int | None]:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    rows, seed = _read_sensor_file(Path(args.sensors))
-    if seed is None:
-        seed = cfg.ga.rng_seed
-
-    problem = cfg.build_problem()
-    n_max = cfg.ga_for_problem(problem).n_max
-    bounds = saturation_normalization(problem.requirements, problem.range_cap_km,
-                                      problem.n_candidates if n_max is None else n_max)
-    genes, miss = _map_to_candidates(problem, rows)
+    rows, seed = load_deployed_csv(args.sensors)
+    deployed = cfg.deployed_sites()
+    sites, forced = candidate_sites(cfg.bounds, cfg.candidate_count, deployed,
+                                    cfg.candidate_pattern, cfg.candidate_seed, cfg.antenna_height_m)
+    # The config's sites set the normalization, on the fallback too.
+    n_max = forced.size if cfg.ga.n_max is None else cfg.ga.n_max + int(forced.sum())
+    genes, miss = _map_to_candidates(sites, rows)
     if genes is None:
         sensor_id, lat, lon, alt = rows[miss]
         log.warning(
@@ -178,12 +158,12 @@ def cmd_evaluate(args) -> int:
             "and of3 are relative to the file's own sites",
             sensor_id, fmt(lat), fmt(lon), fmt(alt), miss + 1, args.sensors, len(rows),
         )
-        problem = build_problem(
-            cfg.bounds, cfg.lat_count, cfg.lon_count, 0, cfg.requirements,
-            jammers=problem.jammers, deployed=rows,
-        )
+        problem = cfg.build_problem(candidate_count=0, deployed=rows)
         genes = problem.forced_mask
+    else:
+        problem = cfg.build_problem(deployed=deployed)
     chromosome = Chromosome(genes | problem.forced_mask, problem.forced_mask)
+    bounds = saturation_normalization(problem.requirements, problem.range_cap_km, n_max)
 
     scores, coverage, report = analysis.evaluate_placement(
         problem,
@@ -195,7 +175,7 @@ def cmd_evaluate(args) -> int:
 
     out_dir = Path(args.out or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = {"config_hash": cfg.config_hash(), "seed": seed}
+    meta = {"config_hash": cfg.config_hash(), "seed": cfg.ga.rng_seed if seed is None else seed}
     values = (scores.of1, scores.of2, scores.of3, *scores.of3_components, scores.penalty)
     _write_json(out_dir / "scores.json", {
         **meta,
@@ -218,14 +198,14 @@ def cmd_evaluate(args) -> int:
 
 
 def read_pareto_csv(path: Path) -> list[dict]:
-    """``pareto.csv``'s rows as dicts over PARETO_COLUMNS. Text that is
-    not UTF-8 or CSV, a missing column and a cell that is not a number
-    raise ``DeployedFileError`` naming the line."""
+    """``pareto.csv``'s rows as dicts over PARETO_COLUMNS. An unreadable
+    file, text that is not UTF-8 or CSV, a missing column and a cell that
+    is not a number raise ``DeployedFileError`` naming the file and line."""
     records = ((line_no, row) for line_no, row in csv_rows(path) if row)
     line_no, header = next(records, (1, []))
     missing = [key for key in PARETO_COLUMNS if key not in header]
     if missing:
-        raise DeployedFileError(line_no, f"no column {missing[0]!r}")
+        raise DeployedFileError(path, line_no, f"no column {missing[0]!r}")
     at = {key: header.index(key) for key in PARETO_COLUMNS}
     rows = []
     for line_no, row in records:
@@ -235,28 +215,14 @@ def read_pareto_csv(path: Path) -> list[dict]:
             try:
                 rec[key] = (int if key in ("solution_id", "n_sensors", "n_forced") else float)(cell)
             except ValueError:
-                raise DeployedFileError(line_no, f"column {key}: {cell!r} is not a number") from None
+                raise DeployedFileError(path, line_no, f"column {key}: {cell!r} is not a number") from None
         rows.append(rec)
     return rows
 
 
 def cmd_report(args) -> int:
-    path = Path(args.front_dir) / "pareto.csv"
-    try:
-        rows = read_pareto_csv(path)
-    except FileNotFoundError:
-        print(f"error: no pareto.csv in {path.parent}", file=sys.stderr)
-        return EXIT_USAGE
-    except DeployedFileError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        weights = [float(w) for w in args.weights.split(",")]
-        best = analysis.select_row(rows, args.budget, weights)
-    except ValueError:
-        print("error: --weights must be three non-negative values summing to 1", file=sys.stderr)
-        return EXIT_USAGE
-
+    rows = read_pareto_csv(Path(args.front_dir) / "pareto.csv")
+    best = analysis.select_row(rows, args.budget, args.weights)
     _print_table(sys.stdout, {}, PARETO_COLUMNS, ([row[c] for c in PARETO_COLUMNS] for row in rows))
 
     if best is None:
@@ -279,6 +245,16 @@ def _int_at_least(low: int):
         return value
 
     return parse
+
+
+def _weights(text: str) -> list[float]:
+    """argparse type: three non-negative weights summing to 1."""
+    try:
+        weights = [float(w) for w in text.split(",")]
+        of3_weight_vector(weights)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be three non-negative values summing to 1") from None
+    return weights
 
 
 def _available_cores() -> int:
@@ -325,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="summarize a front and pick a solution")
     p_rep.add_argument("front_dir", help="directory containing pareto.csv")
     p_rep.add_argument("--budget", type=int, help="maximum sensors")
-    p_rep.add_argument("--weights", default="0.3333333333,0.3333333333,0.3333333334")
+    p_rep.add_argument("--weights", type=_weights, default="0.3333333333,0.3333333333,0.3333333334")
     p_rep.set_defaults(func=cmd_report)
     return parser
 
@@ -342,9 +318,6 @@ def main(argv=None) -> int:
     except (ConfigError, DeployedFileError, InvalidConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except analysis.NoFeasibleSolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_FEASIBLE
     except Exception as exc:  # pragma: no cover - defensive
         log.exception("run failed")
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -24,6 +25,10 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # that the squares and link-budget products formed of such numbers stay
 # finite in float64.
 _MAX_MAGNITUDE = 1e50
+# The most bytes of matrices a config may ask for (see _check_footprint):
+# 64 GiB, far above the 20 MB it counts for section 8, and fixed, so that a
+# config's exit code does not depend on the host it runs on.
+MAX_FOOTPRINT_BYTES = 64 << 30
 
 
 class ConfigError(ValueError):
@@ -74,6 +79,33 @@ def _non_negative(where: str, value):
     return value
 
 
+def _check_footprint(counts: dict[str, int]) -> None:
+    """Reject counts whose matrices would exceed MAX_FOOTPRINT_BYTES:
+    precompute's (m, N) float64 distances, bool LOS and ranks (int32 at
+    most) and (3, N, m) float64 direction cosines, its (J, N) float64
+    distances and two bool masks and (N, N) float64 distances, the GA's
+    (P, N) float64 draws and the sort's two (2P, 2P) bool matrices, for
+    m grid points, N generated candidates, J jammers and population P.
+    The message names the largest count of the largest term."""
+    points = ("grid.lat_count", "grid.lon_count", "area.altitudes_m")
+    terms = [
+        (8 + 1 + 4 + 3 * 8, (*points, "candidates.count")),
+        (8 + 1 + 1, ("jammers.count", "candidates.count")),
+        (8, ("candidates.count", "candidates.count")),
+        (8, ("ga.population_size", "candidates.count")),
+        (2 * 2 * 2, ("ga.population_size", "ga.population_size")),
+    ]
+    sizes = [(math.prod(counts[key] for key in keys) * size, keys) for size, keys in terms]
+    total = sum(nbytes for nbytes, _ in sizes)
+    if total > MAX_FOOTPRINT_BYTES:
+        keys = max(sizes)[1]
+        raise ConfigError(
+            max(keys, key=counts.get),
+            f"the run would hold {total:.3g} bytes of matrices, above the "
+            f"{MAX_FOOTPRINT_BYTES:.3g}-byte limit",
+        )
+
+
 def _numbers(data: dict, path: str, key: str, default=None, required=False) -> tuple[float, ...]:
     """A non-empty list of numbers, each checked by ``_number``."""
     where = f"{path}.{key}" if path else key
@@ -111,12 +143,20 @@ class RunConfig:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
-    def build_problem(self) -> PlacementProblem:
-        deployed = ()
-        if self.scenario_kind == "augment":
-            if not self.deployed_file:
-                raise ConfigError("scenario.deployed_file", "required for augment runs")
-            deployed = load_deployed_csv(self.deployed_file)
+    def deployed_sites(self) -> list[tuple[str, float, float, float]]:
+        """The rows of ``scenario.deployed_file`` under an augment config, else none."""
+        if self.scenario_kind != "augment":
+            return []
+        if not self.deployed_file:
+            raise ConfigError("scenario.deployed_file", "required for augment runs")
+        return load_deployed_csv(self.deployed_file)[0]
+
+    def build_problem(self, candidate_count: int | None = None, deployed=None) -> PlacementProblem:
+        """The config's problem. ``deployed`` stands for the rows of
+        ``scenario.deployed_file``, already read; with ``candidate_count=0``
+        too, it is the free-standing problem of those sites alone."""
+        if deployed is None:
+            deployed = self.deployed_sites()
         jammers = generate_jammers(
             self.bounds,
             self.jammer_count,
@@ -129,7 +169,7 @@ class RunConfig:
             bounds=self.bounds,
             lat_count=self.lat_count,
             lon_count=self.lon_count,
-            candidate_count=self.candidate_count,
+            candidate_count=self.candidate_count if candidate_count is None else candidate_count,
             requirements=self.requirements,
             jammers=jammers,
             deployed=deployed,
@@ -252,6 +292,15 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         deployed_file = str(base_dir / deployed_file)
 
     output_dir = _get(data, "", "output_dir", str, default="out")
+    _check_footprint({
+        "grid.lat_count": lat_count,
+        "grid.lon_count": lon_count,
+        "area.altitudes_m": len(bounds.altitude_levels_m),
+        "candidates.count": candidate_count,
+        # A negative count is rejected when the jammers are generated.
+        "jammers.count": max(jammer_count, 0),
+        "ga.population_size": ga.population_size,
+    })
 
     return RunConfig(
         bounds=bounds,

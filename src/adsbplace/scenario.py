@@ -102,17 +102,25 @@ def _lattice_centers(bounds: AreaBounds, count: int) -> tuple[np.ndarray, np.nda
             bounds.lon_low + lon_step * (np.arange(cols) + 0.5))
 
 
-def generate_candidates(
+def candidate_sites(
     bounds: AreaBounds,
     count: int,
+    deployed: Sequence[tuple[str, float, float, float]] = (),
     pattern: str = "lattice",
     seed: int | None = None,
     antenna_height_m: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate ground sites as (lat, lon, alt) arrays, ordering sorted."""
-    if count < 1:
-        raise InvalidConfigError("candidate count must be >= 1")
-    if pattern == "lattice":
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate sites, as a (3, N) array of latitudes, longitudes and
+    altitudes, and their forced mask: ``count`` generated ground sites,
+    ordering sorted, then the ``deployed`` sites, forced."""
+    if count < 0:
+        raise InvalidConfigError("candidate count must be >= 0")
+    if not count and not deployed:
+        raise InvalidConfigError("need at least one sensor site")
+    if pattern not in ("lattice", "seeded-uniform"):
+        raise InvalidConfigError(f"unknown candidate pattern: {pattern}")
+    lat_arr = lon_arr = np.empty(0)
+    if pattern == "lattice" and count:
         # One site per rectangle of the area split, placed at the center.
         lats, lons = _lattice_centers(bounds, count)
         lon_g, lat_g = np.meshgrid(lons, lats, indexing="ij")
@@ -123,9 +131,11 @@ def generate_candidates(
         lon_arr = rng.uniform(bounds.lon_low, bounds.lon_up, count)
         order = np.lexsort((lat_arr, lon_arr))
         lat_arr, lon_arr = lat_arr[order], lon_arr[order]
-    else:
-        raise InvalidConfigError(f"unknown candidate pattern: {pattern}")
-    return lat_arr, lon_arr, np.full(count, float(antenna_height_m))
+    sites = np.array([site[1:] for site in deployed], dtype=float).reshape(-1, 3)
+    sites = np.concatenate(
+        [[lat_arr, lon_arr, np.full(count, float(antenna_height_m))], sites.T], axis=1
+    )
+    return sites, np.arange(sites.shape[1]) >= count
 
 
 def generate_jammers(
@@ -384,81 +394,100 @@ def _area_diagonal(problem: PlacementProblem) -> float:
 
 
 class DeployedFileError(ValueError):
-    """Malformed input CSV, a sensor file or a ``pareto.csv``; carries the
-    offending line number."""
+    """An unreadable or malformed input CSV, a sensor file or a
+    ``pareto.csv``. The message names the file and the line, if any."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path: str | Path, line_no: int | None, message: str):
+        where = f"{path}: line {line_no}" if line_no else str(path)
+        super().__init__(f"{where}: {message}")
+        self.path = path
         self.line_no = line_no
 
 
-def deployed_lines(path: str | Path) -> Iterator[str]:
-    """The lines of a UTF-8 sensor file with their endings, split at LF,
-    CRLF and CR as text mode splits them. A line that is not UTF-8 raises
-    ``DeployedFileError`` naming it."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    for line_no, line in enumerate(data.splitlines(keepends=True), 1):
-        try:
-            yield line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DeployedFileError(
-                line_no, f"not UTF-8: byte {line[exc.start]:#04x} at column {exc.start + 1}"
-            ) from None
+def csv_rows(path: str | Path, comments: dict | None = None) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) of each CSV row of a UTF-8 file, read once and
+    split into lines as text mode splits them. Lines starting with ``#``
+    read as blank rows, so line numbers stay the file's; ``comments``, if
+    given, gets ``comments[key] = (line number, value)`` of each
+    ``# key=value`` line read so far. An unreadable file and text that is
+    not UTF-8 or CSV raise ``DeployedFileError``."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DeployedFileError(path, None, f"cannot read: {exc.strerror or exc}") from None
 
+    def lines() -> Iterator[str]:
+        for line_no, line in enumerate(data.splitlines(keepends=True), 1):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DeployedFileError(
+                    path, line_no, f"not UTF-8: byte {line[exc.start]:#04x} at column {exc.start + 1}"
+                ) from None
+            if text.startswith("#"):
+                key, sep, value = text[1:].partition("=")
+                if sep and comments is not None:
+                    comments[key.strip()] = (line_no, value)
+                text = "\n"
+            yield text
 
-def csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """(line number, row) of each CSV row of a UTF-8 file. Lines starting
-    with ``#`` read as blank rows, so line numbers stay the file's. Text
-    that is not UTF-8 or CSV raises ``DeployedFileError`` naming the line."""
-    reader = csv.reader("\n" if line.startswith("#") else line for line in deployed_lines(path))
+    reader = csv.reader(lines())
     try:
         for row in reader:
             yield reader.line_num, row
     except csv.Error as exc:
-        raise DeployedFileError(reader.line_num, str(exc)) from None
+        raise DeployedFileError(path, reader.line_num, str(exc)) from None
 
 
-def load_deployed_csv(path: str | Path) -> list[tuple[str, float, float, float]]:
-    """Parse a sensor CSV with header id,lat_deg,lon_deg,alt_m.
+def load_deployed_csv(path: str | Path) -> tuple[list[tuple[str, float, float, float]], int | None]:
+    """Parse a sensor CSV with header id,lat_deg,lon_deg,alt_m in one read:
+    its rows, and the seed of a ``# seed=`` line above the header or None.
 
-    Lines starting with ``#`` and columns after the fourth are ignored,
-    so emitted solution files parse too. Rows repeating an earlier
-    position are skipped with a warning. Text that is not UTF-8 or CSV
-    and unparsable, non-finite or out-of-range coordinates raise
-    ``DeployedFileError``.
+    Other ``#`` lines and columns after the fourth are ignored, so emitted
+    solution files parse too. Rows repeating an earlier position are
+    skipped with a warning. A file that cannot be read, text that is not
+    UTF-8 or CSV, a seed that is not an integer and unparsable, non-finite
+    or out-of-range coordinates raise ``DeployedFileError``.
     """
     rows: list[tuple[str, float, float, float]] = []
     seen: set[tuple[float, float, float]] = set()
-    reader = csv_rows(path)
+    comments: dict[str, tuple[int, str]] = {}
+    reader = csv_rows(path, comments)
     line_no, header = next(((n, row) for n, row in reader if row), (0, None))
+    seed = None
+    if "seed" in comments:
+        seed_line, value = comments["seed"]
+        try:
+            seed = int(value)
+        except ValueError:
+            raise DeployedFileError(path, seed_line, f"seed {value.strip()!r} is not an integer") from None
     if header is None:
-        return rows
+        return rows, seed
     expected = ["id", "lat_deg", "lon_deg", "alt_m"]
     if [h.strip() for h in header[:4]] != expected:
-        raise DeployedFileError(line_no, f"expected header {','.join(expected)}")
+        raise DeployedFileError(path, line_no, f"expected header {','.join(expected)}")
     for line_no, row in reader:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) < 4:
-            raise DeployedFileError(line_no, "expected 4 columns")
+            raise DeployedFileError(path, line_no, "expected 4 columns")
         try:
             lat, lon, alt = float(row[1]), float(row[2]), float(row[3])
         except ValueError as exc:
-            raise DeployedFileError(line_no, str(exc)) from exc
+            raise DeployedFileError(path, line_no, str(exc)) from exc
         if not all(map(math.isfinite, (lat, lon, alt))):
-            raise DeployedFileError(line_no, "coordinates must be finite")
+            raise DeployedFileError(path, line_no, "coordinates must be finite")
         if not -90.0 <= lat <= 90.0:
-            raise DeployedFileError(line_no, f"latitude {lat} outside [-90, 90]")
+            raise DeployedFileError(path, line_no, f"latitude {lat} outside [-90, 90]")
         if not -180.0 <= lon <= 180.0:
-            raise DeployedFileError(line_no, f"longitude {lon} outside [-180, 180]")
+            raise DeployedFileError(path, line_no, f"longitude {lon} outside [-180, 180]")
         key = (lat, lon, alt)
         if key in seen:
             log.warning("deployed sensor on line %d duplicates an earlier row; skipped", line_no)
             continue
         seen.add(key)
         rows.append((row[0].strip(), lat, lon, alt))
-    return rows
+    return rows, seed
 
 
 def build_problem(
@@ -473,7 +502,8 @@ def build_problem(
     candidate_seed: int | None = None,
     antenna_height_m: float = 0.0,
 ) -> PlacementProblem:
-    """Assemble and precompute a placement problem.
+    """Assemble and precompute a placement problem over the sites of
+    ``candidate_sites``.
 
     ``deployed`` sites are appended to the candidate list with their
     forced-mask bits set (Scenario 2); leave it empty for Scenario 1.
@@ -481,32 +511,17 @@ def build_problem(
     sites are the whole candidate set and all forced, a free-standing
     deployment.
     """
-    if not candidate_count and not deployed:
-        raise InvalidConfigError("need at least one sensor site")
+    sites, forced = candidate_sites(
+        bounds, candidate_count, deployed, candidate_pattern, candidate_seed, antenna_height_m
+    )
     grid = sample_grid(
         bounds, lat_count, lon_count,
         requirements.required_gdop, requirements.required_range_km,
     )
-    generated = np.empty((3, 0))
-    if candidate_count:
-        generated = np.stack(generate_candidates(
-            bounds, candidate_count, candidate_pattern, candidate_seed, antenna_height_m
-        ))
     for _, lat, lon, _alt in deployed:
         if not bounds.contains(lat, lon):
             log.warning("deployed sensor (%.4f, %.4f) lies outside the area bounds", lat, lon)
-    sites = np.array([site[1:] for site in deployed], dtype=float).reshape(-1, 3)
-    lat_arr, lon_arr, alt_arr = np.concatenate([generated, sites.T], axis=1)
-    problem = PlacementProblem(
-        grid=grid,
-        cand_lat=lat_arr,
-        cand_lon=lon_arr,
-        cand_alt=alt_arr,
-        forced_mask=np.arange(lat_arr.size) >= candidate_count,
-        jammers=list(jammers or []),
-        requirements=requirements,
-    )
-    return precompute(problem)
+    return precompute(PlacementProblem(grid, *sites, forced, list(jammers or []), requirements))
 
 
 def clustered21_path() -> Path:

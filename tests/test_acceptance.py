@@ -267,7 +267,7 @@ def experiment_run():
 def clustered_baseline(experiment_run):
     """The clustered 21-sensor deployment scored on the same grid/jammers."""
     cfg, problem, _, _ = experiment_run
-    sites = load_deployed_csv(clustered21_path())
+    sites, _ = load_deployed_csv(clustered21_path())
     baseline = build_problem(
         bounds=cfg.bounds, lat_count=cfg.lat_count, lon_count=cfg.lon_count,
         candidate_count=0, requirements=cfg.requirements, jammers=problem.jammers,

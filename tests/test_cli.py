@@ -14,6 +14,7 @@ from adsbplace.cli import (
     main,
     read_pareto_csv,
 )
+from adsbplace import scenario
 from adsbplace.config import parse_config
 from adsbplace.scenario import clustered21_path
 
@@ -152,6 +153,12 @@ NAN = float("nan")
     (None, "of3_weights", [0.5, 0.5], "of3_weights"),
     ("jammers", "jsr_threshold", -1, "jsr_threshold"),
     ("jammers", "nominal_signal_distance_km", -5, "nominal_signal_distance_km"),
+    # Counts whose matrices would exceed config.MAX_FOOTPRINT_BYTES.
+    ("grid", "lat_count", 10**12, "grid.lat_count"),
+    ("candidates", "count", 10**12, "candidates.count"),
+    ("jammers", "count", 10**12, "jammers.count"),
+    ("ga", "population_size", 10**12, "ga.population_size"),
+    ("ga", "population_size", 10**6, "ga.population_size"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
     """Rejected before the search starts, with a message naming the field."""
@@ -328,7 +335,7 @@ def test_bad_sensor_coordinates_exit_2(config_file, tmp_path, capsys, command, r
         command, "--config", str(config_file), "--sensors", str(bad), "--out", str(tmp_path / "out"),
     ])
     assert code == EXIT_USAGE
-    assert "line 2:" in capsys.readouterr().err
+    assert f"error: {bad}: line 2:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -345,7 +352,40 @@ def test_non_utf8_sensor_file_exit_2(config_file, tmp_path, capsys, command, dat
     ])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"line {line}: not UTF-8" in err
+    assert f"error: {bad}: line {line}: not UTF-8" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, broken, fault", [
+    ("evaluate", "sensors", "row"),
+    ("evaluate", "deployed", "row"),
+    ("evaluate", "sensors", "missing"),
+    ("evaluate", "deployed", "missing"),
+    ("augment", "sensors", "missing"),
+    ("optimize", "deployed", "missing"),
+])
+def test_input_file_error_names_file(tmp_path, capsys, command, broken, fault):
+    """Under an augment config, whose scenario.deployed_file is read as
+    well as --sensors, a missing or malformed input file exits 2 with a
+    message naming that file, without a traceback."""
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("id,lat_deg,lon_deg,alt_m\na,48.0,7.0,0\n")
+    if fault == "row":
+        bad.write_text("id,lat_deg,lon_deg,alt_m\nx,abc,7.0,0\n")
+    files = {"sensors": good, "deployed": good, broken: bad}
+    config = tmp_path / "augment.json"
+    config.write_text(json.dumps(dict(
+        SMALL_CONFIG, scenario={"kind": "augment", "deployed_file": str(files["deployed"])})))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    if command != "optimize":
+        argv += ["--sensors", str(files["sensors"])]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    message = ("line 2: could not convert string to float: 'abc'" if fault == "row"
+               else "cannot read: No such file or directory")
+    assert f"error: {bad}: {message}\n" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -463,10 +503,13 @@ class TestEvaluate:
         assert "line 2:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_free_standing_fallback_warns(self, config_file, tmp_path, capsys, caplog):
+    def test_free_standing_fallback_warns(self, config_file, tmp_path, capsys, caplog,
+                                          monkeypatch):
         """An augment solution scored under the plain config matches none of
         its deployed rows, so evaluate warns naming the first one; under the
-        augment config every row is a candidate and nothing is logged."""
+        augment config every row is a candidate and nothing is logged.
+        Either way evaluate precomputes one problem: the file's sites alone,
+        or the config's 16 candidates and 21 deployed sites."""
         out = tmp_path / "aug"
         assert main(["augment", "--config", str(config_file), "--sensors",
                      str(clustered21_path()), "--out", str(out), "--threads", "1"]) == EXIT_OK
@@ -476,12 +519,21 @@ class TestEvaluate:
         augment_config = tmp_path / "augment.json"
         augment_config.write_text(json.dumps(dict(
             SMALL_CONFIG, scenario={"kind": "augment", "deployed_file": str(clustered21_path())})))
+        precompute, precomputed = scenario.precompute, []
+
+        def counted(problem):
+            precomputed.append(problem.n_candidates)
+            return precompute(problem)
+
+        monkeypatch.setattr(scenario, "precompute", counted)
         for config, warns in ((config_file, True), (augment_config, False)):
             caplog.clear()
+            precomputed.clear()
             with caplog.at_level("WARNING", logger="adsbplace.cli"):
                 code = main(["evaluate", "--config", str(config), "--sensors", str(solution),
                              "--out", str(tmp_path / f"eval_{warns}")])
             assert code == EXIT_OK
+            assert precomputed == [len(lines) - 1 if warns else 16 + 21]
             records = [r for r in caplog.records if r.name == "adsbplace.cli"]
             if warns:
                 assert len(records) == 1 and records[0].levelname == "WARNING"

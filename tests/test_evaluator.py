@@ -319,7 +319,7 @@ class TestForcedTable:
         problem = build_problem(
             bounds=area_bounds, lat_count=6, lon_count=6, candidate_count=0,
             requirements=small_problem.requirements, jammers=small_problem.jammers,
-            deployed=load_deployed_csv(clustered21_path()),
+            deployed=load_deployed_csv(clustered21_path())[0],
         )
         evaluator = PlacementEvaluator(problem, gdop_subset_cap=cap)
         genes = problem.forced_mask.copy()
@@ -346,7 +346,7 @@ class TestKernelPool:
         return build_problem(
             bounds=area_bounds, lat_count=6, lon_count=6, candidate_count=25,
             requirements=small_problem.requirements, jammers=small_problem.jammers,
-            deployed=load_deployed_csv(clustered21_path()),
+            deployed=load_deployed_csv(clustered21_path())[0],
         )
 
     @pytest.mark.parametrize("cap", [6, 12])

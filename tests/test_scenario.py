@@ -16,8 +16,8 @@ from adsbplace.scenario import (
     DeployedFileError,
     PlacementProblem,
     build_problem,
+    candidate_sites,
     clustered21_path,
-    generate_candidates,
     generate_jammers,
     load_deployed_csv,
     nearest_rank,
@@ -82,27 +82,28 @@ class TestSampleGrid:
 
 class TestCandidates:
     def test_lattice_count_and_bounds(self, area_bounds):
-        lat, lon, alt = generate_candidates(area_bounds, 400)
+        (lat, lon, alt), forced = candidate_sites(area_bounds, 400)
+        assert not forced.any()
         assert lat.size == lon.size == alt.size == 400
         assert np.all((lat > area_bounds.lat_low) & (lat < area_bounds.lat_up))
         assert np.all((lon > area_bounds.lon_low) & (lon < area_bounds.lon_up))
 
     def test_lattice_is_cell_centers(self, area_bounds):
-        lat, lon, _ = generate_candidates(area_bounds, 400)
+        (lat, lon, _), _ = candidate_sites(area_bounds, 400)
         # 20x20 split: first center half a cell in from the corner.
         step_lat = (area_bounds.lat_up - area_bounds.lat_low) / 20
         assert lat.min() == pytest.approx(area_bounds.lat_low + step_lat / 2)
 
     def test_seeded_uniform_deterministic(self, area_bounds):
-        a = generate_candidates(area_bounds, 50, "seeded-uniform", seed=9)
-        b = generate_candidates(area_bounds, 50, "seeded-uniform", seed=9)
-        c = generate_candidates(area_bounds, 50, "seeded-uniform", seed=10)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        a, _ = candidate_sites(area_bounds, 50, pattern="seeded-uniform", seed=9)
+        b, _ = candidate_sites(area_bounds, 50, pattern="seeded-uniform", seed=9)
+        c, _ = candidate_sites(area_bounds, 50, pattern="seeded-uniform", seed=10)
+        assert np.array_equal(a, b)
         assert not np.array_equal(a[0], c[0])
 
     def test_unknown_pattern_rejected(self, area_bounds):
         with pytest.raises(InvalidConfigError):
-            generate_candidates(area_bounds, 10, "spiral")
+            candidate_sites(area_bounds, 10, pattern="spiral")
 
 
 class TestJammers:
@@ -130,8 +131,9 @@ class TestJammers:
 
 class TestDeployedCsv:
     def test_fixture_loads(self):
-        rows = load_deployed_csv(clustered21_path())
+        rows, seed = load_deployed_csv(clustered21_path())
         assert len(rows) == 21
+        assert seed is None
         assert all(len(r) == 4 for r in rows)
 
     def test_bad_header(self, tmp_path):
@@ -161,17 +163,17 @@ class TestDeployedCsv:
     def test_trailing_columns_ignored(self, tmp_path):
         p = tmp_path / "solution.csv"
         p.write_text("# seed=1\nid,lat_deg,lon_deg,alt_m,forced\n3,48.0,7.0,0,yes\n")
-        assert load_deployed_csv(p) == [("3", 48.0, 7.0, 0.0)]
+        assert load_deployed_csv(p) == ([("3", 48.0, 7.0, 0.0)], 1)
 
     def test_duplicates_skipped(self, tmp_path):
         p = tmp_path / "dup.csv"
         p.write_text("id,lat_deg,lon_deg,alt_m\na,48.0,7.0,0\nb,48.0,7.0,0\n")
-        assert len(load_deployed_csv(p)) == 1
+        assert len(load_deployed_csv(p)[0]) == 1
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
-        assert load_deployed_csv(p) == []
+        assert load_deployed_csv(p) == ([], None)
 
     def test_non_utf8_line_numbered(self, tmp_path):
         p = tmp_path / "latin1.csv"
@@ -228,10 +230,10 @@ def test_deployed_csv_fuzz(tmp_path_factory, data):
     p = tmp_path_factory.getbasetemp() / "fuzz.csv"
     p.write_bytes(data)
     try:
-        rows = load_deployed_csv(p)
+        rows, _ = load_deployed_csv(p)
     except DeployedFileError as exc:
         assert 1 <= exc.line_no <= len(data.splitlines())
-        assert str(exc).startswith(f"line {exc.line_no}: ")
+        assert str(exc).startswith(f"{p}: line {exc.line_no}: ")
         return
     for sensor_id, lat, lon, alt in rows:
         assert isinstance(sensor_id, str)
@@ -360,8 +362,8 @@ def _small_problems(draw) -> PlacementProblem:
         grid = AirspaceGrid(lat[pick], lon[pick], rng.choice(levels, pick.size),
                             np.full(pick.size, 10.0), np.full(pick.size, 150.0))
     count = draw(st.integers(0, 9))
-    cand = generate_candidates(bounds, count, draw(st.sampled_from(["lattice", "seeded-uniform"])),
-                               seed, draw(st.sampled_from([0.0, 30.0]))) if count else [[]] * 3
+    cand = candidate_sites(bounds, count, (), draw(st.sampled_from(["lattice", "seeded-uniform"])),
+                           seed, draw(st.sampled_from([0.0, 30.0])))[0] if count else [[]] * 3
     p = int(rng.integers(len(grid)))
     sites = [(grid.lat_deg[p], grid.lon_deg[p], grid.alt_m[p])]
     sites += [(la, lo, 0.0) for la, lo in rng.uniform((47.4, 5.71), (51.4, 9.71), (2, 2))]
