@@ -16,6 +16,7 @@ from .scenario import (
     PlacementProblem,
     build_problem,
     generate_jammers,
+    index_dtype,
     load_deployed_csv,
 )
 
@@ -26,7 +27,7 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # finite in float64.
 _MAX_MAGNITUDE = 1e50
 # The most bytes of matrices a config may ask for (see _check_footprint):
-# 64 GiB, far above the 20 MB it counts for section 8, and fixed, so that a
+# 64 GiB, far above the 23 MB it counts for section 8, and fixed, so that a
 # config's exit code does not depend on the host it runs on.
 MAX_FOOTPRINT_BYTES = 64 << 30
 
@@ -84,16 +85,23 @@ def _check_footprint(counts: dict[str, int]) -> None:
     precompute's (m, N) float64 distances, bool LOS and ranks (int32 at
     most) and (3, N, m) float64 direction cosines, its (J, N) float64
     distances and two bool masks and (N, N) float64 distances, the GA's
-    (P, N) float64 draws and the sort's two (2P, 2P) bool matrices, for
-    m grid points, N generated candidates, J jammers and population P.
-    The message names the largest count of the largest term."""
+    (P, N) float64 draws, the sort's two (2P, 2P) bool matrices, and an
+    evaluated batch's (P, m) float64 best GDOPs and its kernel rows: at
+    most min(cap, N) candidates and two counts per (chromosome, point),
+    in ``scenario.index_dtype(N)``. Here m is the grid points, N the
+    generated candidates, J the jammers, P the population and cap the
+    GDOP subset cap. The message names the largest count of the largest
+    term."""
     points = ("grid.lat_count", "grid.lon_count", "area.altitudes_m")
+    n = counts["candidates.count"]
+    row_bytes = 8 + index_dtype(n).itemsize * (min(counts["ga.gdop_subset_cap"], n) + 2)
     terms = [
         (8 + 1 + 4 + 3 * 8, (*points, "candidates.count")),
         (8 + 1 + 1, ("jammers.count", "candidates.count")),
         (8, ("candidates.count", "candidates.count")),
         (8, ("ga.population_size", "candidates.count")),
         (2 * 2 * 2, ("ga.population_size", "ga.population_size")),
+        (row_bytes, ("ga.population_size", *points)),
     ]
     sizes = [(math.prod(counts[key] for key in keys) * size, keys) for size, keys in terms]
     total = sum(nbytes for nbytes, _ in sizes)
@@ -300,6 +308,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         # A negative count is rejected when the jammers are generated.
         "jammers.count": max(jammer_count, 0),
         "ga.population_size": ga.population_size,
+        "ga.gdop_subset_cap": ga.gdop_subset_cap,
     })
 
     return RunConfig(

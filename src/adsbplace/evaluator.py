@@ -19,11 +19,12 @@ selected columns: one key sort gives every point's nearest sensors, and
 the spacing, jammer and OF2 terms come from (G, n, n), (J, G, n) and
 (m, G) gathers. Every mean reduces a contiguous row, so a chromosome's
 scores do not depend on the group it was scored in. Its GDOP rows, one
-per grid point, are collected per nearest-sensor count k, and the kernel
-runs once per chunk of each k's (chromosome, point) rows. So on a small
-grid a population costs a few dozen array operations and a few kernel
-calls, not a set of each per chromosome. A batch's scores come back as
-one ``RawScores`` of (B,) columns.
+per grid point, are collected per nearest-sensor count k as candidate
+indices in the narrowest integer type holding N, and the kernel runs once
+per chunk of each k's (chromosome, point) rows, forming that chunk's flat
+gather indices. So on a small grid a population costs a few dozen array
+operations and a few kernel calls, not a set of each per chromosome. A
+batch's scores come back as one ``RawScores`` of (B,) columns.
 
 With ``threads > 1`` the groups are still scored on the calling thread;
 only the kernel calls, over every k and f' group of the batch, are dealt
@@ -50,15 +51,14 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gdop import gdop_min_batched, subset_triples
+from .gdop import colex_subsets, gdop_min_batched
 from .objectives import knapsack_penalty
-from .scenario import PlacementProblem
+from .scenario import PlacementProblem, index_dtype
 
 # Rows per gdop_min_batched call. A row is one (chromosome, point) pair,
 # and the kernel's largest float64 array is (max(C(k, 3), C(k, 4)), rows).
@@ -151,14 +151,17 @@ class PlacementEvaluator:
         # multiply, Python's ``**`` by pow(); they can differ in the last bit.
         self.penalty_by_count = np.array([knapsack_penalty(c, n) for c in range(n + 1)])
         self._key_dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+        self._index_dtype = index_dtype(n)
         # Per nearest-sensor count k: the 4-subsets of range(k) and their
-        # triple table, built once rather than on every kernel call (at
-        # cap 12 the table alone takes about 1.6 ms). No chromosome selects
-        # more sensors than there are candidates, and below 4 OF1 is inf.
-        self.tables = {}
-        for k in range(4, min(self.cap, problem.n_candidates) + 1):
-            subsets = np.array(list(itertools.combinations(range(k), 4)), dtype=np.intp)
-            self.tables[k] = (subsets, subset_triples(subsets))
+        # triple table, prefixes of one colex table built once. No
+        # chromosome selects more sensors than there are candidates, and
+        # below 4 OF1 is inf.
+        k_max = min(self.cap, n)
+        subsets, (triples, index) = colex_subsets(k_max)
+        self.tables = {
+            k: (subsets[:math.comb(k, 4)], (triples[:math.comb(k, 3)], index[:math.comb(k, 4)]))
+            for k in range(4, k_max + 1)
+        }
         # Scenario 2: the forced sites are in every chromosome, so the
         # forced sensors among a point's usable nearest k are always its
         # f' nearest visible forced sensors, whatever else is selected.
@@ -219,17 +222,18 @@ class PlacementEvaluator:
         # the kernel rows of one k fill consecutive rows of ``best``.
         order = np.argsort(counts, kind="stable")
         sizes = counts[order]
-        # Per k: the first slot of its chromosomes and its kernel rows, as
-        # (k, rows) flat gather indices, (rows,) valid counts and, with a
-        # forced table, (rows,) forced counts f'.
+        # Per k: the first slot of its B_k chromosomes and their kernel rows,
+        # one per (chromosome, point): (k, B_k, m) candidates, nearest
+        # first, (B_k, m) valid counts and, with a forced table, (B_k, m)
+        # forced counts f', all in the narrowest integer dtype holding N.
         ks = np.minimum(sizes, self.cap)
         gathers = {}
         for k in np.unique(ks[ks >= 4]).tolist():
             first, last = np.searchsorted(ks, [k, k + 1]).tolist()
-            rows = (last - first) * m
-            arrays = [np.empty((k, rows), dtype=np.intp), np.empty(rows, dtype=np.intp)]
+            shape = (last - first, m)
+            arrays = [np.empty((k, *shape), self._index_dtype), np.empty(shape, self._index_dtype)]
             if self.best_forced is not None:
-                arrays.append(np.empty(rows, dtype=np.intp))
+                arrays.append(np.empty(shape, self._index_dtype))
             gathers[k] = first, arrays
         terms = np.empty((4, len(batch)))  # OF2, d1, d2, d3 by slot
         starts = np.flatnonzero(np.diff(sizes, prepend=-1))
@@ -242,14 +246,15 @@ class PlacementEvaluator:
                 terms[:, lo:hi], gather, detail = self._score_group(sel)
                 if gather is not None:
                     first, arrays = gathers[min(self.cap, n)]
-                    span = slice((lo - first) * m, (hi - first) * m)
                     for dst, src in zip(arrays, gather):
-                        dst[..., span] = src
+                        dst[..., lo - first:hi - first, :] = src
         best = np.full((len(batch), m), np.inf)
         out = best.reshape(-1)  # a view: row slot * m + point
         jobs = []
-        for k, (first, arrays) in gathers.items():
-            jobs += self._gdop_jobs(k, out[first * m:first * m + arrays[1].size], *arrays)
+        for k, (first, (near, *row_counts)) in gathers.items():
+            rows = near[0].size
+            jobs += self._gdop_jobs(k, out[first * m:first * m + rows], near.reshape(k, rows),
+                                    *(c.reshape(rows) for c in row_counts))
         parts = min(self.threads, len(jobs))
         if parts > 1:
             # Worker i runs every parts-th job from job i; each job writes
@@ -258,12 +263,14 @@ class PlacementEvaluator:
         else:
             _run_jobs(jobs)
 
-        # OF1: best 4-subset GDOP per point, capped nearest enumeration.
-        achieved_gdop = np.where(np.isinf(best), req.gdop_cap, best)
-        np.subtract(grid.required_gdop, achieved_gdop, out=achieved_gdop)
-        np.square(achieved_gdop, out=achieved_gdop)
+        best_gdop = best[0].copy() if diagnostics else None
+        # OF1: best 4-subset GDOP per point, capped nearest enumeration,
+        # formed in place.
+        np.copyto(best, req.gdop_cap, where=np.isinf(best))
+        np.subtract(grid.required_gdop, best, out=best)
+        np.square(best, out=best)
         values = np.empty((5, len(batch)))
-        values[0, order] = np.mean(achieved_gdop, axis=1)
+        values[0, order] = np.mean(best, axis=1)
         values[1:, order] = terms
         scores = RawScores(*values, self.penalty_by_count[counts], counts)
         if genes.ndim == 2:
@@ -273,23 +280,23 @@ class PlacementEvaluator:
         vis_counts, second_km, jam_counts, min_dist = (a[:, 0] for a in detail)
         diag = Diagnostics(
             k_visible=vis_counts,
-            best_gdop=best[0],
+            best_gdop=best_gdop,
             second_range_km=np.where(vis_counts >= 2, second_km, np.inf),
             affected_per_jammer=jam_counts,
             min_jam_distance_km=min_dist,
         )
         return scores.row(0), diag
 
-    def _gdop_jobs(self, k: int, out: np.ndarray, flat: np.ndarray, valid: np.ndarray,
+    def _gdop_jobs(self, k: int, out: np.ndarray, near: np.ndarray, valid: np.ndarray,
                    fprime: np.ndarray | None = None) -> list:
         """Kernel jobs for the minimal GDOP of rows with k nearest sensors,
-        given as (k, rows) flat gather indices and (rows,) valid counts,
-        into ``out``. With forced counts f', a row whose usable sensors
-        are all forced reads the point's forced table here, and the others
-        run in groups of equal f'; rows with fewer than 4 usable sensors
-        keep their inf."""
+        given as (k, rows) candidates and (rows,) valid counts, row r at
+        point r % m, into ``out``. With forced counts f', a row whose
+        usable sensors are all forced reads the point's forced table here,
+        and the others run in groups of equal f'; rows with fewer than 4
+        usable sensors keep their inf."""
         if fprime is None:
-            return self._kernel_jobs(k, 0, out, flat, valid)
+            return self._kernel_jobs(k, 0, out, near, valid)
         m = len(self.problem.grid)
         tabled = (fprime > 0) & (fprime == valid)
         rows = np.flatnonzero(tabled)
@@ -298,10 +305,10 @@ class PlacementEvaluator:
         jobs = []
         for f in np.unique(fprime[rest]).tolist():
             rows = np.flatnonzero(rest & (fprime == f))
-            jobs += self._kernel_jobs(k, f, out, flat, valid, rows)
+            jobs += self._kernel_jobs(k, f, out, near, valid, rows)
         return jobs
 
-    def _kernel_jobs(self, k: int, f: int, out: np.ndarray, flat: np.ndarray, valid: np.ndarray,
+    def _kernel_jobs(self, k: int, f: int, out: np.ndarray, near: np.ndarray, valid: np.ndarray,
                      rows: np.ndarray | None = None) -> list:
         """One job per kernel call over ``rows`` (all rows when None), whose
         first f sensors, f = 0 or 4 <= f < valid, are their points' nearest
@@ -311,10 +318,11 @@ class PlacementEvaluator:
         subsets, (table, index) = self.tables[k]
         known = 0
         if f:
-            # Only the subsets reaching past the forced sensors, and only
-            # the triples doing so; the rest come from the forced table.
-            keep = subsets[:, 3] >= f
-            subsets, index = subsets[keep], index[keep]
+            # Only the subsets reaching past the forced sensors, those after
+            # the C(f, 4) inside range(f) in colex order, and only the
+            # triples doing so; the rest come from the forced table.
+            past = slice(math.comb(f, 4), None)
+            subsets, index = subsets[past], index[past]
             known = math.comb(f, 3)
         m = len(self.problem.grid)
         size = valid.size if rows is None else rows.size
@@ -323,18 +331,22 @@ class PlacementEvaluator:
         spans = [slice(start, start + chunk) for start in range(0, size, chunk)]
         if rows is not None:
             spans = [rows[span] for span in spans]
-        return [functools.partial(self._kernel, f, out, at, flat, valid, subsets, (table, index), known)
+        return [functools.partial(self._kernel, f, out, at, near, valid, subsets, (table, index), known)
                 for at in spans]
 
-    def _kernel(self, f, out, at, flat, valid, subsets, table, known) -> None:
+    def _kernel(self, f, out, at, near, valid, subsets, table, known) -> None:
         """Minimal GDOP of the rows ``at`` (a slice or indices) into their
         places in ``out``."""
-        # One contiguous (3, k, rows) gather, whose (rows, k, 3) view the
-        # kernel reads without a copy.
-        dc = np.take(self.dc_flat, flat[:, at], axis=1)
+        m = len(self.problem.grid)
+        point = (np.arange(*at.indices(valid.size)) if isinstance(at, slice) else at) % m
+        # Flat (candidate, point) indices into the component-major
+        # direction cosines, and one contiguous (3, k, rows) gather, whose
+        # (rows, k, 3) view the kernel reads without a copy.
+        flat = np.multiply(near[:, at], m, dtype=np.intp)
+        flat += point
+        dc = np.take(self.dc_flat, flat, axis=1)
         values = None
         if f:
-            point = at % len(self.problem.grid)
             values = np.empty((2, len(table[0]), dc.shape[2]))
             np.take(self.forced_values[:, :known], point, axis=2, out=values[:, :known])
         gdop = gdop_min_batched(dc.transpose(2, 1, 0), valid[at], subsets, table, values, known)
@@ -345,8 +357,8 @@ class PlacementEvaluator:
     def _score_group(self, sel: np.ndarray):
         """Everything but OF1 of G chromosomes with n sensors each, given
         as their (G, n) selected candidates: (OF2, d1, d2, d3), each (G,);
-        their kernel rows as (k, G * m) flat gather indices, (G * m,)
-        valid counts and, with a forced table, (G * m,) forced counts f',
+        their kernel rows as (k, G, m) candidates, nearest first, (G, m)
+        valid counts and, with a forced table, (G, m) forced counts f',
         None below 4 sensors; and the diagnostic arrays, (m, G) per point
         and (J, G) per jammer."""
         problem = self.problem
@@ -376,17 +388,12 @@ class PlacementEvaluator:
 
         gather = None
         if n >= 4:
+            # Below 4 sensors OF1 is inf everywhere.
             valid = np.minimum(vis_counts, k)
             fprime = None if self.best_forced is None else self._forced_first(sel, near, valid)
-            # Flat (candidate, point) indices into the component-major
-            # direction cosines, one row per (chromosome, point); below 4
-            # sensors OF1 is inf everywhere.
-            flat = near.transpose(2, 1, 0).astype(np.intp, order="C")
-            flat *= m
-            flat += np.arange(m)
-            gather = flat.reshape(k, g * m), valid.T.reshape(-1)
+            gather = near.transpose(2, 1, 0), valid.T
             if fprime is not None:
-                gather += (fprime.T.reshape(-1),)
+                gather += (fprime.T,)
 
         # OF3 direction 1: nearest-neighbor spacing shortfall.
         target = req.min_sensor_spacing_km
@@ -444,17 +451,17 @@ class PlacementEvaluator:
 def prefix_gdop(dc: np.ndarray, valid_counts: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
     """Minimal GDOP of each point over the subsets inside its first j
     rows, for j = 0..k, as (m, k + 1) (inf below 4), and the D and Q of
-    every row triple, as (2, T, m). ``table`` is the evaluator's
-    (combinations(range(k), 4), subset_triples) pair. Each subset and each
-    triple is computed once: one kernel call per largest row j - 1 takes
-    its subsets and the triples new at j, the earlier ones known."""
+    every row triple, as (2, T, m). ``table`` is ``colex_subsets(k)``.
+    Each subset and each triple is computed once: one kernel call per
+    largest row j - 1 takes its subsets, a slice of the colex order, and
+    the triples new at j, the earlier ones known."""
     subsets, (triples, index) = table
     m, k = dc.shape[:2]
     values = np.empty((2, len(triples), m))
     best = np.full((m, k + 1), np.inf)
     known = 0
     for j in range(4, k + 1):
-        group = subsets[:, 3] == j - 1
+        group = slice(math.comb(j - 1, 4), math.comb(j, 4))
         t = math.comb(j, 3)
         best[:, j] = gdop_min_batched(
             dc, valid_counts, subsets[group], (triples[:t], index[group]), values[:, :t], known

@@ -35,6 +35,8 @@ its operand order, so does every GDOP.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 # Condition number above which the normal matrix counts as singular and
@@ -58,6 +60,27 @@ def subset_triples(subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     drop = np.sort(subsets, axis=1)[:, _DROP].reshape(-1, 3)
     table, index = np.unique(drop[:, ::-1], axis=0, return_inverse=True)
     return table[:, ::-1].astype(np.intp), index.reshape(-1, 4).astype(np.intp)
+
+
+def colex_subsets(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The 4-subsets of range(k) in colex order and their (triples, index)
+    pair as ``subset_triples`` gives it, in closed form.
+
+    In colex order the subsets and triples inside range(j) are the first
+    C(j, 4) and C(j, 3) rows, for every j <= k, so prefixes of one table
+    serve every smaller k. A triple a < b < c sits at colex position
+    C(a, 1) + C(b, 2) + C(c, 3).
+    """
+    subsets, triples = (_colex(k, r) for r in (4, 3))
+    a, b, c = subsets[:, _DROP].transpose(2, 0, 1)
+    return subsets, (triples, a + b * (b - 1) // 2 + c * (c - 1) * (c - 2) // 6)
+
+
+def _colex(k: int, r: int) -> np.ndarray:
+    """The r-subsets of range(k) in colex order, one ascending row each.
+    Mirroring x to k - 1 - x turns colex order into reversed lex order."""
+    lex = np.array(list(itertools.combinations(range(k), r)), dtype=np.intp).reshape(-1, r)
+    return np.ascontiguousarray((k - 1 - lex)[::-1, ::-1])
 
 
 def triple_values(x, y, z, table, out=None):

@@ -203,39 +203,39 @@ class PlacementProblem:
         return self.cand_lat.size
 
 
-# Bytes of one (block, origins) float64 plane in _ned_geometry's pass. A
-# block holds about eight such planes of differences, rotated components,
-# products and norms, so 128 KiB keeps its working set near 1 MiB, in
-# cache while the block is rotated, measured and scaled: 13 candidates per
-# block on a 1200-point grid.
+# Bytes of one float64 plane of a block in precompute's blocked passes. A
+# block of _ned_geometry holds about eight (block, origins) planes of
+# differences, rotated components, products and norms, and a block of
+# _visibility about six (block, candidates) planes of gathered ground
+# distances, squares, masked distances and sort order. So 128 KiB keeps
+# either working set near 1 MiB, in cache while the block is worked on:
+# 13 candidates or 40 points per block at section-8 scale.
 _PLANE_BYTES = 128 << 10
 
 
 def precompute(problem: PlacementProblem) -> PlacementProblem:
     """Fill the distance / direction-cosine / LOS matrices in place.
 
-    Each value is computed once. Ground distances are computed per
-    distinct (lat, lon) of the grid and of the jammers, then gathered to
-    every altitude. NED vectors, their lengths and the unit scaling run in
-    one blocked pass, and candidate-to-candidate distances sum their
+    Each value is computed once. NED vectors, their lengths and the unit
+    scaling run in one blocked pass. Ground distances are computed per
+    distinct (lat, lon) of the grid and of the jammers, and LOS and the
+    nearest ranks per block of points, each block gathering its ground
+    distances from that table; so beyond the matrices it keeps, precompute
+    holds no (m, N) array. Candidate-to-candidate distances sum their
     squared ECEF component planes. The matrices keep the bits of the
     whole-array computation (``tests/oracles.precompute_reference``).
     """
     grid = problem.grid
-    params = problem.propagation
     cand_ecef = geo.geodetic_to_ecef_arrays(
         problem.cand_lat, problem.cand_lon, problem.cand_alt
     )
     grid_ecef = geo.geodetic_to_ecef_arrays(grid.lat_deg, grid.lon_deg, grid.alt_m)
     dist, dc = _ned_geometry(grid_ecef, grid.lat_deg, grid.lon_deg, cand_ecef, unit=True)
-    ground = _ground_km(grid.lat_deg, grid.lon_deg, problem.cand_lat, problem.cand_lon)
-    los = geo.visibility_mask_arrays(
-        grid.alt_m[:, None], ground, problem.cand_alt[None, :], params
-    )
     problem.dist_point_cand = dist
     problem.dc_point_cand = dc
-    problem.los_point_cand = los
-    problem.rank_point_cand = nearest_rank(np.where(los, dist, np.inf))
+    problem.los_point_cand, problem.rank_point_cand = _visibility(
+        problem, grid.lat_deg, grid.lon_deg, grid.alt_m, dist
+    )
 
     jams = problem.jammers
     jam_lat = np.array([j.position.latitude_deg for j in jams])
@@ -243,10 +243,7 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
     jam_alt = np.array([j.position.altitude_m for j in jams])
     jam_ecef = geo.geodetic_to_ecef_arrays(jam_lat, jam_lon, jam_alt)
     jdist, _ = _ned_geometry(jam_ecef, jam_lat, jam_lon, cand_ecef, unit=False)
-    jground = _ground_km(jam_lat, jam_lon, problem.cand_lat, problem.cand_lon)
-    jlos = geo.visibility_mask_arrays(
-        jam_alt[:, None], jground, problem.cand_alt[None, :], params
-    )
+    jlos, _ = _visibility(problem, jam_lat, jam_lon, jam_alt)
     affected = jlos.copy()
     for l, jam in enumerate(jams):
         if jam.affect_rule == "jsr":
@@ -318,14 +315,37 @@ def _ned_geometry(origin_ecef, origin_lat, origin_lon, target_ecef, unit: bool):
     return dist, dc
 
 
-def _ground_km(lat_deg, lon_deg, cand_lat, cand_lon) -> np.ndarray:
-    """Great-circle km from each (lat, lon) origin to each candidate, as
-    (origins, candidates), by ``geo.haversine_km_arrays``'s formula and
-    operand order. It runs once per distinct horizontal position and is
-    gathered back to every origin that shares it. Its sin^2(dlat / 2),
-    cos(lat1) cos(lat2) and sin^2(dlon / 2) terms each depend on two
-    latitudes or two longitudes only, so they are tabled over the
-    distinct ones and gathered per pair."""
+def _visibility(problem: PlacementProblem, lat_deg, lon_deg, alt_m, dist=None):
+    """LOS from each origin to each candidate, as (origins, N) bools, and
+    with ``dist`` the ``nearest_rank`` of the LOS-masked distances, else
+    None. Both are filled per block of origins, each gathering its ground
+    distances from ``_ground_km``'s table, so their temporaries take a
+    block's rows, not the matrix's. Every step is elementwise or per row,
+    so the blocks keep the whole-matrix bits."""
+    table, inverse = _ground_km(lat_deg, lon_deg, problem.cand_lat, problem.cand_lon)
+    m, n = inverse.size, problem.n_candidates
+    los = np.empty((m, n), dtype=bool)
+    rank = None if dist is None else np.empty((m, n), dtype=index_dtype(n - 1))
+    rows = max(1, _PLANE_BYTES // (8 * n))
+    cand_alt = problem.cand_alt[None, :]
+    for start in range(0, m, rows):
+        block = slice(start, start + rows)
+        los[block] = geo.visibility_mask_arrays(
+            alt_m[block, None], table[inverse[block]], cand_alt, problem.propagation
+        )
+        if rank is not None:
+            rank[block] = nearest_rank(np.where(los[block], dist[block], np.inf))
+    return los, rank
+
+
+def _ground_km(lat_deg, lon_deg, cand_lat, cand_lon) -> tuple[np.ndarray, np.ndarray]:
+    """Great-circle km from each distinct (lat, lon) origin to each
+    candidate, as (distinct origins, candidates), by
+    ``geo.haversine_km_arrays``'s formula and operand order, and the row
+    of each origin in it. Its sin^2(dlat / 2), cos(lat1) cos(lat2) and
+    sin^2(dlon / 2) terms each depend on two latitudes or two longitudes
+    only, so they are tabled over the distinct ones and gathered per
+    pair."""
     pairs = np.stack([lat_deg, lon_deg], axis=1, dtype=float)
     # Positions of equal bits share a row. Unique over 16-byte keys sorts
     # them several times faster than unique(axis=0) does.
@@ -344,7 +364,7 @@ def _ground_km(lat_deg, lon_deg, cand_lat, cand_lon) -> np.ndarray:
     a += np.take(sin_lat[i], j, axis=1)
     ground = np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0, out=a), out=a), out=a)
     ground *= geo.EARTH_MEAN_RADIUS_KM * 2.0
-    return ground[inverse]
+    return ground, inverse
 
 
 def _distinct_radians(deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,15 +393,21 @@ def nearest_rank(masked: np.ndarray) -> np.ndarray:
     """Rank of every column in its row's stable ascending order.
 
     The inverse of ``np.argsort(masked, axis=1, kind="stable")``: ties
-    rank by column index, so the ranks in a row are unique. The dtype
-    holds N - 1 for N columns: int16 up to N = 32768, int32 above.
+    rank by column index, so the ranks in a row are unique. The dtype is
+    ``index_dtype(N - 1)`` for N columns: int16 up to N = 32768, int32
+    above.
     """
     m, n = masked.shape
-    dtype = np.int16 if n <= np.iinfo(np.int16).max + 1 else np.int32
+    dtype = index_dtype(n - 1)
     rank = np.empty((m, n), dtype=dtype)
     order = np.argsort(masked, axis=1, kind="stable")
     np.put_along_axis(rank, order, np.arange(n, dtype=dtype)[None, :], axis=1)
     return rank
+
+
+def index_dtype(n: int) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds n."""
+    return next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if n <= np.iinfo(t).max)
 
 
 def _area_diagonal(problem: PlacementProblem) -> float:

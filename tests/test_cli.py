@@ -180,6 +180,20 @@ def exit_code_and_err(tmp_path, capsys, doc):
     return code, capsys.readouterr().err
 
 
+def test_evaluator_footprint_exit_2(tmp_path, capsys):
+    """Population 10**4 on a 1000 x 1000 grid at three altitudes: only an
+    evaluated batch's rows pass config.MAX_FOOTPRINT_BYTES. They take
+    10**4 x 3e6 x (8 + 2 x (6 + 2)) bytes, 720 GB; the other terms sum to
+    2.6 GB."""
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    doc["grid"] = {"lat_count": 1000, "lon_count": 1000}
+    doc["ga"]["population_size"] = 10**4
+    code, err = exit_code_and_err(tmp_path, capsys, doc)
+    assert code == EXIT_USAGE
+    assert "ga.population_size" in err and "7.23e+11 bytes" in err
+    assert '"gen"' not in err
+
+
 @pytest.mark.parametrize("section,key,field", [
     ("candidates", "count", "candidates.count"),
     ("ga", "tournament_size", "ga.tournament_size"),

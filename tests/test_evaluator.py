@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import astuple
 from unittest import mock
 
@@ -16,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adsbplace import evaluator as evaluator_module
+from adsbplace.config import parse_config, section8_preset
 from adsbplace.evaluator import PlacementEvaluator, RawScores
+from adsbplace.gdop import subset_triples
 from adsbplace.geo import GeodeticPosition
 from adsbplace.objectives import ObjectiveRequirements, knapsack_penalty
 from adsbplace.scenario import (
@@ -124,14 +127,17 @@ class TestEvaluatorAgainstReference:
 
     @pytest.mark.parametrize("cap", [4, 9, 14, 40])
     def test_subset_rows_below_k_are_combinations(self, small_problem, cap):
-        """The evaluator holds combinations(range(k), 4), row for row, for
-        every sensor count k the cap allows, and no table below k = 4."""
+        """The evaluator holds combinations(range(k), 4) in colex order, row
+        for row, with subset_triples' table and index, for every sensor
+        count k the cap allows, and no table below k = 4."""
         tables = PlacementEvaluator(small_problem, gdop_subset_cap=cap).tables
         k_max = min(cap, small_problem.n_candidates)
         assert sorted(tables) == list(range(4, k_max + 1))
-        for k, (subsets, _) in tables.items():
-            expected = [list(c) for c in itertools.combinations(range(k), 4)]
-            assert subsets.tolist() == expected
+        for k, (subsets, (table, index)) in tables.items():
+            expected = sorted(itertools.combinations(range(k), 4), key=lambda c: c[::-1])
+            assert subsets.tolist() == [list(c) for c in expected]
+            want_table, want_index = subset_triples(subsets)
+            assert np.array_equal(table, want_table) and np.array_equal(index, want_index)
 
     def test_deterministic(self, small_problem):
         rng = np.random.default_rng(11)
@@ -402,6 +408,29 @@ class TestKernelPool:
             expected = score_one(problem, genes, cap)
             assert raw.of1 == pytest.approx(expected.of1, rel=1e-9)
             assert astuple(raw)[1:] == astuple(expected)[1:]
+
+
+def test_batch_peak_memory():
+    """A fixed batch of 100 section-8 chromosomes with 0 to 30 sensors, at
+    cap 6, allocates at most 7.5 MiB while it is scored: its kernel rows are
+    stored as int16 candidates, and OF1 is formed in place. Rows stored as
+    intp flat indices, with OF1 in a second (B, m) array, take 8.8 MiB.
+    tracemalloc sees numpy's buffers."""
+    problem = parse_config(section8_preset(1)).build_problem()
+    evaluator = PlacementEvaluator(problem, gdop_subset_cap=6)
+    rng = np.random.default_rng(0)
+    batch = np.zeros((100, problem.n_candidates), dtype=bool)
+    for i, row in enumerate(batch):
+        row[rng.choice(problem.n_candidates, i % 31, replace=False)] = True
+    evaluator.evaluate(batch)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        evaluator.evaluate(batch)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * (1 << 20)
 
 
 _REPEAT_BATCH = """

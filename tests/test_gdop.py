@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adsbplace.evaluator import prefix_gdop
-from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched, subset_triples, triple_values
+from adsbplace.gdop import (
+    SINGULARITY_COND,
+    colex_subsets,
+    gdop_min_batched,
+    subset_triples,
+    triple_values,
+)
 from adsbplace.geo import GeodeticPosition
 
 from oracles import (
@@ -157,6 +163,19 @@ class TestBatchedGdop:
             kept = np.delete(subsets, drop, axis=1)
             assert np.array_equal(table[index[:, drop]], kept)
 
+    def test_colex_subsets(self):
+        """The closed-form colex table of range(12) holds, as prefixes, the
+        4-subsets of every range(k) in colex order with subset_triples'
+        triples and index."""
+        subsets, (table, index) = colex_subsets(12)
+        for k in range(4, 13):
+            s, t = math.comb(k, 4), math.comb(k, 3)
+            colex = sorted(itertools.combinations(range(k), 4), key=lambda c: c[::-1])
+            assert list(map(tuple, subsets[:s].tolist())) == colex
+            want_table, want_index = subset_triples(subsets[:s])
+            assert np.array_equal(table[:t], want_table)
+            assert np.array_equal(index[:s], want_index)
+
     @pytest.mark.parametrize("counts,subsets", [
         pytest.param([3, 2, 0], subsets_of(5), id="too_few_valid"),
         pytest.param([5, 4, 5], subsets_of(5)[:0], id="no_subsets"),
@@ -254,9 +273,9 @@ class TestKernelProperties:
         """Column j of the prefix table is the brute-force best over
         combinations(range(j), 4), bit for bit, and its triple values are
         those of the whole table."""
-        dc, valid, subsets = case
+        dc, valid, _ = case
         k = dc.shape[1]
-        triples = subset_triples(subsets)
+        subsets, triples = colex_subsets(k)
         best, values = prefix_gdop(dc, valid, (subsets, triples))
         assert best.shape == (len(dc), k + 1)
         assert np.all(np.isinf(best[:, :4]))

@@ -2,12 +2,16 @@
 
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adsbplace import scenario as scenario_module
+from adsbplace.config import parse_config, section8_preset
 from adsbplace.geo import GeodeticPosition
 from adsbplace.objectives import InvalidConfigError, JammerModel, ObjectiveRequirements
 from adsbplace.scenario import (
@@ -386,6 +390,20 @@ def _small_problems(draw) -> PlacementProblem:
 def test_precompute_matches_reference_bits(problem):
     """Every matrix precompute fills has the reference's dtype and bits;
     the point matrices are finite and each direction is unit or zero."""
+    _check_precompute(problem)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(problem=_small_problems())
+def test_precompute_blocks_match_reference_bits(problem):
+    """The same with 256-byte planes: LOS and ranks come in blocks of 2 to
+    10 points, so most problems span several blocks and end in a partial
+    one, and the NED pass takes one candidate per block."""
+    with mock.patch.object(scenario_module, "_PLANE_BYTES", 256):
+        _check_precompute(problem)
+
+
+def _check_precompute(problem):
     got = precompute(dataclasses.replace(problem))
     want = precompute_reference(dataclasses.replace(problem))
     for name in _PRECOMPUTED:
@@ -399,6 +417,24 @@ def test_precompute_matches_reference_bits(problem):
     assert zero.any()  # the deployed site at a grid point
     assert np.all(got.dc_point_cand[:, zero] == 0.0)
     assert np.allclose(norms[~zero], 1.0, atol=1e-12)
+
+
+def test_build_peak_is_the_kept_matrices():
+    """Building the section-8 problem (1200 points, 400 candidates) holds
+    at most 4 MiB beyond the matrices it keeps; LOS and ranks formed over
+    the whole (m, N) matrix take 9.7 MiB beyond them. tracemalloc
+    sees numpy's buffers."""
+    config = parse_config(section8_preset(1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        problem = config.build_problem()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    kept = sum(np.asarray(getattr(problem, name)).nbytes for name in _PRECOMPUTED)
+    assert kept > 17 << 20
+    assert peak <= kept + (4 << 20)
 
 
 class TestNearestRank:
