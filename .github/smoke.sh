@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end run of the installed `adsbplace` console script and its bundled
 # clustered21.csv: augment, evaluate on the free-standing and the matched
-# path, report, and a malformed sensor file. Run it from an empty directory
+# path, the matched scores against the front's row, report, and a malformed
+# sensor file. Run it from an empty directory
 # outside the checkout, so that the installed package is the one imported:
 #
 #     cd "$(mktemp -d)" && bash /path/to/checkout/.github/smoke.sh
@@ -26,6 +27,19 @@ python -c "import json, sys; doc = json.load(open('smoke.json')); doc['scenario'
 adsbplace evaluate --config augment.json --sensors front/solution_0.csv --out audit_augment 2> matched.err
 cat matched.err
 if grep -q "free-standing" matched.err; then exit 1; fi
+# The matched evaluate scores solution 0 by the map the search used, so its
+# scores.json holds pareto.csv row 0's values, as both files print them.
+python - <<'PY'
+import csv, json, sys
+scores = json.load(open("audit_augment/scores.json"))
+scores.update({f"{key}_norm": value for key, value in scores.pop("normalized").items()})
+lines = [line for line in open("front/pareto.csv") if not line.startswith("#")]
+header, row0 = list(csv.reader(lines))[:2]
+columns = header[header.index("of1"):header.index("penalty") + 1] + ["n_sensors"]
+differ = [key for key in columns if scores[key] != float(row0[header.index(key)])]
+print(f"scores.json against pareto.csv row 0: {len(columns)} columns, differing: {differ}")
+sys.exit(1 if differ else 0)
+PY
 adsbplace report front
 printf 'id,lat_deg,lon_deg,alt_m\nx,abc,7.0,0\n' > bad.csv
 code=0

@@ -6,13 +6,11 @@ from .objectives import (
     ObjectiveRequirements,
     ObjectiveScores,
     knapsack_penalty,
-    normalize_score,
-    of3_combined,
     weighted_fitness,
 )
 from .scenario import AreaBounds, AirspaceGrid, PlacementProblem, build_problem
 from .nsga2 import Chromosome, GaConfig, ParetoFront, evolve
-from .analysis import evaluate_placement, gdop_distribution, pareto_summary, select_solution
+from .analysis import evaluate_placement, gdop_distribution, pareto_summary, select_row
 from .config import RunConfig, load_config, parse_config, section8_preset
 
 __version__ = "0.1.0"
@@ -36,11 +34,9 @@ __all__ = [
     "gdop_distribution",
     "knapsack_penalty",
     "load_config",
-    "normalize_score",
-    "of3_combined",
     "parse_config",
     "pareto_summary",
     "section8_preset",
-    "select_solution",
+    "select_row",
     "weighted_fitness",
 ]

@@ -8,14 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluator import Diagnostics, PlacementEvaluator, RawScores
+from .evaluator import Diagnostics, PlacementEvaluator
 from .nsga2 import Chromosome, ParetoFront
-from .objectives import Normalization, ObjectiveScores, saturation_normalization
+from .objectives import Normalization, ObjectiveScores, of3_weight_vector, saturation_normalization
 from .scenario import PlacementProblem
-
-
-class NoFeasibleSolutionError(ValueError):
-    pass
 
 
 @dataclass
@@ -60,9 +56,10 @@ def evaluate_placement(
 ) -> tuple[ObjectiveScores, CoverageGrid, JamReport]:
     """Score a placement and derive its diagnostic grids.
 
-    Uses the same evaluator the optimizer runs, so the scores equal the
-    GA-internal fitness for the same chromosome. ``bounds`` supplies the
-    run's normalization; without it the sensor cap is the candidate count.
+    Uses the same evaluator and objective map as the optimizer, so the
+    scores equal the GA-internal fitness for the same chromosome.
+    ``bounds`` supplies the run's normalization; without it the sensor
+    cap is the candidate count.
     """
     if chromosome.genes.size != problem.n_candidates:
         raise ValueError("chromosome length does not match the problem")
@@ -71,7 +68,7 @@ def evaluate_placement(
                                           problem.n_candidates)
     evaluator = PlacementEvaluator(problem, gdop_subset_cap=gdop_subset_cap)
     raw, diag = evaluator.evaluate(chromosome.genes, diagnostics=True)
-    scores = _objective_scores(raw, bounds, of3_weights)
+    scores = bounds.scores(raw, of3_weights)
     grid = problem.grid
     coverage = CoverageGrid(
         lat_deg=grid.lat_deg,
@@ -83,20 +80,6 @@ def evaluate_placement(
     )
     report = _jam_report(problem, diag)
     return scores, coverage, report
-
-
-def _objective_scores(raw: RawScores, bounds: Normalization,
-                      of3_weights: Sequence[float]) -> ObjectiveScores:
-    """The reported scores of one chromosome's raw scores: OF3 under the
-    run's normalization, as the search computed it, and the normalized
-    OF1, OF2 and OF3."""
-    of3 = bounds.of3(raw.d1, raw.d2, raw.d3, of3_weights)
-    normalized = {
-        "of1": bounds.normalize("of1", raw.of1),
-        "of2": bounds.normalize("of2", raw.of2),
-        "of3": bounds.normalize("of3", of3),
-    }
-    return ObjectiveScores(raw.of1, raw.of2, of3, (raw.d1, raw.d2, raw.d3), raw.penalty, normalized)
 
 
 def _jam_report(problem: PlacementProblem, diag: Diagnostics) -> JamReport:
@@ -124,17 +107,17 @@ def gdop_distribution(coverage: CoverageGrid, thresholds: Sequence[float]) -> Gd
 def pareto_summary(front: ParetoFront, of3_weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)) -> list[dict]:
     """One row per archived solution with raw and normalized scores.
 
-    OF3 is computed under the run's normalization, as the search computed
-    it: with the run's OF3 weights, each row's OF1, OF2 and OF3 blended
-    with its penalty are the member's objective vector, so the rows are
-    mutually non-dominated.
+    OF3 and the normalized columns come from ``Normalization.scores`` under
+    the run's normalization, the map the search used: with the run's OF3
+    weights, each row's OF1, OF2 and OF3 blended with its penalty are the
+    member's objective vector, so the rows are mutually non-dominated.
     """
     if not front.members:
         raise ValueError("empty pareto front")
     rows = []
     for sol_id, member in enumerate(front.members):
         raw = member.raw
-        scores = _objective_scores(raw, front.bounds, of3_weights)
+        scores = front.bounds.scores(raw, of3_weights)
         rows.append(
             {
                 "solution_id": sol_id,
@@ -143,9 +126,7 @@ def pareto_summary(front: ParetoFront, of3_weights: Sequence[float] = (1 / 3, 1 
                 "of1": raw.of1,
                 "of2": raw.of2,
                 "of3": scores.of3,
-                "of1_norm": scores.normalized["of1"],
-                "of2_norm": scores.normalized["of2"],
-                "of3_norm": scores.normalized["of3"],
+                **{f"{key}_norm": value for key, value in scores.normalized.items()},
                 "d1": raw.d1,
                 "d2": raw.d2,
                 "d3": raw.d3,
@@ -166,9 +147,7 @@ def select_row(
     Only rows within the sensor budget qualify; ties break toward fewer
     sensors, then the lower solution id.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (3,) or not np.all(w >= 0) or not abs(float(w.sum()) - 1.0) <= 1e-9:
-        raise ValueError("preference weights must be non-negative and sum to 1")
+    w = of3_weight_vector(weights)
     return min(
         (
             (w[0] * row["of1_norm"] + w[1] * row["of2_norm"] + w[2] * row["of3_norm"],
@@ -178,17 +157,3 @@ def select_row(
         ),
         default=None,
     )
-
-
-def select_solution(
-    front: ParetoFront,
-    budget_cap: int | None = None,
-    weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3),
-    of3_weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3),
-) -> int:
-    """Pick the front member minimizing the weighted normalized score
-    (see ``select_row``)."""
-    best = select_row(pareto_summary(front, of3_weights), budget_cap, weights)
-    if best is None:
-        raise NoFeasibleSolutionError("no front member satisfies the sensor budget")
-    return best[2]

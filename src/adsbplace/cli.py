@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="summarize a front and pick a solution")
     p_rep.add_argument("front_dir", help="directory containing pareto.csv")
-    p_rep.add_argument("--budget", type=int, help="maximum sensors")
+    p_rep.add_argument("--budget", type=_int_at_least(0), help="maximum sensors")
     p_rep.add_argument("--weights", type=_weights, default="0.3333333333,0.3333333333,0.3333333334")
     p_rep.set_defaults(func=cmd_report)
     return parser

@@ -48,23 +48,12 @@ SINGULARITY_COND = 1e12
 _DROP = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
-def subset_triples(subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row triples of the 4-subsets and each subset's four triples.
-
-    Returns (triples, index): triples (T, 3) holds each ascending row
-    triple once, in colex order (by largest row, then middle, then
-    smallest), so the triples inside the first j rows come first whatever
-    the subsets' largest row; index (S, 4) gives, per subset, the triples
-    left after deleting its smallest, second, third and largest row.
-    """
-    drop = np.sort(subsets, axis=1)[:, _DROP].reshape(-1, 3)
-    table, index = np.unique(drop[:, ::-1], axis=0, return_inverse=True)
-    return table[:, ::-1].astype(np.intp), index.reshape(-1, 4).astype(np.intp)
-
-
 def colex_subsets(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The 4-subsets of range(k) in colex order and their (triples, index)
-    pair as ``subset_triples`` gives it, in closed form.
+    pair, in closed form: triples (T, 3) holds each ascending row triple
+    once, in colex order (by largest row, then middle, then smallest);
+    index (S, 4) gives, per subset, the triples left after deleting its
+    smallest, second, third and largest row.
 
     In colex order the subsets and triples inside range(j) are the first
     C(j, 4) and C(j, 3) rows, for every j <= k, so prefixes of one table
@@ -119,7 +108,7 @@ def gdop_min_batched(
     dc: np.ndarray,
     valid_counts: np.ndarray,
     subsets: np.ndarray,
-    triples: tuple[np.ndarray, np.ndarray] | None = None,
+    triples: tuple[np.ndarray, np.ndarray],
     values: np.ndarray | None = None,
     known: int = 0,
 ) -> np.ndarray:
@@ -128,9 +117,10 @@ def gdop_min_batched(
     dc:           (m, k, 3) direction cosines to the k nearest sensors
                   (rows beyond a point's valid count may hold garbage).
     valid_counts: (m,) number of usable leading rows per point.
-    subsets:      (S, 4) index rows into the k dimension, distinct per row.
-    triples:      subset_triples(subsets), or a table holding at least
-                  their triples and an index into it; computed when omitted.
+    subsets:      (S, 4) index rows into the k dimension, distinct per row;
+                  at least one.
+    triples:      (table, index) as ``colex_subsets`` gives them: a table
+                  holding at least the subsets' triples, and their index.
     values:       (2, T, m) buffer for the D and Q of the T table triples.
                   Its first ``known`` triples are read as given, and only
                   the others are computed into it.
@@ -139,9 +129,7 @@ def gdop_min_batched(
     non-singular subset exists.
     """
     m = dc.shape[0]
-    if len(subsets) == 0:
-        return np.full(m, np.inf)
-    table, index = subset_triples(subsets) if triples is None else triples
+    table, index = triples
     # Component-major (3, k, m): gathering whole rows keeps points contiguous.
     x, y, z = np.ascontiguousarray(dc.transpose(2, 1, 0))
     if values is None:

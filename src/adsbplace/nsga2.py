@@ -15,7 +15,6 @@ from .objectives import (
     Normalization,
     of3_weight_vector,
     saturation_normalization,
-    weighted_fitness,
 )
 from .scenario import PlacementProblem
 
@@ -193,7 +192,8 @@ class _Evaluation:
     """Shared evaluation cache.
 
     Each gene row is scored once and cached under its packed bits. Its
-    objective vector is a pure function of its raw scores under a fixed
+    objective vector comes from its raw scores through
+    ``Normalization.scores``, the map the reports use, under a fixed
     normalization, so it never changes afterwards and the archive stays
     monotone across generations. A batch's new rows go to the evaluator
     in one call.
@@ -213,11 +213,7 @@ class _Evaluation:
         todo = {key: i for i, key in enumerate(keys) if key not in self.cache}
         if todo:
             raws = self.evaluator.evaluate(batch[list(todo.values())])
-            # The batch's (B, 3) objective vectors, by the same elementwise
-            # formulas the reports apply to one chromosome.
-            of3 = self.bounds.of3(raws.d1, raws.d2, raws.d3, self.of3_weights)
-            vecs = weighted_fitness(np.stack([raws.of1, raws.of2, of3], axis=1),
-                                    raws.penalty[:, None], self.config.pareto_weight_a)
+            vecs = self.bounds.scores(raws, self.of3_weights).vectors(self.config.pareto_weight_a)
             self.cache.update((key, ((raws, i), vec)) for i, (key, vec) in enumerate(zip(todo, vecs)))
         return keys, np.array([self.cache[key][1] for key in keys])
 

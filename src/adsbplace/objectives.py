@@ -78,8 +78,9 @@ class JammerModel:
 
 @dataclass
 class ObjectiveScores:
-    """Objective scores of one placement: raw OF1, OF2, directions and
-    penalty, OF3 over the normalized directions, and normalized OF1-OF3."""
+    """Objective scores of one placement, or (B,) columns of them for a
+    batch: raw OF1, OF2, directions and penalty, OF3 over the normalized
+    directions, and normalized OF1-OF3."""
 
     of1: float
     of2: float
@@ -87,6 +88,12 @@ class ObjectiveScores:
     of3_components: tuple[float, float, float]
     penalty: float
     normalized: dict[str, float]
+
+    def vectors(self, pareto_weight_a: float) -> np.ndarray:
+        """The optimizer's objective vectors: OF1, OF2 and OF3, each
+        blended with the penalty; (B, 3) for columns, (3,) for one."""
+        return weighted_fitness(np.stack([self.of1, self.of2, self.of3], axis=-1),
+                                np.asarray(self.penalty)[..., None], pareto_weight_a)
 
 
 def of3_weight_vector(weights: Sequence[float]) -> np.ndarray:
@@ -100,13 +107,6 @@ def of3_weight_vector(weights: Sequence[float]) -> np.ndarray:
     return w
 
 
-def of3_combined(d1, d2, d3, weights: Sequence[float]):
-    """Weighted-sum scalarization of the three anti-jamming directions;
-    elementwise over arrays, a float for scalars."""
-    w = of3_weight_vector(weights)
-    return _scalar_or_array(w[0] * d1 + w[1] * d2 + w[2] * d3)
-
-
 def knapsack_penalty(selected_count: int, total_cells: int) -> float:
     """Site-count pressure: half the squared selected fraction."""
     if total_cells <= 0:
@@ -116,46 +116,41 @@ def knapsack_penalty(selected_count: int, total_cells: int) -> float:
     return 0.5 * (selected_count / total_cells) ** 2
 
 
-def weighted_fitness(objective_score: float, penalty: float, pareto_weight_a: float) -> float:
-    """Convex blend of an objective score with the knapsack penalty."""
-    if not 0.0 <= pareto_weight_a <= 1.0:
-        raise InvalidConfigError("pareto weight must lie in [0, 1]")
+def weighted_fitness(objective_score, penalty, pareto_weight_a: float):
+    """Convex blend of an objective score with the knapsack penalty,
+    elementwise over arrays."""
     return (1.0 - pareto_weight_a) * objective_score + pareto_weight_a * penalty
-
-
-def normalize_score(score, high: float):
-    """Score divided by ``high``, clamped to [0, 1]; 0 when ``high`` is 0.
-    Elementwise over arrays, a float for scalars; NaN maps to 0."""
-    if high < 0:
-        raise ValueError("high must be >= 0")
-    if high == 0:
-        return _scalar_or_array(np.zeros(np.shape(score)))
-    v = np.asarray(score, dtype=float) / high
-    v = np.where(v > 0.0, v, 0.0)
-    return _scalar_or_array(np.where(v < 1.0, v, 1.0))
-
-
-def _scalar_or_array(v: np.ndarray):
-    return float(v) if np.ndim(v) == 0 else v
 
 
 @dataclass(frozen=True)
 class Normalization:
     """Each score divided by the value at which it saturates, clamped to
     [0, 1]. The saturation values follow from the requirements and the
-    sensor cap alone, so a normalized value never depends on the search."""
+    sensor cap alone, so a normalized value never depends on the search;
+    each is positive."""
 
     saturation: dict[str, float]
 
     def normalize(self, key: str, value):
-        return normalize_score(value, self.saturation[key])
+        """``value`` over the saturation value of ``key``, clamped to [0, 1]
+        with NaN mapped to 0; elementwise over arrays, a float for scalars."""
+        v = np.asarray(value, dtype=float) / self.saturation[key]
+        v = np.where(v > 0.0, v, 0.0)
+        v = np.where(v < 1.0, v, 1.0)
+        return float(v) if v.ndim == 0 else v
 
-    def of3(self, d1, d2, d3, weights: Sequence[float]):
-        """OF3: the weighted sum of the normalized anti-jamming directions,
-        elementwise over arrays of the directions."""
-        return of3_combined(
-            self.normalize("d1", d1), self.normalize("d2", d2), self.normalize("d3", d3), weights
-        )
+    def scores(self, raw, of3_weights: Sequence[float]) -> ObjectiveScores:
+        """The one map from raw scores, a ``RawScores`` of floats or of (B,)
+        columns, to objective space: OF3 over the normalized directions and
+        the normalized OF1, OF2 and OF3. The optimizer, the front's report
+        rows and ``evaluate`` all use it."""
+        w = of3_weight_vector(of3_weights)
+        d1, d2, d3 = (self.normalize(key, getattr(raw, key)) for key in ("d1", "d2", "d3"))
+        of3 = w[0] * d1 + w[1] * d2 + w[2] * d3
+        normalized = {key: self.normalize(key, value)
+                      for key, value in (("of1", raw.of1), ("of2", raw.of2), ("of3", of3))}
+        return ObjectiveScores(raw.of1, raw.of2, of3, (raw.d1, raw.d2, raw.d3), raw.penalty,
+                               normalized)
 
 
 def saturation_normalization(

@@ -8,7 +8,8 @@ loop-based OF1-OF3. ``gdop_min_batched_lapack`` is the batched LAPACK
 GDOP kernel the library had before its closed form,
 ``precompute_reference`` the problem matrices before their blocked
 NED pass, ``gdop_min_batched_reference`` the closed form before its per-point
-singularity bounds, ``masked_sort_of1_of2`` the evaluator's OF1/OF2 path
+singularity bounds, ``subset_triples`` the kernel's triple table of any
+subsets, ``masked_sort_of1_of2`` the evaluator's OF1/OF2 path
 before its rank matrix, ``score_one`` its per-chromosome scoring before
 it scored a batch in groups of equal sensor count. It also holds the
 random geometries, tiny grids and the brute-force front partition the
@@ -27,7 +28,7 @@ import numpy as np
 
 from adsbplace import geo
 from adsbplace.evaluator import RawScores
-from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched, subset_triples
+from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched
 from adsbplace.geo import DEFAULT_PROPAGATION, GeodeticPosition, PropagationParams
 from adsbplace.objectives import JammerModel, ObjectiveRequirements, knapsack_penalty
 from adsbplace.scenario import AirspaceGrid, PlacementProblem, nearest_rank
@@ -301,6 +302,21 @@ def best_gdop_at(
     for subset in itertools.combinations(sensors, 4):
         best = min(best, gdop_of_four(aircraft, subset))
     return best
+
+
+def subset_triples(subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row triples of any 4-subsets and each subset's four triples, the
+    ``triples`` argument of ``gdop_min_batched``, by sorting instead of
+    ``gdop.colex_subsets``' closed form.
+
+    Returns (triples, index): triples (T, 3) holds each ascending row
+    triple once, in colex order (by largest row, then middle, then
+    smallest); index (S, 4) gives, per subset, the triples left after
+    deleting its smallest, second, third and largest row.
+    """
+    drop = np.sort(subsets, axis=1)[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3)
+    table, index = np.unique(drop[:, ::-1], axis=0, return_inverse=True)
+    return table[:, ::-1].astype(np.intp), index.reshape(-1, 4).astype(np.intp)
 
 
 def gdop_min_batched_lapack(
@@ -606,7 +622,8 @@ def masked_sort_of1_of2(problem: PlacementProblem, genes: np.ndarray, cap: int):
         dc = problem.dc_point_cand.transpose(2, 1, 0)  # (m, N, 3) view
         subsets = np.array(list(itertools.combinations(range(k), 4)))
         best = gdop_min_batched(
-            dc[np.arange(m)[:, None], sel[order]], np.minimum(vis_counts, k), subsets
+            dc[np.arange(m)[:, None], sel[order]], np.minimum(vis_counts, k), subsets,
+            subset_triples(subsets),
         )
     achieved_gdop = np.where(np.isinf(best), problem.requirements.gdop_cap, best)
     of1 = float(np.mean((grid.required_gdop - achieved_gdop) ** 2))
@@ -644,7 +661,8 @@ def score_one(problem: PlacementProblem, genes: np.ndarray, cap: int) -> RawScor
         k = top.shape[1]
         subsets = np.array(list(itertools.combinations(range(k), 4)), dtype=np.intp)
         dc = np.take(problem.dc_point_cand.reshape(3, -1), sel[top.T] * m + np.arange(m), axis=1)
-        best = gdop_min_batched(dc.transpose(2, 1, 0), np.minimum(vis_counts, k), subsets)
+        best = gdop_min_batched(dc.transpose(2, 1, 0), np.minimum(vis_counts, k), subsets,
+                                subset_triples(subsets))
     achieved_gdop = np.where(np.isinf(best), req.gdop_cap, best)
     of1 = float(np.mean((grid.required_gdop - achieved_gdop) ** 2))
 

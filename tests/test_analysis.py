@@ -5,11 +5,10 @@ import pytest
 
 from adsbplace.analysis import (
     CoverageGrid,
-    NoFeasibleSolutionError,
     evaluate_placement,
     gdop_distribution,
     pareto_summary,
-    select_solution,
+    select_row,
 )
 from adsbplace.evaluator import RawScores
 from adsbplace.nsga2 import Chromosome, FrontMember, GaConfig, ParetoFront, evolve
@@ -141,13 +140,16 @@ class TestParetoSummary:
 
     @pytest.mark.parametrize("seed", [2, 5])
     def test_rows_non_dominated_in_blended_columns(self, small_problem, seed):
-        """The rows of pareto.csv blend to mutually non-dominated vectors."""
+        """The rows of pareto.csv blend to the members' objective vectors,
+        bit for bit, so they are mutually non-dominated."""
         config = GaConfig(population_size=20, generations=30, rng_seed=seed, n_max=10,
                           gdop_subset_cap=6)
-        rows = pareto_summary(evolve(small_problem, config))
+        front = evolve(small_problem, config)
+        rows = pareto_summary(front)
         a = config.pareto_weight_a
         vecs = [[weighted_fitness(r[k], r["penalty"], a) for k in ("of1", "of2", "of3")]
                 for r in rows]
+        assert np.array(vecs).tobytes() == np.array([m.objectives for m in front.members]).tobytes()
         assert not any(dominates(q, v) for v in vecs for q in vecs)
 
     def test_of3_recomputed_under_bounds(self):
@@ -161,17 +163,22 @@ class TestParetoSummary:
             pareto_summary(front)
 
 
+def selected(front, budget_cap=None, weights=(1 / 3, 1 / 3, 1 / 3)):
+    """The solution id ``report`` picks from the front's rows, or None."""
+    best = select_row(pareto_summary(front), budget_cap, weights)
+    return None if best is None else best[2]
+
+
 class TestSelectSolution:
     def test_single_objective_weights(self):
-        assert select_solution(toy_front(), weights=(1.0, 0.0, 0.0)) == 0
-        assert select_solution(toy_front(), weights=(0.0, 1.0, 0.0)) == 2
+        assert selected(toy_front(), weights=(1.0, 0.0, 0.0)) == 0
+        assert selected(toy_front(), weights=(0.0, 1.0, 0.0)) == 2
 
     def test_budget_filters(self):
-        assert select_solution(toy_front(), budget_cap=2, weights=(0.0, 1.0, 0.0)) == 1
+        assert selected(toy_front(), budget_cap=2, weights=(0.0, 1.0, 0.0)) == 1
 
     def test_budget_infeasible(self):
-        with pytest.raises(NoFeasibleSolutionError):
-            select_solution(toy_front(), budget_cap=0)
+        assert selected(toy_front(), budget_cap=0) is None
 
     def test_tie_breaks_to_fewer_sensors_then_id(self):
         front = toy_front()
@@ -179,13 +186,13 @@ class TestSelectSolution:
         front.members[1].raw = front.members[0].raw
         front.members[1].objectives = front.members[0].objectives.copy()
         rows_weights = (1.0, 0.0, 0.0)
-        assert select_solution(front, weights=rows_weights) == 0
+        assert selected(front, weights=rows_weights) == 0
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError):
-            select_solution(toy_front(), weights=(0.9, 0.9, 0.9))
+            selected(toy_front(), weights=(0.9, 0.9, 0.9))
 
     def test_selected_is_front_member(self):
         front = toy_front()
-        sol = select_solution(front, weights=(0.2, 0.3, 0.5))
+        sol = selected(front, weights=(0.2, 0.3, 0.5))
         assert 0 <= sol < len(front.members)

@@ -595,6 +595,23 @@ class TestReport:
         )
         assert main(["report", str(out), "--budget", "4"]) == EXIT_NO_FEASIBLE
 
+    @pytest.mark.parametrize("budget", ["-1", "two"])
+    def test_bad_budget_exit_2(self, tmp_path, capsys, budget):
+        """A budget below 0 is a usage error, not an infeasible front."""
+        out = tmp_path / "front"
+        out.mkdir()
+        (out / "pareto.csv").write_text(
+            "# config_hash=deadbeef\n# seed=0\n"
+            "solution_id,n_sensors,n_forced,of1,of2,of3,of1_norm,of2_norm,of3_norm,"
+            "d1,d2,d3,penalty\n"
+            "0,0,0,1,1,1,0.5,0.5,0.5,0,0,0,0\n"
+        )
+        assert main(["report", str(out), "--budget", budget]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--budget" in captured.err and "no feasible" not in captured.err
+        assert captured.out == ""
+        assert main(["report", str(out), "--budget", "0"]) == EXIT_OK
+
     def test_missing_front_exit_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == EXIT_USAGE
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from adsbplace.config import ConfigError, load_config, parse_config, section8_preset
 from adsbplace.evaluator import PlacementEvaluator
-from adsbplace.objectives import InvalidConfigError, JammerModel
+from adsbplace.objectives import InvalidConfigError, JammerModel, saturation_normalization
 
 
 def minimal_config(**overrides):
@@ -231,8 +231,9 @@ def test_fuzzed_config_parses_or_is_rejected(doc):
     """A document either parses or raises ConfigError / InvalidConfigError,
     which ``main`` maps to exit 2. An accepted one, with its grid, sites
     and jammers cut to a few so that any count stays cheap to build, gives
-    finite distances and directions wherever LOS holds and finite raw
-    scores for one evaluated batch."""
+    finite distances and directions wherever LOS holds, and one evaluated
+    batch gives finite raw scores, finite objective vectors and normalized
+    columns in [0, 1] under the run's normalization."""
     try:
         cfg = parse_config(doc)
         cfg = dataclasses.replace(
@@ -255,3 +256,10 @@ def test_fuzzed_config_parses_or_is_rejected(doc):
     raw = PlacementEvaluator(problem, cfg.ga.gdop_subset_cap).evaluate(batch)
     for field in dataclasses.fields(raw):
         assert np.isfinite(getattr(raw, field.name)).all(), field.name
+    ga = cfg.ga_for_problem(problem)
+    bounds = saturation_normalization(problem.requirements, problem.range_cap_km,
+                                      n if ga.n_max is None else ga.n_max)
+    scores = bounds.scores(raw, cfg.of3_weights)
+    assert np.isfinite(scores.vectors(ga.pareto_weight_a)).all()
+    for key, column in scores.normalized.items():
+        assert ((column >= 0.0) & (column <= 1.0)).all(), key

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from adsbplace import evaluator as evaluator_module
 from adsbplace.config import parse_config, section8_preset
 from adsbplace.evaluator import PlacementEvaluator, RawScores
-from adsbplace.gdop import subset_triples
 from adsbplace.geo import GeodeticPosition
 from adsbplace.objectives import ObjectiveRequirements, knapsack_penalty
 from adsbplace.scenario import (
@@ -38,6 +37,7 @@ from oracles import (
     of3_direction2_jammer_distance,
     of3_direction3_sensors_in_range,
     score_one,
+    subset_triples,
 )
 
 

@@ -395,8 +395,9 @@ class TestEvolve:
         scored.assert_not_called()
 
     def test_objective_vectors_match_scalar_formulas(self, small_problem):
-        """The batch's vectorized objective vectors equal the scalar
-        formulas applied to each member's raw scores, bit for bit."""
+        """The batch's vectorized objective vectors equal the objective map
+        and the scalar blend applied to each member's raw scores, bit for
+        bit."""
         config = GaConfig(population_size=12, generations=4, rng_seed=3, n_max=12,
                           gdop_subset_cap=6, pareto_weight_a=0.3)
         weights = (0.2, 0.3, 0.5)
@@ -404,9 +405,10 @@ class TestEvolve:
         a = config.pareto_weight_a
         for m in front.members:
             r = m.raw
-            of3 = front.bounds.of3(r.d1, r.d2, r.d3, weights)
-            expected = [weighted_fitness(v, r.penalty, a) for v in (r.of1, r.of2, of3)]
+            scores = front.bounds.scores(r, weights)
+            expected = [weighted_fitness(v, r.penalty, a) for v in (r.of1, r.of2, scores.of3)]
             assert m.objectives.tolist() == expected
+            assert scores.vectors(a).tolist() == expected
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, small_problem, threads):

@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from adsbplace.evaluator import PlacementEvaluator
+from adsbplace.evaluator import PlacementEvaluator, RawScores
 from adsbplace.geo import GeodeticPosition
 from adsbplace.objectives import (
     InvalidConfigError,
     JammerModel,
     ObjectiveRequirements,
+    Normalization,
     knapsack_penalty,
-    normalize_score,
-    of3_combined,
     saturation_normalization,
     weighted_fitness,
 )
@@ -235,23 +234,31 @@ class TestAffectRuleAndJsr:
             JammerModel(position=GeodeticPosition(0, 0, 0), affect_rule="jsr", **{field: value})
 
 
+def raw_of(d1=0.0, d2=0.0, d3=0.0, of1=0.0, of2=0.0, penalty=0.0, n_selected=0):
+    return RawScores(of1, of2, d1, d2, d3, penalty, n_selected)
+
+
+# Saturation 1 everywhere: every value in [0, 1] is its own normalized value.
+UNIT = Normalization(dict.fromkeys(("of1", "of2", "d1", "d2", "d3", "of3"), 1.0))
+
+
 class TestCombination:
     def test_weighted_sum(self):
-        assert of3_combined(1.0, 2.0, 3.0, (1.0, 0.0, 0.0)) == 1.0
-        assert of3_combined(0.4, 0.4, 0.4, (0.2, 0.3, 0.5)) == pytest.approx(0.4)
+        assert UNIT.scores(raw_of(1.0, 2.0, 3.0), (1.0, 0.0, 0.0)).of3 == 1.0
+        assert UNIT.scores(raw_of(0.4, 0.4, 0.4), (0.2, 0.3, 0.5)).of3 == pytest.approx(0.4)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidConfigError):
-            of3_combined(1.0, 1.0, 1.0, (0.5, 0.5, 0.5))
+            UNIT.scores(raw_of(1.0, 1.0, 1.0), (0.5, 0.5, 0.5))
 
     @pytest.mark.parametrize("w", [(math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0)])
     def test_non_finite_weights_rejected(self, w):
         with pytest.raises(InvalidConfigError):
-            of3_combined(1.0, 1.0, 1.0, w)
+            UNIT.scores(raw_of(1.0, 1.0, 1.0), w)
 
     def test_monotone_in_components(self):
         w = (1 / 3, 1 / 3, 1 / 3)
-        assert of3_combined(0.2, 0.2, 0.2, w) < of3_combined(0.2, 0.2, 0.3, w)
+        assert UNIT.scores(raw_of(0.2, 0.2, 0.2), w).of3 < UNIT.scores(raw_of(0.2, 0.2, 0.3), w).of3
 
     def test_penalty_endpoints(self):
         assert knapsack_penalty(0, 400) == 0.0
@@ -276,14 +283,16 @@ class TestCombination:
         assert weighted_fitness(0.2, 0.1, 0.5) == pytest.approx(0.15)
 
     def test_normalize_endpoints_and_midpoint(self):
-        assert normalize_score(0.0, 10.0) == 0.0
-        assert normalize_score(10.0, 10.0) == 1.0
-        assert normalize_score(5.0, 10.0) == 0.5
+        norm = Normalization({"x": 10.0})
+        assert norm.normalize("x", 0.0) == 0.0
+        assert norm.normalize("x", 10.0) == 1.0
+        assert norm.normalize("x", 5.0) == 0.5
 
     def test_normalize_degenerate_and_clamped(self):
-        assert normalize_score(5.0, 0.0) == 0.0
-        assert normalize_score(99.0, 10.0) == 1.0
-        assert normalize_score(-5.0, 10.0) == 0.0
+        norm = Normalization({"x": 10.0})
+        assert norm.normalize("x", 99.0) == 1.0
+        assert norm.normalize("x", -5.0) == 0.0
+        assert norm.normalize("x", math.nan) == 0.0
 
 
 class TestSaturationNormalization:
@@ -316,23 +325,38 @@ class TestSaturationNormalization:
         norm = saturation_normalization(ObjectiveRequirements(), 600.0, 30)
         sat = norm.saturation
         d = (0.5 * sat["d1"], 0.25 * sat["d2"], 0.1 * sat["d3"])
-        assert norm.of3(*d, (0.2, 0.3, 0.5)) == pytest.approx(0.2 * 0.5 + 0.3 * 0.25 + 0.5 * 0.1)
+        of3 = norm.scores(raw_of(*d), (0.2, 0.3, 0.5)).of3
+        assert of3 == pytest.approx(0.2 * 0.5 + 0.3 * 0.25 + 0.5 * 0.1)
 
-    def test_of3_elementwise_equals_scalar(self, rng):
-        """On arrays, normalize and of3 give what the scalar calls give,
-        bit for bit, clamping, -0.0, NaN and inf included."""
+    def test_scores_elementwise_equals_scalar(self, rng):
+        """On (B,) columns, the objective map and its vectors give what the
+        calls on each row's floats give, bit for bit: clamping, values
+        beyond saturation, -0.0, NaN and inf included."""
         norm = saturation_normalization(ObjectiveRequirements(), 600.0, 30)
-        edges = [-1.0, -0.0, 0.0, 1e-300, math.nan, math.inf, -math.inf]
-        d = [np.concatenate([edges, rng.uniform(0.0, 2 * norm.saturation[k], 20)])
-             for k in ("d1", "d2", "d3")]
-        w = (0.2, 0.3, 0.5)
-        for key, values in zip(("d1", "d2", "d3"), d):
-            normalized = norm.normalize(key, values)
-            assert isinstance(normalized, np.ndarray)
-            assert normalized.tolist() == [norm.normalize(key, float(v)) for v in values]
-        of3 = norm.of3(*d, w)
-        assert of3.tolist() == [norm.of3(float(a), float(b), float(c), w) for a, b, c in zip(*d)]
-        assert type(norm.of3(1.0, 2.0, 3.0, w)) is float
+        edges = np.array([-1.0, -0.0, 0.0, 1e-300, math.nan, math.inf, -math.inf])
+        keys = ("of1", "of2", "d1", "d2", "d3")
+        cols = {
+            key: np.concatenate([rng.permutation(edges), rng.uniform(0.0, 2 * norm.saturation[key], 20)])
+            for key in keys
+        }
+        penalty = np.concatenate([[0.0, -0.0, 0.5, 1.0, math.nan, 0.25, 0.125],
+                                  rng.uniform(0.0, 0.5, 20)])
+        n = np.arange(penalty.size)
+        w, a = (0.2, 0.3, 0.5), 0.3
+        batch = norm.scores(RawScores(**cols, penalty=penalty, n_selected=n), w)
+        rows = [norm.scores(RawScores(**{k: float(cols[k][i]) for k in keys},
+                                      penalty=float(penalty[i]), n_selected=int(n[i])), w)
+                for i in range(n.size)]
+        assert type(rows[0].normalized["of1"]) is float
+        assert isinstance(batch.of3, np.ndarray) and batch.vectors(a).shape == (n.size, 3)
+
+        def bits(values):
+            return np.asarray(values, dtype=float).tobytes()
+
+        assert bits(batch.of3) == bits([r.of3 for r in rows])
+        for key in ("of1", "of2", "of3"):
+            assert bits(batch.normalized[key]) == bits([r.normalized[key] for r in rows])
+        assert bits(batch.vectors(a)) == bits([r.vectors(a) for r in rows])
 
     def test_directions_never_exceed_saturation(self, small_problem, rng):
         n_max = 8
