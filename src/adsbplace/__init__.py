@@ -10,7 +10,7 @@ from .objectives import (
 )
 from .scenario import AreaBounds, AirspaceGrid, PlacementProblem, build_problem
 from .nsga2 import Chromosome, GaConfig, ParetoFront, evolve
-from .analysis import evaluate_placement, gdop_distribution, pareto_summary, select_row
+from .analysis import evaluate_placement, gdop_distribution, pareto_summary
 from .config import RunConfig, load_config, parse_config, section8_preset
 
 __version__ = "0.1.0"
@@ -37,6 +37,5 @@ __all__ = [
     "parse_config",
     "pareto_summary",
     "section8_preset",
-    "select_row",
     "weighted_fitness",
 ]

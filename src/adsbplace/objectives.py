@@ -42,8 +42,12 @@ class ObjectiveRequirements:
             "min_jammer_distance_km",
             "gdop_cap",
         ):
-            if not getattr(self, name) > 0 or not math.isfinite(getattr(self, name)):
-                raise InvalidConfigError(f"{name} must be finite and positive")
+            # The squares bound the saturation values from below, so a
+            # square that underflows to 0 would leave one at 0.
+            value = getattr(self, name)
+            if not (value * value > 0 and math.isfinite(value)):
+                raise InvalidConfigError(
+                    f"{name} must be finite and positive, with a square above 0")
         cap = self.range_cap_km
         if cap is not None and not (cap > 0 and math.isfinite(cap)):
             raise InvalidConfigError("range_cap_km must be finite and positive")

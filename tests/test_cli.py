@@ -159,6 +159,9 @@ NAN = float("nan")
     ("jammers", "count", 10**12, "jammers.count"),
     ("ga", "population_size", 10**12, "ga.population_size"),
     ("ga", "population_size", 10**6, "ga.population_size"),
+    # Squares that underflow to 0 would make a saturation value 0.
+    (None, "requirements", {"min_sensor_spacing_km": 1e-170}, "min_sensor_spacing_km"),
+    (None, "requirements", {"required_gdop": 1e-170, "gdop_cap": 2e-170}, "required_gdop"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
     """Rejected before the search starts, with a message naming the field."""
