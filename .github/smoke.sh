@@ -2,7 +2,9 @@
 # End-to-end run of the installed `adsbplace` console script and its bundled
 # clustered21.csv: augment, evaluate on the free-standing and the matched
 # path, the matched scores against the front's row, report, and a malformed
-# sensor file. Run it from an empty directory
+# sensor file, and a JSR run whose jammer sits on a candidate site. A
+# RuntimeWarning (a NaN or a division by zero the code does not expect)
+# fails the run. Run it from an empty directory
 # outside the checkout, so that the installed package is the one imported:
 #
 #     cd "$(mktemp -d)" && bash /path/to/checkout/.github/smoke.sh
@@ -12,6 +14,7 @@
 # free-standing problem; under the augment copy every row is a candidate
 # site and none is logged.
 set -euo pipefail
+export PYTHONWARNINGS=error::RuntimeWarning
 
 cat > smoke.json <<'JSON'
 {"area": {"lat_low_deg": 47.4, "lat_up_deg": 51.4, "lon_low_deg": 5.71,
@@ -47,3 +50,8 @@ adsbplace evaluate --config smoke.json --sensors bad.csv --out bad 2> bad.err ||
 cat bad.err
 test "$code" -eq 2
 grep -q "^error: bad.csv: line 2: " bad.err
+# One ground jammer under the JSR rule with a nominal signal distance of 0,
+# at the area centre, where the centre candidate sits too: its JSR there is
+# 0 / 0.
+python -c "import json; doc = json.load(open('smoke.json')); doc['jammers'] = {'count': 1, 'heights_m': [0.0], 'affect_rule': 'jsr', 'nominal_signal_distance_km': 0.0}; json.dump(doc, open('jsr.json', 'w'))"
+adsbplace optimize --config jsr.json --out jsr --threads 1

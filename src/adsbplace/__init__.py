@@ -1,6 +1,5 @@
 """Security-aware placement optimization for ground ADS-B sensor networks."""
 
-from .geo import GeodeticPosition, PropagationParams
 from .objectives import (
     JammerModel,
     ObjectiveRequirements,
@@ -20,13 +19,11 @@ __all__ = [
     "AirspaceGrid",
     "Chromosome",
     "GaConfig",
-    "GeodeticPosition",
     "JammerModel",
     "ObjectiveRequirements",
     "ObjectiveScores",
     "ParetoFront",
     "PlacementProblem",
-    "PropagationParams",
     "RunConfig",
     "build_problem",
     "evaluate_placement",

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluator import Diagnostics, PlacementEvaluator
+from .evaluator import PlacementEvaluator
 from .nsga2 import Chromosome, ParetoFront
 from .objectives import Normalization, ObjectiveScores, of3_weight_vector, saturation_normalization
 from .scenario import PlacementProblem
@@ -78,19 +78,8 @@ def evaluate_placement(
         best_gdop=diag.best_gdop,
         second_range_km=diag.second_range_km,
     )
-    report = _jam_report(problem, diag)
+    report = JamReport(*problem.jammers, diag.affected_per_jammer, diag.min_jam_distance_km)
     return scores, coverage, report
-
-
-def _jam_report(problem: PlacementProblem, diag: Diagnostics) -> JamReport:
-    jams = problem.jammers
-    return JamReport(
-        jammer_lat=np.array([j.position.latitude_deg for j in jams]),
-        jammer_lon=np.array([j.position.longitude_deg for j in jams]),
-        jammer_alt=np.array([j.position.altitude_m for j in jams]),
-        affected_count=diag.affected_per_jammer,
-        min_distance_km=diag.min_jam_distance_km,
-    )
 
 
 def gdop_distribution(coverage: CoverageGrid, thresholds: Sequence[float]) -> GdopDistribution:

@@ -7,10 +7,9 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
 
 from .nsga2 import GaConfig
-from .objectives import InvalidConfigError, ObjectiveRequirements, of3_weight_vector
+from .objectives import InvalidConfigError, JammerModel, ObjectiveRequirements, of3_weight_vector
 from .scenario import (
     AreaBounds,
     PlacementProblem,
@@ -138,7 +137,7 @@ class RunConfig:
     jammer_heights_m: tuple[float, ...]
     jammer_pattern: str
     jammer_seed: int | None
-    jammer_params: dict[str, Any]
+    jammer_model: JammerModel
     requirements: ObjectiveRequirements
     of3_weights: tuple[float, float, float]
     ga: GaConfig
@@ -166,12 +165,8 @@ class RunConfig:
         if deployed is None:
             deployed = self.deployed_sites()
         jammers = generate_jammers(
-            self.bounds,
-            self.jammer_count,
-            self.jammer_heights_m,
-            self.jammer_pattern,
+            self.bounds, self.jammer_count, self.jammer_heights_m, self.jammer_pattern,
             self.jammer_seed,
-            **self.jammer_params,
         )
         return build_problem(
             bounds=self.bounds,
@@ -180,6 +175,7 @@ class RunConfig:
             candidate_count=self.candidate_count if candidate_count is None else candidate_count,
             requirements=self.requirements,
             jammers=jammers,
+            jammer_model=self.jammer_model,
             deployed=deployed,
             candidate_pattern=self.candidate_pattern,
             candidate_seed=self.candidate_seed,
@@ -241,7 +237,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     if jammer_pattern not in ("grid", "seeded-uniform"):
         raise ConfigError("jammers.pattern", "must be grid or seeded-uniform")
     jammer_seed = _non_negative("jammers.seed", _get(jam, "jammers", "seed", int))
-    jammer_params = _fields(jam, "jammers", (
+    link_budget = _fields(jam, "jammers", (
         ("power_w", float),
         ("antenna_gain", float),
         ("transmitter_power_w", float),
@@ -250,8 +246,12 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         ("jsr_threshold", float),
         ("nominal_signal_distance_km", float),
     ))
-    if jammer_params.get("affect_rule") not in (None, "los", "jsr"):
+    if link_budget.get("affect_rule") not in (None, "los", "jsr"):
         raise ConfigError("jammers.affect_rule", "must be los or jsr")
+    try:
+        jammer_model = JammerModel(**link_budget)
+    except InvalidConfigError as exc:
+        raise ConfigError("jammers", str(exc)) from exc
 
     req_data = _get(data, "", "requirements", dict, default={})
     try:
@@ -323,7 +323,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         jammer_heights_m=heights,
         jammer_pattern=jammer_pattern,
         jammer_seed=jammer_seed,
-        jammer_params=jammer_params,
+        jammer_model=jammer_model,
         requirements=requirements,
         of3_weights=weights,
         ga=ga,

@@ -85,7 +85,12 @@ _SLICE_ELEMS = 1 << 20
 # at population 400 on a 48-point grid) stayed in the heap between batches
 # depended on the largest block freed before, by precompute for one; where
 # they did not, every batch paged them in again, about 33 000 minor faults
-# per 4-generation run. Fixed thresholds keep them in the heap.
+# per 4-generation run. Fixed thresholds keep them in the heap. Kernel
+# arrays below the default threshold (``_ROW_BYTES`` at 96 KiB) are no
+# substitute: the other temporaries still reach it, and they stay in the
+# heap only after a large block was freed, as precompute's (N, N)
+# temporary is at 400 candidates (1.28 MB) but not at 100, where a
+# repeated 400-row batch still took about 8000 minor faults.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt(3) parameters
 _HEAP_BYTES = 16 << 20
 
@@ -214,8 +219,7 @@ class PlacementEvaluator:
             raise ValueError("diagnostics are computed for one chromosome, not a batch")
         batch = genes.reshape(-1, problem.n_candidates)
         req = problem.requirements
-        grid = problem.grid
-        m = len(grid)
+        m = len(problem.grid)
         counts = batch.sum(axis=1)
         # Chromosomes in order of their sensor count n, so each group of
         # equal n is scored together and, as k = min(cap, n) rises with n,
@@ -239,7 +243,7 @@ class PlacementEvaluator:
         starts = np.flatnonzero(np.diff(sizes, prepend=-1))
         for start, stop in zip(starts, [*starts[1:], len(batch)]):
             n = int(sizes[start])
-            step = max(1, _SLICE_ELEMS // max(1, n * max(m, n, len(problem.jammers))))
+            step = max(1, _SLICE_ELEMS // max(1, n * max(m, n, problem.jammers.shape[1])))
             for lo in range(start, stop, step):
                 hi = min(lo + step, stop)
                 sel = np.nonzero(batch[order[lo:hi]])[1].reshape(hi - lo, n)
@@ -267,7 +271,7 @@ class PlacementEvaluator:
         # OF1: best 4-subset GDOP per point, capped nearest enumeration,
         # formed in place.
         np.copyto(best, req.gdop_cap, where=np.isinf(best))
-        np.subtract(grid.required_gdop, best, out=best)
+        np.subtract(req.required_gdop, best, out=best)
         np.square(best, out=best)
         values = np.empty((5, len(batch)))
         values[0, order] = np.mean(best, axis=1)
@@ -363,8 +367,7 @@ class PlacementEvaluator:
         and (J, G) per jammer."""
         problem = self.problem
         req = problem.requirements
-        grid = problem.grid
-        m = len(grid)
+        m = len(problem.grid)
         g, n = sel.shape
         n_cand = problem.n_candidates
 
@@ -384,7 +387,7 @@ class PlacementEvaluator:
         else:
             second_km = np.full((m, g), np.inf)
         achieved_range = np.where(vis_counts >= 2, second_km, problem.range_cap_km)
-        of2 = _row_mean((grid.required_range_km - achieved_range.T) ** 2)
+        of2 = _row_mean((req.required_range_km - achieved_range.T) ** 2)
 
         gather = None
         if n >= 4:
@@ -407,7 +410,7 @@ class PlacementEvaluator:
             d1 = np.full(g, target**2)
 
         # OF3 directions 2 and 3 over the jammer set, (J, G) per jammer.
-        n_jam = len(problem.jammers)
+        n_jam = problem.jammers.shape[1]
         if n_jam and n:
             # Division rounds monotonically, so it commutes with the min.
             min_dist = problem.dist_jam_cand[:, sel].min(axis=2) / 1000.0

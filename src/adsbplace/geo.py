@@ -8,7 +8,6 @@ precomputed geometry matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,36 +19,10 @@ EARTH_MEAN_RADIUS_KM = 6371.0
 
 # LOS inequality constant: heights in meters, ground distance in km.
 LOS_COEFF = 0.0785
-
-
-@dataclass(frozen=True)
-class GeodeticPosition:
-    """Latitude/longitude in decimal degrees, altitude in meters."""
-
-    latitude_deg: float
-    longitude_deg: float
-    altitude_m: float = 0.0
-
-    def __post_init__(self):
-        if not -90.0 <= self.latitude_deg <= 90.0:
-            raise ValueError(f"latitude out of range: {self.latitude_deg}")
-        if not -180.0 <= self.longitude_deg <= 180.0:
-            raise ValueError(f"longitude out of range: {self.longitude_deg}")
-
-
-@dataclass(frozen=True)
-class PropagationParams:
-    """Refraction model parameters for the radio horizon."""
-
-    effective_earth_radius_factor: float = 4.0 / 3.0
-    horizon_coefficient: float = 3.57  # km per sqrt(m)
-
-    def __post_init__(self):
-        if self.effective_earth_radius_factor <= 0:
-            raise ValueError("effective_earth_radius_factor must be > 0")
-
-
-DEFAULT_PROPAGATION = PropagationParams()
+# Standard refraction: the radio horizon of an Earth whose radius is 4/3
+# the true one, and 3.57 km of horizon per sqrt(m) of antenna height.
+EFFECTIVE_EARTH_RADIUS_FACTOR = 4.0 / 3.0
+HORIZON_KM_PER_SQRT_M = 3.57
 
 
 def geodetic_to_ecef_arrays(lat_deg, lon_deg, alt_m):
@@ -93,7 +66,7 @@ def haversine_km_arrays(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
     return EARTH_MEAN_RADIUS_KM * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def visibility_mask_arrays(tx_alt_m, ground_km, rx_alt_m=0.0, params: PropagationParams = DEFAULT_PROPAGATION):
+def visibility_mask_arrays(tx_alt_m, ground_km, rx_alt_m=0.0):
     """Vectorized LOS test for transmitter altitude vs ground separation.
 
     With a receiver at ground level the test is the curvature inequality
@@ -103,9 +76,9 @@ def visibility_mask_arrays(tx_alt_m, ground_km, rx_alt_m=0.0, params: Propagatio
     h1 = np.asarray(tx_alt_m, dtype=float)
     h2 = np.asarray(rx_alt_m, dtype=float)
     d = np.asarray(ground_km, dtype=float)
-    ke = params.effective_earth_radius_factor
+    ke = EFFECTIVE_EARTH_RADIUS_FACTOR
     base = h1 >= LOS_COEFF * d**2 / ke
     if np.all(h2 == 0.0):
         return base
-    horizon = params.horizon_coefficient * math.sqrt(ke) * (np.sqrt(h1) + np.sqrt(h2))
+    horizon = HORIZON_KM_PER_SQRT_M * math.sqrt(ke) * (np.sqrt(h1) + np.sqrt(h2))
     return np.where(h2 > 0.0, d <= horizon, base)

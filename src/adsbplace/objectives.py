@@ -1,5 +1,5 @@
-"""Objective requirements, jammer model, penalty, score combination and
-normalization.
+"""Objective requirements, the jammer model, penalty, score combination
+and normalization.
 
 The scores themselves are computed by evaluator.PlacementEvaluator over
 the precomputed problem matrices.
@@ -13,8 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import GeodeticPosition
-
 DEFAULT_GDOP_CAP = 100.0
 
 
@@ -24,7 +22,8 @@ class InvalidConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ObjectiveRequirements:
-    """Required per-point values and the caps that saturate them."""
+    """The requirements every grid point shares and the caps that
+    saturate them."""
 
     required_gdop: float = 10.0
     required_range_km: float = 150.0
@@ -57,9 +56,9 @@ class ObjectiveRequirements:
 
 @dataclass(frozen=True)
 class JammerModel:
-    """A jamming transmitter plus the link-budget constants for JSR."""
+    """The one model every jammer of a problem follows: its link budget
+    and the rule that decides which sensors in its LOS it affects."""
 
-    position: GeodeticPosition
     power_w: float = 1.0
     antenna_gain: float = 1.0
     transmitter_power_w: float = 100.0

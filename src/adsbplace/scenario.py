@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -14,7 +14,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geo
-from .geo import GeodeticPosition, PropagationParams
 from .objectives import InvalidConfigError, JammerModel, ObjectiveRequirements
 
 log = logging.getLogger("adsbplace.scenario")
@@ -49,25 +48,17 @@ class AreaBounds:
 
 @dataclass
 class AirspaceGrid:
-    """Sampled airspace points with per-point requirements."""
+    """Sampled airspace points."""
 
     lat_deg: np.ndarray
     lon_deg: np.ndarray
     alt_m: np.ndarray
-    required_gdop: np.ndarray
-    required_range_km: np.ndarray
 
     def __len__(self) -> int:
         return self.lat_deg.size
 
 
-def sample_grid(
-    bounds: AreaBounds,
-    lat_count: int,
-    lon_count: int,
-    required_gdop: float = 10.0,
-    required_range_km: float = 150.0,
-) -> AirspaceGrid:
+def sample_grid(bounds: AreaBounds, lat_count: int, lon_count: int) -> AirspaceGrid:
     """Regular lat x lon lattice at each altitude level.
 
     Points come out sorted by longitude, ties broken by latitude, so the
@@ -79,14 +70,7 @@ def sample_grid(
     lons = np.linspace(bounds.lon_low, bounds.lon_up, lon_count)
     alts = np.asarray(bounds.altitude_levels_m, dtype=float)
     lon_g, lat_g, alt_g = np.meshgrid(lons, lats, alts, indexing="ij")
-    m = lon_g.size
-    return AirspaceGrid(
-        lat_deg=lat_g.ravel(),
-        lon_deg=lon_g.ravel(),
-        alt_m=alt_g.ravel(),
-        required_gdop=np.full(m, float(required_gdop)),
-        required_range_km=np.full(m, float(required_range_km)),
-    )
+    return AirspaceGrid(lat_deg=lat_g.ravel(), lon_deg=lon_g.ravel(), alt_m=alt_g.ravel())
 
 
 def _lattice_centers(bounds: AreaBounds, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,47 +128,43 @@ def generate_jammers(
     heights_m: Sequence[float],
     pattern: str = "grid",
     seed: int | None = None,
-    **jammer_kwargs,
-) -> list[JammerModel]:
-    """Jammers spread over the area at the given height levels."""
+) -> np.ndarray:
+    """Jammers spread over the area at the given height levels, as a
+    (3, J) array of latitudes, longitudes and heights: on a lattice at
+    each level in turn, or uniform at random levels, sorted by longitude,
+    then latitude."""
     if count < 1 or not heights_m:
         raise InvalidConfigError("need at least one jammer and one height")
-    positions: list[tuple[float, float, float]] = []
+    heights = np.asarray(heights_m, dtype=float)
     if pattern == "grid":
         if count % len(heights_m):
             raise InvalidConfigError("jammer count must be divisible by the height count")
         lats, lons = _lattice_centers(bounds, count // len(heights_m))
-        for h in heights_m:
-            for lo in lons:
-                for la in lats:
-                    positions.append((float(la), float(lo), float(h)))
-    elif pattern == "seeded-uniform":
+        alt_g, lon_g, lat_g = np.meshgrid(heights, lons, lats, indexing="ij")
+        return np.stack([lat_g.ravel(), lon_g.ravel(), alt_g.ravel()])
+    if pattern == "seeded-uniform":
         rng = np.random.default_rng(seed)
         lat_arr = rng.uniform(bounds.lat_low, bounds.lat_up, count)
         lon_arr = rng.uniform(bounds.lon_low, bounds.lon_up, count)
-        h_arr = rng.choice(np.asarray(heights_m, dtype=float), size=count)
-        for la, lo, h in sorted(zip(lat_arr, lon_arr, h_arr), key=lambda t: (t[1], t[0])):
-            positions.append((float(la), float(lo), float(h)))
-    else:
-        raise InvalidConfigError(f"unknown jammer pattern: {pattern}")
-    return [
-        JammerModel(position=GeodeticPosition(la, lo, h), **jammer_kwargs)
-        for la, lo, h in positions
-    ]
+        alt_arr = rng.choice(heights, size=count)
+        return np.stack([lat_arr, lon_arr, alt_arr])[:, np.lexsort((lat_arr, lon_arr))]
+    raise InvalidConfigError(f"unknown jammer pattern: {pattern}")
 
 
 @dataclass
 class PlacementProblem:
-    """Immutable problem instance with all geometry precomputed."""
+    """Immutable problem instance with all geometry precomputed. Its
+    jammers are a (3, J) array of latitudes, longitudes and heights, each
+    following ``jammer_model``."""
 
     grid: AirspaceGrid
     cand_lat: np.ndarray
     cand_lon: np.ndarray
     cand_alt: np.ndarray
     forced_mask: np.ndarray
-    jammers: list[JammerModel]
+    jammers: np.ndarray
+    jammer_model: JammerModel
     requirements: ObjectiveRequirements
-    propagation: PropagationParams = field(default_factory=PropagationParams)
     range_cap_km: float = 0.0
 
     # Filled by precompute(). Point-candidate matrices are (m, N) except
@@ -237,23 +217,20 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
         problem, grid.lat_deg, grid.lon_deg, grid.alt_m, dist
     )
 
-    jams = problem.jammers
-    jam_lat = np.array([j.position.latitude_deg for j in jams])
-    jam_lon = np.array([j.position.longitude_deg for j in jams])
-    jam_alt = np.array([j.position.altitude_m for j in jams])
+    jam_lat, jam_lon, jam_alt = problem.jammers
     jam_ecef = geo.geodetic_to_ecef_arrays(jam_lat, jam_lon, jam_alt)
     jdist, _ = _ned_geometry(jam_ecef, jam_lat, jam_lon, cand_ecef, unit=False)
     jlos, _ = _visibility(problem, jam_lat, jam_lon, jam_alt)
     affected = jlos.copy()
-    for l, jam in enumerate(jams):
-        if jam.affect_rule == "jsr":
-            num = jam.power_w * jam.antenna_gain * jam.nominal_signal_distance_km**2
-            den = jam.transmitter_power_w * jam.transmitter_antenna_gain
-            with np.errstate(divide="ignore"):
-                ratio = np.where(
-                    jdist[l] > 0.0, num / (den * (jdist[l] / 1000.0) ** 2), np.inf
-                )
-            affected[l] &= ratio >= jam.jsr_threshold
+    model = problem.jammer_model
+    if model.affect_rule == "jsr":
+        num = model.power_w * model.antenna_gain * model.nominal_signal_distance_km**2
+        den = model.transmitter_power_w * model.transmitter_antenna_gain
+        # A jammer on a site divides num by 0: inf, or NaN where num is 0
+        # too. np.where gives that site inf either way.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(jdist > 0.0, num / (den * (jdist / 1000.0) ** 2), np.inf)
+        affected &= ratio >= model.jsr_threshold
     problem.dist_jam_cand = jdist
     problem.los_jam_cand = jlos
     problem.affected_jam_cand = affected
@@ -330,9 +307,7 @@ def _visibility(problem: PlacementProblem, lat_deg, lon_deg, alt_m, dist=None):
     cand_alt = problem.cand_alt[None, :]
     for start in range(0, m, rows):
         block = slice(start, start + rows)
-        los[block] = geo.visibility_mask_arrays(
-            alt_m[block, None], table[inverse[block]], cand_alt, problem.propagation
-        )
+        los[block] = geo.visibility_mask_arrays(alt_m[block, None], table[inverse[block]], cand_alt)
         if rank is not None:
             rank[block] = nearest_rank(np.where(los[block], dist[block], np.inf))
     return los, rank
@@ -522,7 +497,8 @@ def build_problem(
     lon_count: int,
     candidate_count: int,
     requirements: ObjectiveRequirements,
-    jammers: list[JammerModel] | None = None,
+    jammers: np.ndarray | None = None,
+    jammer_model: JammerModel = JammerModel(),
     deployed: Sequence[tuple[str, float, float, float]] = (),
     candidate_pattern: str = "lattice",
     candidate_seed: int | None = None,
@@ -531,6 +507,8 @@ def build_problem(
     """Assemble and precompute a placement problem over the sites of
     ``candidate_sites``.
 
+    ``jammers`` is a (3, J) array of positions, as ``generate_jammers``
+    gives, all following ``jammer_model``; None means no jammers.
     ``deployed`` sites are appended to the candidate list with their
     forced-mask bits set (Scenario 2); leave it empty for Scenario 1.
     With ``candidate_count=0`` no candidates are generated: the deployed
@@ -540,14 +518,13 @@ def build_problem(
     sites, forced = candidate_sites(
         bounds, candidate_count, deployed, candidate_pattern, candidate_seed, antenna_height_m
     )
-    grid = sample_grid(
-        bounds, lat_count, lon_count,
-        requirements.required_gdop, requirements.required_range_km,
-    )
+    grid = sample_grid(bounds, lat_count, lon_count)
+    if jammers is None:
+        jammers = np.empty((3, 0))
     for _, lat, lon, _alt in deployed:
         if not bounds.contains(lat, lon):
             log.warning("deployed sensor (%.4f, %.4f) lies outside the area bounds", lat, lon)
-    return precompute(PlacementProblem(grid, *sites, forced, list(jammers or []), requirements))
+    return precompute(PlacementProblem(grid, *sites, forced, jammers, jammer_model, requirements))
 
 
 def clustered21_path() -> Path:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from adsbplace.objectives import JammerModel, ObjectiveRequirements
-from adsbplace.geo import GeodeticPosition
+from adsbplace.objectives import ObjectiveRequirements
 from adsbplace.scenario import AreaBounds, build_problem, generate_jammers
 
 
@@ -40,7 +39,3 @@ def random_geodetic(rng, n, alt_low=0.0, alt_high=15000.0):
     alt = rng.uniform(alt_low, alt_high, n)
     return lat, lon, alt
 
-
-def random_position(rng, alt_low=0.0, alt_high=15000.0) -> GeodeticPosition:
-    lat, lon, alt = random_geodetic(rng, 1, alt_low, alt_high)
-    return GeodeticPosition(float(lat[0]), float(lon[0]), float(alt[0]))

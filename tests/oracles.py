@@ -12,8 +12,9 @@ singularity bounds, ``subset_triples`` the kernel's triple table of any
 subsets, ``masked_sort_of1_of2`` the evaluator's OF1/OF2 path
 before its rank matrix, ``score_one`` its per-chromosome scoring before
 it scored a batch in groups of equal sensor count. It also holds the
-random geometries, tiny grids and the brute-force front partition the
-tests build their cases from.
+positions the scalar functions take (``GeodeticPosition``), the random
+geometries, tiny grids and the brute-force front partition the tests
+build their cases from.
 Nothing in the library imports it.
 """
 
@@ -22,18 +23,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from adsbplace import geo
 from adsbplace.evaluator import RawScores
 from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched
-from adsbplace.geo import DEFAULT_PROPAGATION, GeodeticPosition, PropagationParams
 from adsbplace.objectives import JammerModel, ObjectiveRequirements, knapsack_penalty
 from adsbplace.scenario import AirspaceGrid, PlacementProblem, nearest_rank
 
-from conftest import random_position
+from conftest import random_geodetic
 
 
 # --- Geometry -------------------------------------------------------------
@@ -41,6 +41,26 @@ from conftest import random_position
 
 class DegenerateGeometryError(ValueError):
     """Raised when a geometric operation has no defined result."""
+
+
+@dataclass(frozen=True)
+class GeodeticPosition:
+    """Latitude/longitude in decimal degrees, altitude in meters."""
+
+    latitude_deg: float
+    longitude_deg: float
+    altitude_m: float = 0.0
+
+
+def positions(sites: np.ndarray) -> list[GeodeticPosition]:
+    """The columns of a (3, n) array of latitudes, longitudes and heights,
+    such as a problem's jammers, as positions."""
+    return [GeodeticPosition(float(la), float(lo), float(al)) for la, lo, al in np.asarray(sites).T]
+
+
+def random_position(rng, alt_low=0.0, alt_high=15000.0) -> GeodeticPosition:
+    lat, lon, alt = random_geodetic(rng, 1, alt_low, alt_high)
+    return GeodeticPosition(float(lat[0]), float(lon[0]), float(alt[0]))
 
 
 @dataclass(frozen=True)
@@ -127,30 +147,23 @@ def ground_distance_km(a: GeodeticPosition, b: GeodeticPosition) -> float:
     )
 
 
-def radio_horizon_km(h1_m: float, h2_m: float, params: PropagationParams = DEFAULT_PROPAGATION) -> float:
+def radio_horizon_km(h1_m: float, h2_m: float) -> float:
     """Maximum LOS reception range in km for antenna heights in meters."""
     if h1_m < 0 or h2_m < 0:
         raise ValueError("antenna heights must be >= 0")
-    return params.horizon_coefficient * math.sqrt(params.effective_earth_radius_factor) * (
+    return geo.HORIZON_KM_PER_SQRT_M * math.sqrt(geo.EFFECTIVE_EARTH_RADIUS_FACTOR) * (
         math.sqrt(h1_m) + math.sqrt(h2_m)
     )
 
 
-def is_visible(
-    transmitter: GeodeticPosition,
-    receiver: GeodeticPosition,
-    params: PropagationParams = DEFAULT_PROPAGATION,
-) -> bool:
+def is_visible(transmitter: GeodeticPosition, receiver: GeodeticPosition) -> bool:
     """True when the receiver lies within the transmitter's radio horizon."""
     d = ground_distance_km(transmitter, receiver)
-    return bool(
-        geo.visibility_mask_arrays(transmitter.altitude_m, d, receiver.altitude_m, params)
-    )
+    return bool(geo.visibility_mask_arrays(transmitter.altitude_m, d, receiver.altitude_m))
 
 
-def grid_points(grid: AirspaceGrid) -> Iterator[GeodeticPosition]:
-    for la, lo, al in zip(grid.lat_deg, grid.lon_deg, grid.alt_m):
-        yield GeodeticPosition(float(la), float(lo), float(al))
+def grid_points(grid: AirspaceGrid) -> list[GeodeticPosition]:
+    return positions([grid.lat_deg, grid.lon_deg, grid.alt_m])
 
 
 # --- Problem matrices -----------------------------------------------------
@@ -180,7 +193,6 @@ def precompute_reference(problem: PlacementProblem) -> PlacementProblem:
     candidate distances plane by plane: the bit-exact reference for all
     nine fields it fills."""
     grid = problem.grid
-    params = problem.propagation
 
     grid_ecef = geo.geodetic_to_ecef_arrays(grid.lat_deg, grid.lon_deg, grid.alt_m)
     cand_ecef = geo.geodetic_to_ecef_arrays(
@@ -196,19 +208,14 @@ def precompute_reference(problem: PlacementProblem) -> PlacementProblem:
         grid.lat_deg[:, None], grid.lon_deg[:, None],
         problem.cand_lat[None, :], problem.cand_lon[None, :],
     )
-    los = geo.visibility_mask_arrays(
-        grid.alt_m[:, None], ground, problem.cand_alt[None, :], params
-    )
+    los = geo.visibility_mask_arrays(grid.alt_m[:, None], ground, problem.cand_alt[None, :])
     problem.dist_point_cand = dist
     problem.dc_point_cand = dc
     problem.los_point_cand = los
     problem.rank_point_cand = nearest_rank(np.where(los, dist, np.inf))
 
-    jams = problem.jammers
-    if jams:
-        jam_lat = np.array([j.position.latitude_deg for j in jams])
-        jam_lon = np.array([j.position.longitude_deg for j in jams])
-        jam_alt = np.array([j.position.altitude_m for j in jams])
+    if problem.jammers.size:
+        jam_lat, jam_lon, jam_alt = problem.jammers
         jam_ecef = geo.geodetic_to_ecef_arrays(jam_lat, jam_lon, jam_alt)
         jdist = np.ascontiguousarray(
             ned_vectors_reference(jam_ecef, jam_lat, jam_lon, cand_ecef)[1].T
@@ -217,15 +224,14 @@ def precompute_reference(problem: PlacementProblem) -> PlacementProblem:
             jam_lat[:, None], jam_lon[:, None],
             problem.cand_lat[None, :], problem.cand_lon[None, :],
         )
-        jlos = geo.visibility_mask_arrays(
-            jam_alt[:, None], jground, problem.cand_alt[None, :], params
-        )
+        jlos = geo.visibility_mask_arrays(jam_alt[:, None], jground, problem.cand_alt[None, :])
         affected = jlos.copy()
-        for l, jam in enumerate(jams):
+        jam = problem.jammer_model
+        for l in range(jdist.shape[0]):
             if jam.affect_rule == "jsr":
                 num = jam.power_w * jam.antenna_gain * jam.nominal_signal_distance_km**2
                 den = jam.transmitter_power_w * jam.transmitter_antenna_gain
-                with np.errstate(divide="ignore"):
+                with np.errstate(divide="ignore", invalid="ignore"):
                     ratio = np.where(
                         jdist[l] > 0.0, num / (den * (jdist[l] / 1000.0) ** 2), np.inf
                     )
@@ -449,11 +455,10 @@ def _visible_sensors(
     point: GeodeticPosition,
     sensors_geo: Sequence[GeodeticPosition],
     sensors_ecef: Sequence[EcefPosition],
-    params: PropagationParams,
 ):
     out = []
     for s_geo, s_ecef in zip(sensors_geo, sensors_ecef):
-        if is_visible(point, s_geo, params):
+        if is_visible(point, s_geo):
             out.append(s_ecef)
     return out
 
@@ -464,23 +469,22 @@ def of1_gdop_msd(
     sensors_ecef: Sequence[EcefPosition],
     req: ObjectiveRequirements,
     cap: int | None = None,
-    params: PropagationParams = DEFAULT_PROPAGATION,
 ) -> float:
     """Mean squared deviation of achieved vs required GDOP over the grid.
 
     Points where GDOP cannot be evaluated contribute the saturated
     deviation (required - gdop_cap)^2.
     """
-    points = list(grid_points(grid))
+    points = grid_points(grid)
     if not points:
         raise ValueError("empty airspace grid")
     total = 0.0
-    for j, point in enumerate(points):
-        visible = _visible_sensors(point, sensors_geo, sensors_ecef, params)
+    for point in points:
+        visible = _visible_sensors(point, sensors_geo, sensors_ecef)
         achieved = best_gdop_at(point, visible, cap)
         if math.isinf(achieved):
             achieved = req.gdop_cap
-        total += (grid.required_gdop[j] - achieved) ** 2
+        total += (req.required_gdop - achieved) ** 2
     return total / len(points)
 
 
@@ -490,7 +494,6 @@ def of2_range_msd(
     sensors_ecef: Sequence[EcefPosition],
     req: ObjectiveRequirements,
     range_cap_km: float,
-    params: PropagationParams = DEFAULT_PROPAGATION,
 ) -> float:
     """MSD between required and achieved two-receiver verification range.
 
@@ -498,19 +501,19 @@ def of2_range_msd(
     visible sensor; fewer than two visible sensors saturate at
     range_cap_km.
     """
-    points = list(grid_points(grid))
+    points = grid_points(grid)
     if not points:
         raise ValueError("empty airspace grid")
     total = 0.0
-    for j, point in enumerate(points):
-        visible = _visible_sensors(point, sensors_geo, sensors_ecef, params)
+    for point in points:
+        visible = _visible_sensors(point, sensors_geo, sensors_ecef)
         if len(visible) < 2:
             achieved = range_cap_km
         else:
             p_ecef = geodetic_to_ecef(point)
             dists = sorted(euclidean_distance(p_ecef, s) / 1000.0 for s in visible)
             achieved = dists[1]
-        total += (grid.required_range_km[j] - achieved) ** 2
+        total += (req.required_range_km - achieved) ** 2
     return total / len(points)
 
 
@@ -533,9 +536,8 @@ def of3_direction1_spacing(
 def of3_direction2_jammer_distance(
     sensors_geo: Sequence[GeodeticPosition],
     sensors_ecef: Sequence[EcefPosition],
-    jammers: Sequence[JammerModel],
+    jammers: Sequence[GeodeticPosition],
     req: ObjectiveRequirements,
-    params: PropagationParams = DEFAULT_PROPAGATION,
 ) -> float:
     """Mean squared shortfall of the jammer-to-nearest-sensor distance.
 
@@ -546,10 +548,10 @@ def of3_direction2_jammer_distance(
         raise ValueError("need at least one jammer and one sensor")
     total = 0.0
     for jam in jammers:
-        in_los = [is_visible(jam.position, s, params) for s in sensors_geo]
+        in_los = [is_visible(jam, s) for s in sensors_geo]
         if not any(in_los):
             continue
-        jam_ecef = geodetic_to_ecef(jam.position)
+        jam_ecef = geodetic_to_ecef(jam)
         nearest = min(euclidean_distance(jam_ecef, s) / 1000.0 for s in sensors_ecef)
         shortfall = min(0.0, nearest - req.min_jammer_distance_km)
         total += shortfall**2
@@ -559,11 +561,12 @@ def of3_direction2_jammer_distance(
 def of3_direction3_sensors_in_range(
     sensors_geo: Sequence[GeodeticPosition],
     sensors_ecef: Sequence[EcefPosition],
-    jammers: Sequence[JammerModel],
+    jammers: Sequence[GeodeticPosition],
     req: ObjectiveRequirements,
-    params: PropagationParams = DEFAULT_PROPAGATION,
+    model: JammerModel = JammerModel(),
 ) -> float:
-    """Mean squared excess of affected-sensor counts over the target."""
+    """Mean squared excess of affected-sensor counts over the target,
+    every jammer following ``model``."""
     if not jammers or not sensors_ecef:
         raise ValueError("need at least one jammer and one sensor")
     total = 0.0
@@ -571,7 +574,7 @@ def of3_direction3_sensors_in_range(
         count = sum(
             1
             for s_geo, s_ecef in zip(sensors_geo, sensors_ecef)
-            if sensor_affected(jam, s_geo, s_ecef, params)
+            if sensor_affected(model, jam, s_geo, s_ecef)
         )
         excess = max(0, count - req.max_sensors_in_jammer_los)
         total += float(excess) ** 2
@@ -579,18 +582,19 @@ def of3_direction3_sensors_in_range(
 
 
 def sensor_affected(
-    jam: JammerModel,
+    model: JammerModel,
+    jammer: GeodeticPosition,
     sensor_geo: GeodeticPosition,
     sensor_ecef: EcefPosition,
-    params: PropagationParams = DEFAULT_PROPAGATION,
 ) -> bool:
-    """Whether the jammer disrupts this sensor under its affect rule."""
-    if not is_visible(jam.position, sensor_geo, params):
+    """Whether a jammer at ``jammer`` disrupts this sensor under the
+    model's affect rule."""
+    if not is_visible(jammer, sensor_geo):
         return False
-    if jam.affect_rule == "los":
+    if model.affect_rule == "los":
         return True
-    dist_km = euclidean_distance(geodetic_to_ecef(jam.position), sensor_ecef) / 1000.0
-    return jsr(jam, dist_km, jam.nominal_signal_distance_km) >= jam.jsr_threshold
+    dist_km = euclidean_distance(geodetic_to_ecef(jammer), sensor_ecef) / 1000.0
+    return jsr(model, dist_km, model.nominal_signal_distance_km) >= model.jsr_threshold
 
 
 def masked_sort_of1_of2(problem: PlacementProblem, genes: np.ndarray, cap: int):
@@ -599,8 +603,8 @@ def masked_sort_of1_of2(problem: PlacementProblem, genes: np.ndarray, cap: int):
     GDOP kernel, and ``np.partition`` gives the second-nearest visible
     distance. Returns (of1, of2, best_gdop, second_range_km, k_visible)
     as ``PlacementEvaluator.evaluate`` computes them."""
-    grid = problem.grid
-    m = len(grid)
+    req = problem.requirements
+    m = len(problem.grid)
     sel = np.flatnonzero(genes)
     n = sel.size
     los = problem.los_point_cand[:, sel]
@@ -612,7 +616,7 @@ def masked_sort_of1_of2(problem: PlacementProblem, genes: np.ndarray, cap: int):
     else:
         second_km = np.full(m, np.inf)
     achieved_range = np.where(vis_counts >= 2, second_km, problem.range_cap_km)
-    of2 = float(np.mean((grid.required_range_km - achieved_range) ** 2))
+    of2 = float(np.mean((req.required_range_km - achieved_range) ** 2))
 
     if n < 4:
         best = np.full(m, np.inf)
@@ -625,8 +629,8 @@ def masked_sort_of1_of2(problem: PlacementProblem, genes: np.ndarray, cap: int):
             dc[np.arange(m)[:, None], sel[order]], np.minimum(vis_counts, k), subsets,
             subset_triples(subsets),
         )
-    achieved_gdop = np.where(np.isinf(best), problem.requirements.gdop_cap, best)
-    of1 = float(np.mean((grid.required_gdop - achieved_gdop) ** 2))
+    achieved_gdop = np.where(np.isinf(best), req.gdop_cap, best)
+    of1 = float(np.mean((req.required_gdop - achieved_gdop) ** 2))
     return of1, of2, best, np.where(vis_counts >= 2, second_km, np.inf), vis_counts
 
 
@@ -636,8 +640,7 @@ def score_one(problem: PlacementProblem, genes: np.ndarray, cap: int) -> RawScor
     1-D means, an (m, n) key sort for the nearest sensors and one kernel
     call over the chromosome's m points."""
     req = problem.requirements
-    grid = problem.grid
-    m = len(grid)
+    m = len(problem.grid)
     sel = np.flatnonzero(genes)
     n = sel.size
 
@@ -654,7 +657,7 @@ def score_one(problem: PlacementProblem, genes: np.ndarray, cap: int) -> RawScor
     else:
         second_km = np.full(m, np.inf)
     achieved_range = np.where(vis_counts >= 2, second_km, problem.range_cap_km)
-    of2 = float(np.mean((grid.required_range_km - achieved_range) ** 2))
+    of2 = float(np.mean((req.required_range_km - achieved_range) ** 2))
 
     best = np.full(m, np.inf)
     if n >= 4:
@@ -664,7 +667,7 @@ def score_one(problem: PlacementProblem, genes: np.ndarray, cap: int) -> RawScor
         best = gdop_min_batched(dc.transpose(2, 1, 0), np.minimum(vis_counts, k), subsets,
                                 subset_triples(subsets))
     achieved_gdop = np.where(np.isinf(best), req.gdop_cap, best)
-    of1 = float(np.mean((grid.required_gdop - achieved_gdop) ** 2))
+    of1 = float(np.mean((req.required_gdop - achieved_gdop) ** 2))
 
     target = req.min_sensor_spacing_km
     if n >= 2:
@@ -674,7 +677,7 @@ def score_one(problem: PlacementProblem, genes: np.ndarray, cap: int) -> RawScor
     else:
         d1 = target**2
 
-    if len(problem.jammers) and n:
+    if problem.jammers.size and n:
         jdist = problem.dist_jam_cand[:, sel] / 1000.0
         any_los = problem.los_jam_cand[:, sel].any(axis=1)
         shortfall = np.minimum(0.0, jdist.min(axis=1) - req.min_jammer_distance_km)
@@ -687,23 +690,17 @@ def score_one(problem: PlacementProblem, genes: np.ndarray, cap: int) -> RawScor
     return RawScores(of1, of2, d1, d2, d3, knapsack_penalty(n, problem.n_candidates), int(n))
 
 
-def jsr(jam: JammerModel, jammer_sensor_km: float, transmitter_sensor_km: float) -> float:
+def jsr(model: JammerModel, jammer_sensor_km: float, transmitter_sensor_km: float) -> float:
     """Jamming-to-signal power ratio at a sensor."""
     if jammer_sensor_km <= 0.0:
         return math.inf
-    return (jam.power_w * jam.antenna_gain * transmitter_sensor_km**2) / (
-        jam.transmitter_power_w * jam.transmitter_antenna_gain * jammer_sensor_km**2
+    return (model.power_w * model.antenna_gain * transmitter_sensor_km**2) / (
+        model.transmitter_power_w * model.transmitter_antenna_gain * jammer_sensor_km**2
     )
 
 
-def single_point_grid(lat=48.0, lon=7.0, alt=10000.0, req_gdop=10.0, req_range=150.0):
-    return AirspaceGrid(
-        lat_deg=np.array([lat]),
-        lon_deg=np.array([lon]),
-        alt_m=np.array([alt]),
-        required_gdop=np.array([req_gdop]),
-        required_range_km=np.array([req_range]),
-    )
+def single_point_grid(lat=48.0, lon=7.0, alt=10000.0):
+    return AirspaceGrid(lat_deg=np.array([lat]), lon_deg=np.array([lon]), alt_m=np.array([alt]))
 
 
 def sensors_at(coords):

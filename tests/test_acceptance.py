@@ -20,7 +20,6 @@ from adsbplace.analysis import evaluate_placement, gdop_distribution, pareto_sum
 from adsbplace.cli import main, read_pareto_csv
 from adsbplace.config import parse_config, section8_preset
 from adsbplace.evaluator import PlacementEvaluator
-from adsbplace.geo import GeodeticPosition
 from adsbplace.nsga2 import (
     Chromosome,
     GaConfig,
@@ -29,7 +28,6 @@ from adsbplace.nsga2 import (
     non_dominated_sort,
 )
 from adsbplace.objectives import (
-    JammerModel,
     ObjectiveRequirements,
     knapsack_penalty,
     weighted_fitness,
@@ -38,6 +36,7 @@ from adsbplace.scenario import build_problem, clustered21_path, load_deployed_cs
 
 from conftest import random_geodetic
 from oracles import (
+    GeodeticPosition,
     best_gdop_at,
     brute_force_fronts,
     dominates,
@@ -128,8 +127,8 @@ class TestCriterion4ObjectiveZeroPoints:
         point = GeodeticPosition(48.0, 7.2, 10000.0)
         achieved = best_gdop_at(point, ecefs, None)
         assert math.isfinite(achieved)
-        grid = single_point_grid(48.0, 7.2, 10000.0, req_gdop=achieved)
-        req = ObjectiveRequirements()
+        grid = single_point_grid(48.0, 7.2, 10000.0)
+        req = ObjectiveRequirements(required_gdop=achieved)
         assert of1_gdop_msd(grid, geos, ecefs, req, None) == 0.0
 
     def test_of2_zero_when_requirement_met(self):
@@ -137,8 +136,8 @@ class TestCriterion4ObjectiveZeroPoints:
         point = GeodeticPosition(48.0, 7.2, 10000.0)
         p_ecef = geodetic_to_ecef(point)
         second = sorted(euclidean_distance(p_ecef, s) / 1000.0 for s in ecefs)[1]
-        grid = single_point_grid(48.0, 7.2, 10000.0, req_range=second)
-        req = ObjectiveRequirements()
+        grid = single_point_grid(48.0, 7.2, 10000.0)
+        req = ObjectiveRequirements(required_range_km=second)
         assert of2_range_msd(grid, geos, ecefs, req, 600.0) == 0.0
 
     def test_of3_zero_when_requirements_met(self):
@@ -148,7 +147,7 @@ class TestCriterion4ObjectiveZeroPoints:
         )
         assert of3_direction1_spacing(ecef_line_km([0.0, 60.0, 125.0]), req) == 0.0
         geos, ecefs = sensors_at([(48.0, 7.0, 0.0), (48.6, 7.0, 0.0)])
-        far_jam = [JammerModel(position=GeodeticPosition(50.9, 9.5, 10000.0))]
+        far_jam = [GeodeticPosition(50.9, 9.5, 10000.0)]
         assert of3_direction2_jammer_distance(geos, ecefs, far_jam, req) == 0.0
         assert of3_direction3_sensors_in_range(geos, ecefs, far_jam, req) == 0.0
 
@@ -271,7 +270,7 @@ def clustered_baseline(experiment_run):
     baseline = build_problem(
         bounds=cfg.bounds, lat_count=cfg.lat_count, lon_count=cfg.lon_count,
         candidate_count=0, requirements=cfg.requirements, jammers=problem.jammers,
-        deployed=sites,
+        jammer_model=problem.jammer_model, deployed=sites,
     )
     chromosome = Chromosome(baseline.forced_mask.copy(), baseline.forced_mask)
     return evaluate_placement(baseline, chromosome, gdop_subset_cap=6)

@@ -40,9 +40,7 @@ class TestEvaluatePlacement:
         assert np.all(coverage.k_visible == 0)
         assert np.all(np.isinf(coverage.best_gdop))
         req = small_problem.requirements
-        assert scores.of1 == pytest.approx(
-            float(np.mean((small_problem.grid.required_gdop - req.gdop_cap) ** 2))
-        )
+        assert scores.of1 == pytest.approx((req.required_gdop - req.gdop_cap) ** 2)
         assert scores.penalty == 0.0
         assert report.max_affected == 0
         # No sensors: OF1 and d1 saturate, d2 and d3 vanish.

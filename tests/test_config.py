@@ -101,7 +101,7 @@ class TestBuildFromConfig:
         prob = cfg.build_problem()
         assert prob.n_candidates == 9
         assert len(prob.grid) == 4 * 4 * 3
-        assert len(prob.jammers) == 4
+        assert prob.jammers.shape == (3, 4)
 
     def test_augment_requires_deployed_file(self):
         cfg = parse_config(minimal_config(scenario={"kind": "augment"}))
@@ -121,12 +121,29 @@ class TestBuildFromConfig:
     @pytest.mark.parametrize("link_budget", [{}, {"power_w": 2.0, "affect_rule": "jsr"}])
     def test_jammers_default_to_jammer_model(self, link_budget):
         """Link-budget keys the document leaves out take JammerModel's own
-        defaults; the ones it sets reach every jammer."""
+        defaults; the ones it sets reach the one model every jammer follows."""
         data = minimal_config()
         data["jammers"].update(link_budget)
-        prob = parse_config(data).build_problem()
-        assert prob.jammers
-        assert all(j == JammerModel(j.position, **link_budget) for j in prob.jammers)
+        cfg = parse_config(data)
+        prob = cfg.build_problem()
+        assert prob.jammers.shape[1] == 4
+        assert cfg.jammer_model == prob.jammer_model == JammerModel(**link_budget)
+
+    def test_jsr_jammer_on_a_site(self):
+        """A JSR jammer on a site, with a nominal signal distance of 0, has
+        a JSR of 0 / 0 there and of 0 elsewhere. It affects that site alone,
+        with no RuntimeWarning, which the suite turns into an error."""
+        problem = parse_config(JSR_DOCUMENT).build_problem()
+        assert problem.dist_jam_cand[0, 4] == 0.0
+        assert problem.affected_jam_cand.tolist() == [[i == 4 for i in range(9)]]
+
+    @pytest.mark.parametrize("key, value", [("power_w", -1.0), ("jsr_threshold", -1.0),
+                                            ("transmitter_antenna_gain", 0.0)])
+    def test_bad_link_budget_rejected_at_parse(self, key, value):
+        data = minimal_config()
+        data["jammers"][key] = value
+        with pytest.raises(ConfigError, match=f"^jammers: {key} must be finite"):
+            parse_config(data)
 
     def test_seed_override(self):
         cfg = parse_config(minimal_config())
@@ -187,6 +204,18 @@ DEFAULT_DOCUMENT = {
     "output_dir": "out",
 }
 
+# A small JSR run with every field set: 9 points and 9 candidates, so the
+# fuzzer builds it uncut, and a ground jammer on the centre candidate with
+# a nominal signal distance of 0, so that its JSR there is 0 / 0.
+JSR_DOCUMENT = {
+    **DEFAULT_DOCUMENT,
+    "area": {**DEFAULT_DOCUMENT["area"], "altitudes_m": [6000.0]},
+    "grid": {"lat_count": 3, "lon_count": 3},
+    "candidates": {**DEFAULT_DOCUMENT["candidates"], "count": 9},
+    "jammers": {**DEFAULT_DOCUMENT["jammers"], "count": 1, "heights_m": [0.0],
+                "affect_rule": "jsr", "nominal_signal_distance_km": 0.0},
+}
+
 INF = float("inf")
 FUZZ_VALUES = [INF, -INF, float("nan"), 0, 0.0, -1, -0.5, -1e6, 1e200, 1e308, 10**18,
                2**63 - 1, 10**30, "x", "", True, None, [], {}]
@@ -203,9 +232,10 @@ def _slots(node, path=()):
 
 @st.composite
 def fuzzed_documents(draw):
-    """The section-8 preset or the default document with one to three
-    fields deleted, retyped, scaled, set to an edge value or emptied."""
-    doc = copy.deepcopy(draw(st.sampled_from([section8_preset(), DEFAULT_DOCUMENT])))
+    """The section-8 preset, the default document or the JSR one with one
+    to three fields deleted, retyped, scaled, set to an edge value or
+    emptied."""
+    doc = copy.deepcopy(draw(st.sampled_from([section8_preset(), DEFAULT_DOCUMENT, JSR_DOCUMENT])))
     for _ in range(draw(st.integers(1, 3))):
         path, value = draw(st.sampled_from(list(_slots(doc))))
         parent = doc
@@ -229,20 +259,23 @@ def fuzzed_documents(draw):
 @given(doc=fuzzed_documents())
 def test_fuzzed_config_parses_or_is_rejected(doc):
     """A document either parses or raises ConfigError / InvalidConfigError,
-    which ``main`` maps to exit 2. An accepted one, with its grid, sites
-    and jammers cut to a few so that any count stays cheap to build, gives
-    finite distances and directions wherever LOS holds, and one evaluated
-    batch gives finite raw scores, finite objective vectors and normalized
-    columns in [0, 1] under the run's normalization."""
+    which ``main`` maps to exit 2. An accepted one gives finite distances
+    and directions wherever LOS holds, and one evaluated batch gives finite
+    raw scores, finite objective vectors and normalized columns in [0, 1]
+    under the run's normalization. A document of more than 10**4 grid
+    points times candidates has its grid, sites and jammers cut to a few
+    first, so that any count stays cheap to build."""
     try:
         cfg = parse_config(doc)
-        cfg = dataclasses.replace(
-            cfg,
-            lat_count=min(cfg.lat_count, 3),
-            lon_count=min(cfg.lon_count, 3),
-            candidate_count=min(cfg.candidate_count, 9),
-            jammer_count=min(cfg.jammer_count, len(cfg.jammer_heights_m)),
-        )
+        points = cfg.lat_count * cfg.lon_count * len(cfg.bounds.altitude_levels_m)
+        if points * cfg.candidate_count > 10**4:
+            cfg = dataclasses.replace(
+                cfg,
+                lat_count=min(cfg.lat_count, 3),
+                lon_count=min(cfg.lon_count, 3),
+                candidate_count=min(cfg.candidate_count, 9),
+                jammer_count=min(cfg.jammer_count, len(cfg.jammer_heights_m)),
+            )
         problem = cfg.build_problem()
     except (ConfigError, InvalidConfigError):
         return

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from adsbplace import evaluator as evaluator_module
 from adsbplace.config import parse_config, section8_preset
 from adsbplace.evaluator import PlacementEvaluator, RawScores
-from adsbplace.geo import GeodeticPosition
 from adsbplace.objectives import ObjectiveRequirements, knapsack_penalty
 from adsbplace.scenario import (
     AreaBounds,
@@ -36,6 +35,7 @@ from oracles import (
     of3_direction1_spacing,
     of3_direction2_jammer_distance,
     of3_direction3_sensors_in_range,
+    positions,
     score_one,
     subset_triples,
 )
@@ -44,19 +44,15 @@ from oracles import (
 def reference_scores(problem, genes, cap):
     """Score a chromosome through the scalar objective implementations."""
     sel = np.flatnonzero(genes)
-    geos = [
-        GeodeticPosition(
-            float(problem.cand_lat[i]), float(problem.cand_lon[i]), float(problem.cand_alt[i])
-        )
-        for i in sel
-    ]
+    geos = positions([problem.cand_lat[sel], problem.cand_lon[sel], problem.cand_alt[sel]])
     ecefs = [geodetic_to_ecef(g) for g in geos]
     req = problem.requirements
+    jammers = positions(problem.jammers)
     of1 = of1_gdop_msd(problem.grid, geos, ecefs, req, cap)
     of2 = of2_range_msd(problem.grid, geos, ecefs, req, problem.range_cap_km)
     d1 = of3_direction1_spacing(ecefs, req) if len(ecefs) >= 2 else None
-    d2 = of3_direction2_jammer_distance(geos, ecefs, problem.jammers, req)
-    d3 = of3_direction3_sensors_in_range(geos, ecefs, problem.jammers, req)
+    d2 = of3_direction2_jammer_distance(geos, ecefs, jammers, req)
+    d3 = of3_direction3_sensors_in_range(geos, ecefs, jammers, req, problem.jammer_model)
     return of1, of2, d1, d2, d3
 
 
@@ -81,13 +77,8 @@ class TestEvaluatorAgainstReference:
         evaluator = PlacementEvaluator(small_problem)
         raw = evaluator.evaluate(np.zeros(small_problem.n_candidates, dtype=bool))
         req = small_problem.requirements
-        grid = small_problem.grid
-        assert raw.of1 == pytest.approx(
-            float(np.mean((grid.required_gdop - req.gdop_cap) ** 2))
-        )
-        assert raw.of2 == pytest.approx(
-            float(np.mean((grid.required_range_km - small_problem.range_cap_km) ** 2))
-        )
+        assert raw.of1 == pytest.approx((req.required_gdop - req.gdop_cap) ** 2)
+        assert raw.of2 == pytest.approx((req.required_range_km - small_problem.range_cap_km) ** 2)
         assert raw.d1 == req.min_sensor_spacing_km**2
         assert raw.d2 == 0.0 and raw.d3 == 0.0
         assert raw.penalty == 0.0
@@ -111,7 +102,7 @@ class TestEvaluatorAgainstReference:
         assert np.all(diag.k_visible[np.isfinite(diag.best_gdop)] >= 4)
         # Fewer than 2 visible sensors leaves the range undefined.
         assert np.all(np.isinf(diag.second_range_km[diag.k_visible < 2]))
-        assert diag.affected_per_jammer.shape == (len(small_problem.jammers),)
+        assert diag.affected_per_jammer.shape == (small_problem.jammers.shape[1],)
         assert np.all(diag.affected_per_jammer <= int(genes.sum()))
 
     def test_wrong_length_rejected(self, small_problem):
@@ -325,6 +316,7 @@ class TestForcedTable:
         problem = build_problem(
             bounds=area_bounds, lat_count=6, lon_count=6, candidate_count=0,
             requirements=small_problem.requirements, jammers=small_problem.jammers,
+            jammer_model=small_problem.jammer_model,
             deployed=load_deployed_csv(clustered21_path())[0],
         )
         evaluator = PlacementEvaluator(problem, gdop_subset_cap=cap)
@@ -352,6 +344,7 @@ class TestKernelPool:
         return build_problem(
             bounds=area_bounds, lat_count=6, lon_count=6, candidate_count=25,
             requirements=small_problem.requirements, jammers=small_problem.jammers,
+            jammer_model=small_problem.jammer_model,
             deployed=load_deployed_csv(clustered21_path())[0],
         )
 
@@ -440,9 +433,10 @@ from adsbplace import evaluator
 from adsbplace.config import parse_config, section8_preset
 doc = section8_preset(1)
 doc["grid"] = {"lat_count": 4, "lon_count": 4}
+doc["candidates"]["count"] = int(sys.argv[1])
 problem = parse_config(doc).build_problem()
 ev = evaluator.PlacementEvaluator(problem, 6)
-batch = np.random.default_rng(0).random((400, problem.n_candidates)) < 0.05
+batch = np.random.default_rng(0).random((400, problem.n_candidates)) < float(sys.argv[2])
 for _ in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     ev.evaluate(batch)
@@ -452,10 +446,16 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
 def test_repeated_batch_reuses_the_heap():
-    """A batch of 400 on a 48-point grid, scored again in a fresh process,
-    pages in almost nothing: its ~7 MiB of temporaries stay in the heap.
-    With glibc's default thresholds it took about 7600 minor faults."""
+    """A batch of 400 on a 48-point grid, rows of about 20 sensors, scored
+    again in a fresh process, pages in almost nothing: its ~7 MiB of
+    temporaries stay in the heap. With glibc's default thresholds it took
+    about 7400 minor faults at 400 candidates and 9000 at 100. At 400
+    candidates precompute frees a 1.28 MB (N, N) temporary, which raises
+    glibc's thresholds by itself; at 100 nothing does, so smaller kernel
+    arrays alone (``_ROW_BYTES`` at 96 KiB) still took about 8000."""
     src = os.path.dirname(os.path.dirname(evaluator_module.__file__))
-    run = subprocess.run([sys.executable, "-c", _REPEAT_BATCH], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
-    assert int(run.stdout) < 200
+    for candidates, share in ((400, 0.05), (100, 0.2)):
+        run = subprocess.run([sys.executable, "-c", _REPEAT_BATCH, str(candidates), str(share)],
+                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                             timeout=120, check=True)
+        assert int(run.stdout) < 200, candidates

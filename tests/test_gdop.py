@@ -15,9 +15,9 @@ from adsbplace.gdop import (
     gdop_min_batched,
     triple_values,
 )
-from adsbplace.geo import GeodeticPosition
 
 from oracles import (
+    GeodeticPosition,
     best_gdop_at,
     gdop_matrix,
     gdop_min_batched_lapack,

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from adsbplace import scenario as scenario_module
 from adsbplace.config import parse_config, section8_preset
-from adsbplace.geo import GeodeticPosition
 from adsbplace.objectives import InvalidConfigError, JammerModel, ObjectiveRequirements
 from adsbplace.scenario import (
     AirspaceGrid,
@@ -30,6 +29,7 @@ from adsbplace.scenario import (
 )
 
 from oracles import (
+    GeodeticPosition,
     direction_cosines,
     euclidean_distance,
     geodetic_to_ecef,
@@ -78,11 +78,6 @@ class TestSampleGrid:
         order = np.lexsort((grid.alt_m, grid.lat_deg, grid.lon_deg))
         assert np.array_equal(order, np.arange(len(grid)))
 
-    def test_per_point_requirements(self, area_bounds):
-        grid = sample_grid(area_bounds, 3, 3, required_gdop=7.0, required_range_km=90.0)
-        assert np.all(grid.required_gdop == 7.0)
-        assert np.all(grid.required_range_km == 90.0)
-
 
 class TestCandidates:
     def test_lattice_count_and_bounds(self, area_bounds):
@@ -112,25 +107,34 @@ class TestCandidates:
 
 class TestJammers:
     def test_grid_per_height_level(self, area_bounds):
-        jams = generate_jammers(area_bounds, 75, (3000.0, 6000.0, 10000.0), "grid", None)
-        assert len(jams) == 75
-        alts = [j.position.altitude_m for j in jams]
-        assert alts.count(3000.0) == alts.count(6000.0) == alts.count(10000.0) == 25
+        lat, lon, alt = generate_jammers(area_bounds, 75, (3000.0, 6000.0, 10000.0), "grid", None)
+        assert alt.tolist() == [3000.0] * 25 + [6000.0] * 25 + [10000.0] * 25
+        # The same 25 lattice positions, longitude-major, at every level.
+        assert np.array_equal(lat.reshape(3, 25), np.tile(lat[:25], (3, 1)))
+        assert np.array_equal(lon.reshape(3, 25), np.tile(lon[:25], (3, 1)))
+        assert np.all(np.diff(lon[:25]) >= 0)
 
     def test_grid_requires_divisibility(self, area_bounds):
         with pytest.raises(InvalidConfigError):
             generate_jammers(area_bounds, 10, (1.0, 2.0, 3.0), "grid", None)
 
     def test_kwargs_forwarded(self, area_bounds):
-        jams = generate_jammers(
-            area_bounds, 4, (5000.0,), "grid", None,
-            affect_rule="jsr", jsr_threshold=2.0, power_w=5.0,
-        )
-        assert all(j.affect_rule == "jsr" and j.power_w == 5.0 for j in jams)
+        """build_problem's jammer model reaches the problem and its affected
+        matrix: a threshold no JSR reaches leaves every sensor unaffected."""
+        jams = generate_jammers(area_bounds, 4, (5000.0,), "grid", None)
+        model = JammerModel(affect_rule="jsr", jsr_threshold=1e30, power_w=5.0)
+        kwargs = dict(bounds=area_bounds, lat_count=2, lon_count=2, candidate_count=9,
+                      requirements=ObjectiveRequirements(), jammers=jams)
+        los = build_problem(**kwargs)
+        jsr = build_problem(**kwargs, jammer_model=model)
+        assert los.jammer_model == JammerModel() and jsr.jammer_model is model
+        assert los.affected_jam_cand.any() and not jsr.affected_jam_cand.any()
+        assert np.array_equal(los.affected_jam_cand, jsr.los_jam_cand)
 
     def test_seeded_uniform_heights_from_set(self, area_bounds):
-        jams = generate_jammers(area_bounds, 30, (1000.0, 2000.0), "seeded-uniform", 3)
-        assert {j.position.altitude_m for j in jams} <= {1000.0, 2000.0}
+        lat, lon, alt = generate_jammers(area_bounds, 30, (1000.0, 2000.0), "seeded-uniform", 3)
+        assert set(alt.tolist()) <= {1000.0, 2000.0}
+        assert np.array_equal(np.lexsort((lat, lon)), np.arange(30))
 
 
 class TestDeployedCsv:
@@ -250,7 +254,7 @@ class TestBuildProblem:
     def test_matrix_shapes(self, small_problem):
         m = len(small_problem.grid)
         n = small_problem.n_candidates
-        k = len(small_problem.jammers)
+        k = small_problem.jammers.shape[1]
         assert small_problem.dist_point_cand.shape == (m, n)
         assert small_problem.dc_point_cand.shape == (3, n, m)
         assert small_problem.los_point_cand.shape == (m, n)
@@ -351,7 +355,8 @@ def _small_problems(draw) -> PlacementProblem:
     a hand-built one whose horizontal positions repeat in shuffled order;
     no candidates (a free-standing deployment), or lattice or uniform ones
     on masts of 0 or 30 m; deployed sites, one at a grid point; no jammers,
-    or LOS and JSR ones, one at a site."""
+    or up to four, one of them perhaps at a site, under the LOS or the JSR
+    rule."""
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     levels = draw(st.lists(st.sampled_from([1500.0, 3000.0, 6000.0, 10000.0]),
@@ -363,8 +368,7 @@ def _small_problems(draw) -> PlacementProblem:
         lat = rng.uniform(47.4, 51.4, draw(st.integers(1, 5)))
         lon = rng.uniform(5.71, 9.71, lat.size)
         pick = rng.integers(0, lat.size, draw(st.integers(1, 15)))
-        grid = AirspaceGrid(lat[pick], lon[pick], rng.choice(levels, pick.size),
-                            np.full(pick.size, 10.0), np.full(pick.size, 150.0))
+        grid = AirspaceGrid(lat[pick], lon[pick], rng.choice(levels, pick.size))
     count = draw(st.integers(0, 9))
     cand = candidate_sites(bounds, count, (), draw(st.sampled_from(["lattice", "seeded-uniform"])),
                            seed, draw(st.sampled_from([0.0, 30.0])))[0] if count else [[]] * 3
@@ -373,14 +377,17 @@ def _small_problems(draw) -> PlacementProblem:
     sites += [(la, lo, 0.0) for la, lo in rng.uniform((47.4, 5.71), (51.4, 9.71), (2, 2))]
     cand_lat, cand_lon, cand_alt = (np.append(c, [s[i] for s in sites])
                                     for i, c in enumerate(cand))
-    jammers = []
-    for rule in draw(st.lists(st.sampled_from(["los", "jsr"]), max_size=4)):
-        at_site = not jammers and draw(st.booleans())
-        la, lo, h = sites[-1] if at_site else (*rng.uniform((47.4, 5.71), (51.4, 9.71)), 6000.0)
-        jammers.append(JammerModel(GeodeticPosition(la, lo, h), power_w=100.0, affect_rule=rule))
+    jammers = [(*rng.uniform((47.4, 5.71), (51.4, 9.71)), 6000.0)
+               for _ in range(draw(st.integers(0, 4)))]
+    if jammers and draw(st.booleans()):
+        jammers[0] = sites[-1]
+    # With a nominal signal distance of 0, a JSR jammer on a site is 0 / 0.
+    model = JammerModel(power_w=100.0, affect_rule=draw(st.sampled_from(["los", "jsr"])),
+                        nominal_signal_distance_km=draw(st.sampled_from([150.0, 0.0])))
     return PlacementProblem(
         grid=grid, cand_lat=cand_lat, cand_lon=cand_lon, cand_alt=cand_alt,
-        forced_mask=np.arange(cand_lat.size) >= count, jammers=jammers,
+        forced_mask=np.arange(cand_lat.size) >= count,
+        jammers=np.array(jammers, dtype=float).reshape(-1, 3).T, jammer_model=model,
         requirements=ObjectiveRequirements(),
     )
 
