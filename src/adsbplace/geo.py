@@ -1,8 +1,9 @@
 """Coordinate frames, distances and radio-horizon visibility.
 
-All positions use the WGS-84 ellipsoid. The functions are pure and
-operate on numpy arrays; they are the building blocks of the
-precomputed geometry matrices.
+All positions use the WGS-84 ellipsoid, and visibility the standard
+4/3-Earth refraction model. The functions are pure and operate on numpy
+arrays; they are the building blocks of the precomputed geometry
+matrices.
 """
 
 from __future__ import annotations
