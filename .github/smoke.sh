@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end run of the installed `adsbplace` console script and its bundled
 # clustered21.csv: augment, evaluate on the free-standing and the matched
-# path, the matched scores against the front's row, report, and a malformed
-# sensor file, and a JSR run whose jammer sits on a candidate site. A
-# RuntimeWarning (a NaN or a division by zero the code does not expect)
-# fails the run. Run it from an empty directory
-# outside the checkout, so that the installed package is the one imported:
+# path, the matched scores against the front's row, report, a malformed
+# sensor file, a jammer count the grid pattern cannot place, and a JSR run
+# whose jammer sits on a candidate site. A RuntimeWarning (a NaN or a
+# division by zero the code does not expect) fails the run. Run it from an
+# empty directory outside the checkout, so that the installed package is
+# the one imported:
 #
 #     cd "$(mktemp -d)" && bash /path/to/checkout/.github/smoke.sh
 #
@@ -50,6 +51,14 @@ adsbplace evaluate --config smoke.json --sensors bad.csv --out bad 2> bad.err ||
 cat bad.err
 test "$code" -eq 2
 grep -q "^error: bad.csv: line 2: " bad.err
+# Five grid jammers do not divide between two heights: rejected when the
+# config is parsed, with the field named.
+python -c "import json; doc = json.load(open('smoke.json')); doc['jammers'] = {'count': 5, 'heights_m': [3000.0, 6000.0]}; json.dump(doc, open('jammers.json', 'w'))"
+code=0
+adsbplace optimize --config jammers.json --out jammers --threads 1 2> jammers.err || code=$?
+cat jammers.err
+test "$code" -eq 2
+grep -q "^error: jammers.count: " jammers.err
 # One ground jammer under the JSR rule with a nominal signal distance of 0,
 # at the area centre, where the centre candidate sits too: its JSR there is
 # 0 / 0.

@@ -8,37 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluator import PlacementEvaluator
+from .evaluator import CoverageGrid, JamReport, PlacementEvaluator
 from .nsga2 import Chromosome, ParetoFront
 from .objectives import Normalization, ObjectiveScores, of3_weight_vector, saturation_normalization
 from .scenario import PlacementProblem
-
-
-@dataclass
-class CoverageGrid:
-    """Per-point coverage diagnostics on the evaluation grid."""
-
-    lat_deg: np.ndarray
-    lon_deg: np.ndarray
-    alt_m: np.ndarray
-    k_visible: np.ndarray
-    best_gdop: np.ndarray
-    second_range_km: np.ndarray
-
-
-@dataclass
-class JamReport:
-    """Per-jammer impact of a placement."""
-
-    jammer_lat: np.ndarray
-    jammer_lon: np.ndarray
-    jammer_alt: np.ndarray
-    affected_count: np.ndarray
-    min_distance_km: np.ndarray
-
-    @property
-    def max_affected(self) -> int:
-        return int(self.affected_count.max()) if self.affected_count.size else 0
 
 
 @dataclass
@@ -61,25 +34,12 @@ def evaluate_placement(
     ``bounds`` supplies the run's normalization; without it the sensor
     cap is the candidate count.
     """
-    if chromosome.genes.size != problem.n_candidates:
-        raise ValueError("chromosome length does not match the problem")
     if bounds is None:
         bounds = saturation_normalization(problem.requirements, problem.range_cap_km,
                                           problem.n_candidates)
     evaluator = PlacementEvaluator(problem, gdop_subset_cap=gdop_subset_cap)
-    raw, diag = evaluator.evaluate(chromosome.genes, diagnostics=True)
-    scores = bounds.scores(raw, of3_weights)
-    grid = problem.grid
-    coverage = CoverageGrid(
-        lat_deg=grid.lat_deg,
-        lon_deg=grid.lon_deg,
-        alt_m=grid.alt_m,
-        k_visible=diag.k_visible,
-        best_gdop=diag.best_gdop,
-        second_range_km=diag.second_range_km,
-    )
-    report = JamReport(*problem.jammers, diag.affected_per_jammer, diag.min_jam_distance_km)
-    return scores, coverage, report
+    raw, coverage, report = evaluator.evaluate(chromosome.genes, diagnostics=True)
+    return bounds.scores(raw, of3_weights), coverage, report
 
 
 def gdop_distribution(coverage: CoverageGrid, thresholds: Sequence[float]) -> GdopDistribution:

@@ -9,6 +9,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -113,12 +114,11 @@ def cmd_optimize(args) -> int:
 
 def cmd_augment(args) -> int:
     cfg = load_config(args.config)
-    cfg.scenario_kind = "augment"
-    cfg.deployed_file = args.sensors
     # Fold the deployment into the hashed document so re-evaluation with
     # an equivalent augment config reproduces this run's identity.
-    cfg.raw = dict(cfg.raw)
-    cfg.raw["scenario"] = {"kind": "augment", "deployed_file": str(args.sensors)}
+    scenario = {"kind": "augment", "deployed_file": str(args.sensors)}
+    cfg = replace(cfg, scenario_kind="augment", deployed_file=args.sensors,
+                  raw=dict(cfg.raw, scenario=scenario))
     out_dir = Path(args.out or cfg.output_dir)
     return _run_optimization(cfg, out_dir, args.seed, args.threads)
 

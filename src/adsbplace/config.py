@@ -122,7 +122,7 @@ def _numbers(data: dict, path: str, key: str, default=None, required=False) -> t
     return tuple(_number(f"{where}[{i}]", v) for i, v in enumerate(values))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration; one JSON document drives a run."""
 
@@ -230,12 +230,19 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
 
     jam = _get(data, "", "jammers", dict, default={})
     jammer_count = _get(jam, "jammers", "count", int, default=75)
+    if jammer_count < 1:
+        raise ConfigError("jammers.count", f"must be >= 1, got {jammer_count}")
     heights = _numbers(jam, "jammers", "heights_m", default=[3000.0, 6000.0, 10000.0])
     for i, h in enumerate(heights):
         _non_negative(f"jammers.heights_m[{i}]", h)
     jammer_pattern = _get(jam, "jammers", "pattern", str, default="grid")
     if jammer_pattern not in ("grid", "seeded-uniform"):
         raise ConfigError("jammers.pattern", "must be grid or seeded-uniform")
+    if jammer_pattern == "grid" and jammer_count % len(heights):
+        raise ConfigError(
+            "jammers.count",
+            f"{jammer_count} is not a multiple of the {len(heights)} heights_m of the grid pattern",
+        )
     jammer_seed = _non_negative("jammers.seed", _get(jam, "jammers", "seed", int))
     link_budget = _fields(jam, "jammers", (
         ("power_w", float),
@@ -305,8 +312,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         "grid.lon_count": lon_count,
         "area.altitudes_m": len(bounds.altitude_levels_m),
         "candidates.count": candidate_count,
-        # A negative count is rejected when the jammers are generated.
-        "jammers.count": max(jammer_count, 0),
+        "jammers.count": jammer_count,
         "ga.population_size": ga.population_size,
         "ga.gdop_subset_cap": ga.gdop_subset_cap,
     })

@@ -4,13 +4,14 @@ This is the single evaluation code path: the genetic algorithm and the
 post-hoc analysis both score chromosomes through PlacementEvaluator, so
 reports always agree bit-for-bit with the fitness the optimizer saw.
 
-It reads the static matrices of ``scenario.precompute``: distances, LOS
-and nearest ranks as (m, N) point-by-candidate arrays, direction cosines
-component-major as (3, N, m). A point's rank row orders all candidates
-by distance, visible ones first and ties by candidate index. So the
-nearest k selected sensors of every point come from one integer sort of
-``rank[:, sel]``, in the order a stable sort of the LOS-masked distances
-would give, and the second of them gives OF2's verification range.
+It reads the matrices of the frozen problem that ``scenario.precompute``
+builds: distances, LOS and nearest ranks as (m, N) point-by-candidate
+arrays, direction cosines component-major as (3, N, m). A point's rank
+row orders all candidates by distance, visible ones first and ties by
+candidate index. So the nearest k selected sensors of every point come
+from one integer sort of ``rank[:, sel]``, in the order a stable sort of
+the LOS-masked distances would give, and the second of them gives OF2's
+verification range.
 
 ``evaluate`` scores a (B, N) batch in one pass; a single chromosome is a
 batch of one. The batch is grouped by sensor count n, and each group of
@@ -24,7 +25,10 @@ indices in the narrowest integer type holding N, and the kernel runs once
 per chunk of each k's (chromosome, point) rows, forming that chunk's flat
 gather indices. So on a small grid a population costs a few dozen array
 operations and a few kernel calls, not a set of each per chromosome. A
-batch's scores come back as one ``RawScores`` of (B,) columns.
+batch's scores come back as one ``RawScores`` of (B,) columns. With
+``diagnostics``, a single chromosome's scores come with its per-point
+``CoverageGrid`` and per-jammer ``JamReport``, the detail that the
+scoring computes anyway.
 
 With ``threads > 1`` the groups are still scored on the calling thread;
 only the kernel calls, over every k and f' group of the batch, are dealt
@@ -127,14 +131,30 @@ class RawScores:
 
 
 @dataclass
-class Diagnostics:
-    """Per-point and per-jammer evaluation detail for reporting."""
+class CoverageGrid:
+    """Per-point coverage of one placement on the evaluation grid."""
 
-    k_visible: np.ndarray          # (m,) sensors in LOS per grid point
-    best_gdop: np.ndarray          # (m,) minimal subset GDOP, may be inf
-    second_range_km: np.ndarray    # (m,) distance to 2nd-nearest visible, inf if < 2
-    affected_per_jammer: np.ndarray   # (k,) sensors hit per jammer
-    min_jam_distance_km: np.ndarray   # (k,) nearest-sensor distance per jammer
+    lat_deg: np.ndarray
+    lon_deg: np.ndarray
+    alt_m: np.ndarray
+    k_visible: np.ndarray        # sensors in LOS
+    best_gdop: np.ndarray        # minimal subset GDOP, may be inf
+    second_range_km: np.ndarray  # distance to the 2nd-nearest visible, inf if < 2
+
+
+@dataclass
+class JamReport:
+    """Per-jammer impact of one placement."""
+
+    jammer_lat: np.ndarray
+    jammer_lon: np.ndarray
+    jammer_alt: np.ndarray
+    affected_count: np.ndarray   # sensors hit
+    min_distance_km: np.ndarray  # distance to the nearest sensor
+
+    @property
+    def max_affected(self) -> int:
+        return int(self.affected_count.max()) if self.affected_count.size else 0
 
 
 class PlacementEvaluator:
@@ -143,8 +163,6 @@ class PlacementEvaluator:
     which lasts until ``close``."""
 
     def __init__(self, problem: PlacementProblem, gdop_subset_cap: int = 12, threads: int = 1):
-        if problem.dist_point_cand is None:
-            raise ValueError("problem matrices missing; run scenario.precompute first")
         if gdop_subset_cap < 4:
             raise ValueError("gdop subset cap must be >= 4")
         _retain_heap()
@@ -210,7 +228,7 @@ class PlacementEvaluator:
     def evaluate(self, genes: np.ndarray, diagnostics: bool = False):
         """Raw scores of one chromosome (N,), or columns of them for a
         (B, N) batch. With ``diagnostics``, one chromosome only, returns
-        (raw, diagnostics)."""
+        (raw, CoverageGrid, JamReport)."""
         problem = self.problem
         genes = np.asarray(genes, dtype=bool)
         if genes.ndim not in (1, 2) or genes.shape[-1] != problem.n_candidates:
@@ -282,14 +300,10 @@ class PlacementEvaluator:
         if not diagnostics:
             return scores.row(0)
         vis_counts, second_km, jam_counts, min_dist = (a[:, 0] for a in detail)
-        diag = Diagnostics(
-            k_visible=vis_counts,
-            best_gdop=best_gdop,
-            second_range_km=np.where(vis_counts >= 2, second_km, np.inf),
-            affected_per_jammer=jam_counts,
-            min_jam_distance_km=min_dist,
-        )
-        return scores.row(0), diag
+        grid = problem.grid
+        coverage = CoverageGrid(grid.lat_deg, grid.lon_deg, grid.alt_m, vis_counts, best_gdop,
+                                np.where(vis_counts >= 2, second_km, np.inf))
+        return scores.row(0), coverage, JamReport(*problem.jammers, jam_counts, min_dist)
 
     def _gdop_jobs(self, k: int, out: np.ndarray, near: np.ndarray, valid: np.ndarray,
                    fprime: np.ndarray | None = None) -> list:

@@ -69,6 +69,8 @@ class GaConfig:
             raise InvalidConfigError("tournament_size must lie in [1, population_size]")
         if self.gdop_subset_cap < 4:
             raise InvalidConfigError("gdop_subset_cap must be >= 4")
+        if self.n_max is not None and self.n_max < 0:
+            raise InvalidConfigError("n_max must be >= 0")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Problem construction: airspace sampling, candidate sites, jammers,
-and the precomputed geometry matrices shared by every evaluation."""
+and ``precompute``, which builds the frozen ``PlacementProblem`` once with
+every geometry matrix that the evaluations share."""
 
 from __future__ import annotations
 
@@ -151,11 +152,13 @@ def generate_jammers(
     raise InvalidConfigError(f"unknown jammer pattern: {pattern}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlacementProblem:
-    """Immutable problem instance with all geometry precomputed. Its
-    jammers are a (3, J) array of latitudes, longitudes and heights, each
-    following ``jammer_model``."""
+    """A problem instance with all its geometry, as ``precompute`` builds
+    it. Its jammers are a (3, J) array of latitudes, longitudes and
+    heights, each following ``jammer_model``. Point-candidate matrices
+    are (m, N) except the direction cosines, which are component-major
+    (3, N, m)."""
 
     grid: AirspaceGrid
     cand_lat: np.ndarray
@@ -165,18 +168,15 @@ class PlacementProblem:
     jammers: np.ndarray
     jammer_model: JammerModel
     requirements: ObjectiveRequirements
-    range_cap_km: float = 0.0
-
-    # Filled by precompute(). Point-candidate matrices are (m, N) except
-    # the direction cosines, which are component-major (3, N, m).
-    dist_point_cand: np.ndarray | None = None
-    dc_point_cand: np.ndarray | None = None
-    los_point_cand: np.ndarray | None = None
-    rank_point_cand: np.ndarray | None = None
-    dist_jam_cand: np.ndarray | None = None
-    los_jam_cand: np.ndarray | None = None
-    affected_jam_cand: np.ndarray | None = None
-    dist_cand_cand: np.ndarray | None = None
+    range_cap_km: float
+    dist_point_cand: np.ndarray
+    dc_point_cand: np.ndarray
+    los_point_cand: np.ndarray
+    rank_point_cand: np.ndarray
+    dist_jam_cand: np.ndarray
+    los_jam_cand: np.ndarray
+    affected_jam_cand: np.ndarray
+    dist_cand_cand: np.ndarray
 
     @property
     def n_candidates(self) -> int:
@@ -193,8 +193,17 @@ class PlacementProblem:
 _PLANE_BYTES = 128 << 10
 
 
-def precompute(problem: PlacementProblem) -> PlacementProblem:
-    """Fill the distance / direction-cosine / LOS matrices in place.
+def precompute(
+    grid: AirspaceGrid,
+    sites: np.ndarray,
+    forced_mask: np.ndarray,
+    jammers: np.ndarray,
+    jammer_model: JammerModel,
+    requirements: ObjectiveRequirements,
+) -> PlacementProblem:
+    """The problem over the (3, N) candidate sites and (3, J) jammers,
+    with every distance / direction-cosine / LOS matrix computed and the
+    OF2 range cap resolved: the requirement's, else the grid's diagonal.
 
     Each value is computed once. NED vectors, their lengths and the unit
     scaling run in one blocked pass. Ground distances are computed per
@@ -205,24 +214,18 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
     squared ECEF component planes. The matrices keep the bits of the
     whole-array computation (``tests/oracles.precompute_reference``).
     """
-    grid = problem.grid
-    cand_ecef = geo.geodetic_to_ecef_arrays(
-        problem.cand_lat, problem.cand_lon, problem.cand_alt
-    )
+    cand_lat, cand_lon, cand_alt = sites
+    cand_ecef = geo.geodetic_to_ecef_arrays(cand_lat, cand_lon, cand_alt)
     grid_ecef = geo.geodetic_to_ecef_arrays(grid.lat_deg, grid.lon_deg, grid.alt_m)
     dist, dc = _ned_geometry(grid_ecef, grid.lat_deg, grid.lon_deg, cand_ecef, unit=True)
-    problem.dist_point_cand = dist
-    problem.dc_point_cand = dc
-    problem.los_point_cand, problem.rank_point_cand = _visibility(
-        problem, grid.lat_deg, grid.lon_deg, grid.alt_m, dist
-    )
+    los, rank = _visibility(sites, grid.lat_deg, grid.lon_deg, grid.alt_m, dist)
 
-    jam_lat, jam_lon, jam_alt = problem.jammers
+    jam_lat, jam_lon, jam_alt = jammers
     jam_ecef = geo.geodetic_to_ecef_arrays(jam_lat, jam_lon, jam_alt)
     jdist, _ = _ned_geometry(jam_ecef, jam_lat, jam_lon, cand_ecef, unit=False)
-    jlos, _ = _visibility(problem, jam_lat, jam_lon, jam_alt)
+    jlos, _ = _visibility(sites, jam_lat, jam_lon, jam_alt)
     affected = jlos.copy()
-    model = problem.jammer_model
+    model = jammer_model
     if model.affect_rule == "jsr":
         num = model.power_w * model.antenna_gain * model.nominal_signal_distance_km**2
         den = model.transmitter_power_w * model.transmitter_antenna_gain
@@ -231,16 +234,20 @@ def precompute(problem: PlacementProblem) -> PlacementProblem:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(jdist > 0.0, num / (den * (jdist / 1000.0) ** 2), np.inf)
         affected &= ratio >= model.jsr_threshold
-    problem.dist_jam_cand = jdist
-    problem.los_jam_cand = jlos
-    problem.affected_jam_cand = affected
 
-    problem.dist_cand_cand = _pairwise_distance(cand_ecef)
-
-    if not problem.range_cap_km:
-        cap = problem.requirements.range_cap_km
-        problem.range_cap_km = _area_diagonal(problem) if cap is None else float(cap)
-    return problem
+    cap = requirements.range_cap_km
+    return PlacementProblem(
+        grid, cand_lat, cand_lon, cand_alt, forced_mask, jammers, jammer_model, requirements,
+        range_cap_km=_area_diagonal(grid) if cap is None else float(cap),
+        dist_point_cand=dist,
+        dc_point_cand=dc,
+        los_point_cand=los,
+        rank_point_cand=rank,
+        dist_jam_cand=jdist,
+        los_jam_cand=jlos,
+        affected_jam_cand=affected,
+        dist_cand_cand=_pairwise_distance(cand_ecef),
+    )
 
 
 def _ned_geometry(origin_ecef, origin_lat, origin_lon, target_ecef, unit: bool):
@@ -292,19 +299,20 @@ def _ned_geometry(origin_ecef, origin_lat, origin_lon, target_ecef, unit: bool):
     return dist, dc
 
 
-def _visibility(problem: PlacementProblem, lat_deg, lon_deg, alt_m, dist=None):
-    """LOS from each origin to each candidate, as (origins, N) bools, and
-    with ``dist`` the ``nearest_rank`` of the LOS-masked distances, else
-    None. Both are filled per block of origins, each gathering its ground
-    distances from ``_ground_km``'s table, so their temporaries take a
-    block's rows, not the matrix's. Every step is elementwise or per row,
-    so the blocks keep the whole-matrix bits."""
-    table, inverse = _ground_km(lat_deg, lon_deg, problem.cand_lat, problem.cand_lon)
-    m, n = inverse.size, problem.n_candidates
+def _visibility(sites, lat_deg, lon_deg, alt_m, dist=None):
+    """LOS from each origin to each of the (3, N) candidate sites, as
+    (origins, N) bools, and with ``dist`` the ``nearest_rank`` of the
+    LOS-masked distances, else None. Both are filled per block of origins,
+    each gathering its ground distances from ``_ground_km``'s table, so
+    their temporaries take a block's rows, not the matrix's. Every step is
+    elementwise or per row, so the blocks keep the whole-matrix bits."""
+    cand_lat, cand_lon, cand_alt = sites
+    table, inverse = _ground_km(lat_deg, lon_deg, cand_lat, cand_lon)
+    m, n = inverse.size, cand_lat.size
     los = np.empty((m, n), dtype=bool)
     rank = None if dist is None else np.empty((m, n), dtype=index_dtype(n - 1))
     rows = max(1, _PLANE_BYTES // (8 * n))
-    cand_alt = problem.cand_alt[None, :]
+    cand_alt = cand_alt[None, :]
     for start in range(0, m, rows):
         block = slice(start, start + rows)
         los[block] = geo.visibility_mask_arrays(alt_m[block, None], table[inverse[block]], cand_alt)
@@ -385,8 +393,7 @@ def index_dtype(n: int) -> np.dtype:
     return next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if n <= np.iinfo(t).max)
 
 
-def _area_diagonal(problem: PlacementProblem) -> float:
-    grid = problem.grid
+def _area_diagonal(grid: AirspaceGrid) -> float:
     return float(
         geo.haversine_km_arrays(
             grid.lat_deg.min(), grid.lon_deg.min(), grid.lat_deg.max(), grid.lon_deg.max()
@@ -524,7 +531,7 @@ def build_problem(
     for _, lat, lon, _alt in deployed:
         if not bounds.contains(lat, lon):
             log.warning("deployed sensor (%.4f, %.4f) lies outside the area bounds", lat, lon)
-    return precompute(PlacementProblem(grid, *sites, forced, jammers, jammer_model, requirements))
+    return precompute(grid, sites, forced, jammers, jammer_model, requirements)
 
 
 def clustered21_path() -> Path:

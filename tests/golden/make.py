@@ -8,7 +8,7 @@ For the small run configuration of the acceptance suite (108 points, 36
 candidates, 9 jammers), once plain and once with the bundled
 clustered21.csv deployment forced, it writes
 
-- ``<problem>.npz``: the nine fields ``precompute`` fills;
+- ``<problem>.npz``: the nine values ``precompute`` computes;
 - ``expected.json``: the config, a fixed gene batch and its ``evaluate``
   columns at caps 6 and 12, and the seed-1 ``evolve`` front: genes, raw
   columns, objective vectors, ``pareto_summary`` columns and the scores
@@ -24,6 +24,7 @@ purpose reruns this script and says which values moved and why.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import sys
@@ -58,9 +59,10 @@ def build(doc: dict, name: str, matrices=None):
     deployed = load_deployed_csv(clustered21_path())[0] if name == "forced" else []
     problem = cfg.build_problem(deployed=deployed)
     if matrices is not None:
-        for field in FIELDS:
-            value = matrices[field]
-            setattr(problem, field, float(value) if field == "range_cap_km" else value)
+        problem = dataclasses.replace(problem, **{
+            field: float(matrices[field]) if field == "range_cap_km" else matrices[field]
+            for field in FIELDS
+        })
     return cfg, problem
 
 

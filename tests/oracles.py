@@ -187,17 +187,21 @@ def ned_vectors_reference(origin_ecef, origin_lat, origin_lon, target_ecef):
     return ned, np.sqrt(ned[0] * ned[0] + ned[1] * ned[1] + ned[2] * ned[2])
 
 
-def precompute_reference(problem: PlacementProblem) -> PlacementProblem:
+def precompute_reference(
+    grid: AirspaceGrid,
+    sites: np.ndarray,
+    forced_mask: np.ndarray,
+    jammers: np.ndarray,
+    jammer_model: JammerModel,
+    requirements: ObjectiveRequirements,
+) -> PlacementProblem:
     """``scenario.precompute`` before it shared ground distances between
     points of one horizontal position, blocked its NED pass and built the
-    candidate distances plane by plane: the bit-exact reference for all
-    nine fields it fills."""
-    grid = problem.grid
-
+    candidate distances plane by plane: the bit-exact reference for the
+    nine values it computes."""
+    cand_lat, cand_lon, cand_alt = sites
     grid_ecef = geo.geodetic_to_ecef_arrays(grid.lat_deg, grid.lon_deg, grid.alt_m)
-    cand_ecef = geo.geodetic_to_ecef_arrays(
-        problem.cand_lat, problem.cand_lon, problem.cand_alt
-    )
+    cand_ecef = geo.geodetic_to_ecef_arrays(cand_lat, cand_lon, cand_alt)
 
     dc, dist = ned_vectors_reference(grid_ecef, grid.lat_deg, grid.lon_deg, cand_ecef)
     pos = dist > 0.0
@@ -205,28 +209,22 @@ def precompute_reference(problem: PlacementProblem) -> PlacementProblem:
     dc[:, ~pos] = 0.0
     dist = np.ascontiguousarray(dist.T)
     ground = geo.haversine_km_arrays(
-        grid.lat_deg[:, None], grid.lon_deg[:, None],
-        problem.cand_lat[None, :], problem.cand_lon[None, :],
+        grid.lat_deg[:, None], grid.lon_deg[:, None], cand_lat[None, :], cand_lon[None, :],
     )
-    los = geo.visibility_mask_arrays(grid.alt_m[:, None], ground, problem.cand_alt[None, :])
-    problem.dist_point_cand = dist
-    problem.dc_point_cand = dc
-    problem.los_point_cand = los
-    problem.rank_point_cand = nearest_rank(np.where(los, dist, np.inf))
+    los = geo.visibility_mask_arrays(grid.alt_m[:, None], ground, cand_alt[None, :])
 
-    if problem.jammers.size:
-        jam_lat, jam_lon, jam_alt = problem.jammers
+    if jammers.size:
+        jam_lat, jam_lon, jam_alt = jammers
         jam_ecef = geo.geodetic_to_ecef_arrays(jam_lat, jam_lon, jam_alt)
         jdist = np.ascontiguousarray(
             ned_vectors_reference(jam_ecef, jam_lat, jam_lon, cand_ecef)[1].T
         )
         jground = geo.haversine_km_arrays(
-            jam_lat[:, None], jam_lon[:, None],
-            problem.cand_lat[None, :], problem.cand_lon[None, :],
+            jam_lat[:, None], jam_lon[:, None], cand_lat[None, :], cand_lon[None, :],
         )
-        jlos = geo.visibility_mask_arrays(jam_alt[:, None], jground, problem.cand_alt[None, :])
+        jlos = geo.visibility_mask_arrays(jam_alt[:, None], jground, cand_alt[None, :])
         affected = jlos.copy()
-        jam = problem.jammer_model
+        jam = jammer_model
         for l in range(jdist.shape[0]):
             if jam.affect_rule == "jsr":
                 num = jam.power_w * jam.antenna_gain * jam.nominal_signal_distance_km**2
@@ -236,25 +234,29 @@ def precompute_reference(problem: PlacementProblem) -> PlacementProblem:
                         jdist[l] > 0.0, num / (den * (jdist[l] / 1000.0) ** 2), np.inf
                     )
                 affected[l] &= ratio >= jam.jsr_threshold
-        problem.dist_jam_cand = jdist
-        problem.los_jam_cand = jlos
-        problem.affected_jam_cand = affected
     else:
-        problem.dist_jam_cand = np.zeros((0, problem.n_candidates))
-        problem.los_jam_cand = np.zeros((0, problem.n_candidates), dtype=bool)
-        problem.affected_jam_cand = np.zeros((0, problem.n_candidates), dtype=bool)
+        jdist = np.zeros((0, cand_lat.size))
+        jlos = np.zeros((0, cand_lat.size), dtype=bool)
+        affected = np.zeros((0, cand_lat.size), dtype=bool)
 
     cdiff = cand_ecef[:, None, :] - cand_ecef[None, :, :]
-    problem.dist_cand_cand = np.sqrt((cdiff**2).sum(axis=-1))
-
-    if not problem.range_cap_km:
-        cap = problem.requirements.range_cap_km
-        if cap is None:
-            cap = geo.haversine_km_arrays(
-                grid.lat_deg.min(), grid.lon_deg.min(), grid.lat_deg.max(), grid.lon_deg.max()
-            )
-        problem.range_cap_km = float(cap)
-    return problem
+    cap = requirements.range_cap_km
+    if cap is None:
+        cap = geo.haversine_km_arrays(
+            grid.lat_deg.min(), grid.lon_deg.min(), grid.lat_deg.max(), grid.lon_deg.max()
+        )
+    return PlacementProblem(
+        grid, cand_lat, cand_lon, cand_alt, forced_mask, jammers, jammer_model, requirements,
+        range_cap_km=float(cap),
+        dist_point_cand=dist,
+        dc_point_cand=dc,
+        los_point_cand=los,
+        rank_point_cand=nearest_rank(np.where(los, dist, np.inf)),
+        dist_jam_cand=jdist,
+        los_jam_cand=jlos,
+        affected_jam_cand=affected,
+        dist_cand_cand=np.sqrt((cdiff**2).sum(axis=-1)),
+    )
 
 
 # --- GDOP -----------------------------------------------------------------

@@ -153,6 +153,12 @@ NAN = float("nan")
     (None, "of3_weights", [0.5, 0.5], "of3_weights"),
     ("jammers", "jsr_threshold", -1, "jsr_threshold"),
     ("jammers", "nominal_signal_distance_km", -5, "nominal_signal_distance_km"),
+    # Jammer counts the jammer pattern cannot place: none, negative, and a
+    # grid count that does not divide among SMALL_CONFIG's two heights.
+    ("jammers", "count", 0, "jammers.count"),
+    ("jammers", "count", -3, "jammers.count"),
+    ("jammers", "count", 5, "jammers.count"),
+    ("ga", "n_max", -1, "ga: n_max must be >= 0"),
     # Counts whose matrices would exceed config.MAX_FOOTPRINT_BYTES.
     ("grid", "lat_count", 10**12, "grid.lat_count"),
     ("candidates", "count", 10**12, "candidates.count"),
@@ -252,6 +258,20 @@ def test_bad_threads_exit_2(config_file, tmp_path, capsys, command, threads):
         argv += ["--sensors", str(clustered21_path())]
     assert main(argv) == EXIT_USAGE
     assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "evaluate"])
+def test_negative_n_max_exit_2(tmp_path, capsys, command):
+    """A negative sensor cap is a config error for every command that
+    reads it, with or without forced sensors."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(SMALL_CONFIG, ga=dict(SMALL_CONFIG["ga"], n_max=-1))))
+    argv = [command, "--config", str(p), "--out", str(tmp_path / "o")]
+    if command == "evaluate":
+        argv += ["--sensors", str(clustered21_path())]
+    assert main(argv) == EXIT_USAGE
+    assert "error: ga: n_max must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -538,9 +558,9 @@ class TestEvaluate:
             SMALL_CONFIG, scenario={"kind": "augment", "deployed_file": str(clustered21_path())})))
         precompute, precomputed = scenario.precompute, []
 
-        def counted(problem):
-            precomputed.append(problem.n_candidates)
-            return precompute(problem)
+        def counted(grid, sites, *args):
+            precomputed.append(sites.shape[1])
+            return precompute(grid, sites, *args)
 
         monkeypatch.setattr(scenario, "precompute", counted)
         for config, warns in ((config_file, True), (augment_config, False)):

@@ -48,6 +48,20 @@ class TestParseConfig:
         assert cfg.requirements.required_gdop == 10.0
         assert cfg.of3_weights == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
+    def test_config_is_frozen(self):
+        cfg = parse_config(minimal_config())
+        for name, value in (("scenario_kind", "augment"), ("deployed_file", "dep.csv"),
+                            ("raw", {}), ("ga", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+        assert cfg.scenario_kind == "scratch" and cfg.raw
+
+    def test_uniform_jammer_count_needs_no_multiple(self):
+        """Only the grid pattern splits the count among the heights."""
+        cfg = parse_config(minimal_config(jammers={
+            "count": 5, "heights_m": [3000.0, 6000.0], "pattern": "seeded-uniform", "seed": 1}))
+        assert cfg.build_problem().jammers.shape == (3, 5)
+
     def test_missing_area_field_named(self):
         data = minimal_config()
         del data["area"]["lat_low_deg"]

@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adsbplace import evaluator as evaluator_module
+from adsbplace.analysis import evaluate_placement
 from adsbplace.config import parse_config, section8_preset
 from adsbplace.evaluator import PlacementEvaluator, RawScores
+from adsbplace.nsga2 import Chromosome
 from adsbplace.objectives import ObjectiveRequirements, knapsack_penalty
 from adsbplace.scenario import (
     AreaBounds,
@@ -95,15 +97,29 @@ class TestEvaluatorAgainstReference:
         evaluator = PlacementEvaluator(small_problem, gdop_subset_cap=8)
         genes = np.zeros(small_problem.n_candidates, dtype=bool)
         genes[rng.choice(small_problem.n_candidates, 9, replace=False)] = True
-        raw, diag = evaluator.evaluate(genes, diagnostics=True)
-        m = len(small_problem.grid)
-        assert diag.k_visible.shape == (m,)
+        raw, coverage, report = evaluator.evaluate(genes, diagnostics=True)
+        assert raw == evaluator.evaluate(genes)
+        grid = small_problem.grid
+        m = len(grid)
+        assert coverage.k_visible.shape == (m,)
+        assert np.array_equal([coverage.lat_deg, coverage.lon_deg, coverage.alt_m],
+                              [grid.lat_deg, grid.lon_deg, grid.alt_m])
         # Finite best GDOP requires at least 4 visible sensors.
-        assert np.all(diag.k_visible[np.isfinite(diag.best_gdop)] >= 4)
+        assert np.all(coverage.k_visible[np.isfinite(coverage.best_gdop)] >= 4)
         # Fewer than 2 visible sensors leaves the range undefined.
-        assert np.all(np.isinf(diag.second_range_km[diag.k_visible < 2]))
-        assert diag.affected_per_jammer.shape == (small_problem.jammers.shape[1],)
-        assert np.all(diag.affected_per_jammer <= int(genes.sum()))
+        assert np.all(np.isinf(coverage.second_range_km[coverage.k_visible < 2]))
+        assert np.array_equal(
+            [report.jammer_lat, report.jammer_lon, report.jammer_alt], small_problem.jammers)
+        assert report.affected_count.shape == (small_problem.jammers.shape[1],)
+        assert np.all(report.affected_count <= int(genes.sum()))
+        # evaluate_placement reports the same values, bit for bit.
+        chromosome = Chromosome(genes, small_problem.forced_mask)
+        _, *reports = evaluate_placement(small_problem, chromosome, gdop_subset_cap=8)
+        for got, want in zip(reports, (coverage, report)):
+            assert type(got) is type(want)
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
 
     def test_wrong_length_rejected(self, small_problem):
         evaluator = PlacementEvaluator(small_problem)
@@ -167,12 +183,12 @@ class TestNearestFromRanks:
         for size in [*range(15), n]:
             genes = np.zeros(n, dtype=bool)
             genes[rng.choice(n, size, replace=False)] = True
-            raw, diag = evaluator.evaluate(genes, diagnostics=True)
+            raw, coverage, _ = evaluator.evaluate(genes, diagnostics=True)
             of1, of2, best, second, k_visible = masked_sort_of1_of2(problem, genes, cap)
             assert (raw.of1, raw.of2) == (of1, of2)
             assert raw == evaluator.evaluate(genes)
-            for got, want in [(diag.best_gdop, best), (diag.second_range_km, second),
-                              (diag.k_visible, k_visible)]:
+            for got, want in [(coverage.best_gdop, best), (coverage.second_range_km, second),
+                              (coverage.k_visible, k_visible)]:
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
 
@@ -267,7 +283,7 @@ class TestBatch:
             assert raw.of1 == pytest.approx(expected.of1, rel=1e-9)
             assert astuple(raw)[1:] == astuple(expected)[1:]
 
-            _, diag = evaluator.evaluate(genes, diagnostics=True)
+            _, coverage, _ = evaluator.evaluate(genes, diagnostics=True)
             _, _, best, _, k_visible = masked_sort_of1_of2(problem, genes, cap)
             sel = np.flatnonzero(genes)
             los = problem.los_point_cand[:, sel]
@@ -278,10 +294,10 @@ class TestBatch:
             if count < 4 or not genes[forced].all():
                 fprime[:] = 0
             same = (fprime < 4) | (fprime == valid)
-            assert diag.best_gdop[same].tobytes() == best[same].tobytes()
-            assert np.array_equal(np.isinf(diag.best_gdop), np.isinf(best))
+            assert coverage.best_gdop[same].tobytes() == best[same].tobytes()
+            assert np.array_equal(np.isinf(coverage.best_gdop), np.isinf(best))
             finite = np.isfinite(best)
-            assert np.allclose(diag.best_gdop[finite], best[finite], rtol=1e-12, atol=0.0)
+            assert np.allclose(coverage.best_gdop[finite], best[finite], rtol=1e-12, atol=0.0)
 
     def test_penalty_column_is_scalar_formula(self):
         """The penalty column holds knapsack_penalty(n, N) bit for bit.
@@ -322,10 +338,10 @@ class TestForcedTable:
         evaluator = PlacementEvaluator(problem, gdop_subset_cap=cap)
         genes = problem.forced_mask.copy()
         with mock.patch.object(evaluator_module, "gdop_min_batched", side_effect=AssertionError):
-            raw, diag = evaluator.evaluate(genes, diagnostics=True)
+            raw, coverage, _ = evaluator.evaluate(genes, diagnostics=True)
         of1, _, best, _, k_visible = masked_sort_of1_of2(problem, genes, cap)
         assert (k_visible >= 4).any() and np.isfinite(best).any()
-        assert diag.best_gdop.tobytes() == best.tobytes()
+        assert coverage.best_gdop.tobytes() == best.tobytes()
         assert raw.of1 == of1
 
     def test_no_forced_sites_no_table(self, small_problem):

@@ -295,6 +295,17 @@ class TestBuildProblem:
         visible = p.los_point_cand.sum(axis=1)
         assert np.array_equal(p.rank_point_cand < visible[:, None], p.los_point_cand)
 
+    def test_problem_is_frozen_and_whole(self, small_problem):
+        """A built problem's fields, the matrices too, cannot be assigned,
+        and none has a default for a later step to fill in."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_problem.dist_point_cand = np.zeros_like(small_problem.dist_point_cand)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_problem.range_cap_km = 1.0
+        for field in dataclasses.fields(PlacementProblem):
+            assert field.default is dataclasses.MISSING, field.name
+            assert field.default_factory is dataclasses.MISSING, field.name
+
     def test_range_cap_defaults_to_diagonal(self, small_problem):
         # The great-circle diagonal of the grid's extent, not of the area.
         grid = small_problem.grid
@@ -350,8 +361,8 @@ _PRECOMPUTED = ("dist_point_cand", "dc_point_cand", "los_point_cand", "rank_poin
 
 
 @st.composite
-def _small_problems(draw) -> PlacementProblem:
-    """A problem before precompute: a sampled grid at 1-3 altitude levels or
+def _small_problems(draw) -> tuple:
+    """``precompute``'s arguments: a sampled grid at 1-3 altitude levels or
     a hand-built one whose horizontal positions repeat in shuffled order;
     no candidates (a free-standing deployment), or lattice or uniform ones
     on masts of 0 or 30 m; deployed sites, one at a grid point; no jammers,
@@ -375,8 +386,7 @@ def _small_problems(draw) -> PlacementProblem:
     p = int(rng.integers(len(grid)))
     sites = [(grid.lat_deg[p], grid.lon_deg[p], grid.alt_m[p])]
     sites += [(la, lo, 0.0) for la, lo in rng.uniform((47.4, 5.71), (51.4, 9.71), (2, 2))]
-    cand_lat, cand_lon, cand_alt = (np.append(c, [s[i] for s in sites])
-                                    for i, c in enumerate(cand))
+    cand = np.array([np.append(c, [s[i] for s in sites]) for i, c in enumerate(cand)])
     jammers = [(*rng.uniform((47.4, 5.71), (51.4, 9.71)), 6000.0)
                for _ in range(draw(st.integers(0, 4)))]
     if jammers and draw(st.booleans()):
@@ -384,35 +394,31 @@ def _small_problems(draw) -> PlacementProblem:
     # With a nominal signal distance of 0, a JSR jammer on a site is 0 / 0.
     model = JammerModel(power_w=100.0, affect_rule=draw(st.sampled_from(["los", "jsr"])),
                         nominal_signal_distance_km=draw(st.sampled_from([150.0, 0.0])))
-    return PlacementProblem(
-        grid=grid, cand_lat=cand_lat, cand_lon=cand_lon, cand_alt=cand_alt,
-        forced_mask=np.arange(cand_lat.size) >= count,
-        jammers=np.array(jammers, dtype=float).reshape(-1, 3).T, jammer_model=model,
-        requirements=ObjectiveRequirements(),
-    )
+    return (grid, cand, np.arange(cand.shape[1]) >= count,
+            np.array(jammers, dtype=float).reshape(-1, 3).T, model, ObjectiveRequirements())
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(problem=_small_problems())
-def test_precompute_matches_reference_bits(problem):
-    """Every matrix precompute fills has the reference's dtype and bits;
+@given(args=_small_problems())
+def test_precompute_matches_reference_bits(args):
+    """Every matrix precompute computes has the reference's dtype and bits;
     the point matrices are finite and each direction is unit or zero."""
-    _check_precompute(problem)
+    _check_precompute(args)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(problem=_small_problems())
-def test_precompute_blocks_match_reference_bits(problem):
+@given(args=_small_problems())
+def test_precompute_blocks_match_reference_bits(args):
     """The same with 256-byte planes: LOS and ranks come in blocks of 2 to
     10 points, so most problems span several blocks and end in a partial
     one, and the NED pass takes one candidate per block."""
     with mock.patch.object(scenario_module, "_PLANE_BYTES", 256):
-        _check_precompute(problem)
+        _check_precompute(args)
 
 
-def _check_precompute(problem):
-    got = precompute(dataclasses.replace(problem))
-    want = precompute_reference(dataclasses.replace(problem))
+def _check_precompute(args):
+    got = precompute(*args)
+    want = precompute_reference(*args)
     for name in _PRECOMPUTED:
         a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
         assert a.dtype == b.dtype and a.shape == b.shape, name
