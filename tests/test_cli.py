@@ -153,12 +153,6 @@ NAN = float("nan")
     (None, "of3_weights", [0.5, 0.5], "of3_weights"),
     ("jammers", "jsr_threshold", -1, "jsr_threshold"),
     ("jammers", "nominal_signal_distance_km", -5, "nominal_signal_distance_km"),
-    # Jammer counts the jammer pattern cannot place: none, negative, and a
-    # grid count that does not divide among SMALL_CONFIG's two heights.
-    ("jammers", "count", 0, "jammers.count"),
-    ("jammers", "count", -3, "jammers.count"),
-    ("jammers", "count", 5, "jammers.count"),
-    ("ga", "n_max", -1, "ga: n_max must be >= 0"),
     # Counts whose matrices would exceed config.MAX_FOOTPRINT_BYTES.
     ("grid", "lat_count", 10**12, "grid.lat_count"),
     ("candidates", "count", 10**12, "candidates.count"),
@@ -168,6 +162,12 @@ NAN = float("nan")
     # Squares that underflow to 0 would make a saturation value 0.
     (None, "requirements", {"min_sensor_spacing_km": 1e-170}, "min_sensor_spacing_km"),
     (None, "requirements", {"required_gdop": 1e-170, "gdop_cap": 2e-170}, "required_gdop"),
+    # Jammer counts the jammer pattern cannot place: none, negative, and a
+    # grid count that does not divide among SMALL_CONFIG's two heights.
+    ("jammers", "count", 0, "jammers.count"),
+    ("jammers", "count", -3, "jammers.count"),
+    ("jammers", "count", 5, "jammers.count"),
+    ("ga", "n_max", -1, "ga: n_max must be >= 0"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
     """Rejected before the search starts, with a message naming the field."""
