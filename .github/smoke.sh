@@ -2,11 +2,11 @@
 # End-to-end run of the installed `adsbplace` console script and its bundled
 # clustered21.csv: augment, evaluate on the free-standing and the matched
 # path, the matched scores against the front's row, report, a malformed
-# sensor file, a jammer count the grid pattern cannot place, and a JSR run
-# whose jammer sits on a candidate site. A RuntimeWarning (a NaN or a
-# division by zero the code does not expect) fails the run. Run it from an
-# empty directory outside the checkout, so that the installed package is
-# the one imported:
+# sensor file, a jammer count the grid pattern cannot place, a repeated
+# jammer height, and a JSR run whose jammer sits on a candidate site. A
+# RuntimeWarning (a NaN or a division by zero the code does not expect)
+# fails the run. Run it from an empty directory outside the checkout, so
+# that the installed package is the one imported:
 #
 #     cd "$(mktemp -d)" && bash /path/to/checkout/.github/smoke.sh
 #
@@ -59,6 +59,14 @@ adsbplace optimize --config jammers.json --out jammers --threads 1 2> jammers.er
 cat jammers.err
 test "$code" -eq 2
 grep -q "^error: jammers.count: " jammers.err
+# A repeated jammer height would place every grid jammer twice: rejected
+# when the config is parsed, with the field named.
+python -c "import json; doc = json.load(open('smoke.json')); doc['jammers'] = {'count': 4, 'heights_m': [6000.0, 6000.0]}; json.dump(doc, open('heights.json', 'w'))"
+code=0
+adsbplace optimize --config heights.json --out heights --threads 1 2> heights.err || code=$?
+cat heights.err
+test "$code" -eq 2
+grep -q "^error: jammers.heights_m: " heights.err
 # One ground jammer under the JSR rule with a nominal signal distance of 0,
 # at the area centre, where the centre candidate sits too: its JSR there is
 # 0 / 0.

@@ -235,6 +235,9 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     heights = _numbers(jam, "jammers", "heights_m", default=[3000.0, 6000.0, 10000.0])
     for i, h in enumerate(heights):
         _non_negative(f"jammers.heights_m[{i}]", h)
+    # A repeated height would place each grid jammer there twice.
+    if len(set(heights)) < len(heights):
+        raise ConfigError("jammers.heights_m", f"must not repeat a height, got {list(heights)}")
     jammer_pattern = _get(jam, "jammers", "pattern", str, default="grid")
     if jammer_pattern not in ("grid", "seeded-uniform"):
         raise ConfigError("jammers.pattern", "must be grid or seeded-uniform")

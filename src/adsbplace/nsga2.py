@@ -92,15 +92,19 @@ class ParetoFront:
 def _dominance(vecs: np.ndarray) -> np.ndarray:
     """Boolean matrix whose entry ``[p, q]`` is true when ``vecs[p]``
     Pareto-dominates ``vecs[q]`` under minimization: no worse in every
-    objective and better in one. NaN compares neither better nor worse."""
+    objective and better in one. NaN compares neither better nor worse.
+
+    ``worse[p, q]`` is true when ``vecs[p]`` is worse than ``vecs[q]`` in
+    some objective, so ``worse.T[p, q]`` is true when it is better in
+    some: ``q > p`` is ``p < q``, and with a NaN both are false. One
+    comparison per objective gives both relations.
+    """
     n = len(vecs)
-    gt = np.zeros((n, n), dtype=bool)
-    lt = np.zeros((n, n), dtype=bool)
+    worse = np.zeros((n, n), dtype=bool)
     # One (n, n) comparison per objective, not one (n, n, d) tensor.
     for col in vecs.T:
-        gt |= col[:, None] > col[None, :]
-        lt |= col[:, None] < col[None, :]
-    return lt & ~gt
+        worse |= np.greater.outer(col, col)
+    return ~worse & worse.T
 
 
 def non_dominated_sort(objectives: Sequence[Sequence[float]]) -> list[list[int]]:

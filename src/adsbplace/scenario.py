@@ -266,6 +266,9 @@ def _ned_geometry(origin_ecef, origin_lat, origin_lon, target_ecef, unit: bool):
         geo.ned_rotation_arrays(origin_lat, origin_lon).transpose(1, 2, 0)
     )  # (3, 3, origins)
     n_origins, n_targets = origin_ecef.shape[0], target_ecef.shape[0]
+    # Component rows, so each difference below reads unit-stride memory.
+    origin_xyz = np.ascontiguousarray(origin_ecef.T)
+    target_xyz = np.ascontiguousarray(target_ecef.T)
     dist = np.empty((n_origins, n_targets))
     dc = np.empty((3, n_targets, n_origins)) if unit else None
     rows = max(1, min(n_targets, _PLANE_BYTES // (8 * max(n_origins, 1))))
@@ -278,7 +281,7 @@ def _ned_geometry(origin_ecef, origin_lat, origin_lon, target_ecef, unit: bool):
         k = stop - start
         d, t, r = diff[:, :k], term[:k], norm[:k]
         for c in range(3):
-            np.subtract(target_ecef[start:stop, c, None], origin_ecef[None, :, c], out=d[c])
+            np.subtract(target_xyz[c, start:stop, None], origin_xyz[c], out=d[c])
         ned = dc[:, start:stop] if unit else ned_block[:, :k]
         for i, out in enumerate(ned):
             np.multiply(rot[i, 0], d[0], out=out)
@@ -372,6 +375,11 @@ def _pairwise_distance(ecef: np.ndarray) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
+# Sort key of a +inf in column c: _INF_KEY + c. Distances are metres, far
+# below 2**52, and every such key is an exact float64.
+_INF_KEY = 2.0**52
+
+
 def nearest_rank(masked: np.ndarray) -> np.ndarray:
     """Rank of every column in its row's stable ascending order.
 
@@ -379,12 +387,43 @@ def nearest_rank(masked: np.ndarray) -> np.ndarray:
     rank by column index, so the ranks in a row are unique. The dtype is
     ``index_dtype(N - 1)`` for N columns: int16 up to N = 32768, int32
     above.
+
+    One unstable argsort orders the rows by keys that cap each value at
+    ``_INF_KEY`` plus its column. A +inf (a column out of LOS) so becomes
+    a distinct key, above every finite one and in column order. A row
+    whose sorted keys strictly increase has one ascending order, the
+    stable one. In the other rows, equal keys (exact ties, 0.0 against
+    -0.0, NaNs) sit together in no set order, so each such run is put in
+    column order. A block holding a finite value of at least
+    ``_INF_KEY``, whose key the cap changed, takes the stable argsort.
     """
     m, n = masked.shape
     dtype = index_dtype(n - 1)
     rank = np.empty((m, n), dtype=dtype)
-    order = np.argsort(masked, axis=1, kind="stable")
-    np.put_along_axis(rank, order, np.arange(n, dtype=dtype)[None, :], axis=1)
+    keys = np.minimum(masked, _INF_KEY + np.arange(n))
+    # flat holds each row's flat indices in ascending order; base is the
+    # flat index of each row's first column.
+    base = np.arange(m)[:, None] * n
+    if np.count_nonzero(keys >= _INF_KEY) > np.count_nonzero(masked == np.inf):
+        flat = np.argsort(masked, axis=1, kind="stable") + base
+    else:
+        flat = np.argsort(keys, axis=1)
+        flat += base
+        ordered = keys.reshape(-1)[flat]
+        # NaNs sort last, and ~(a < b) catches them as it catches ties.
+        tied = ~(ordered[:, :-1] < ordered[:, 1:]).all(axis=1)
+        if tied.any():
+            ordered, start = ordered[tied], base[tied]
+            new_run = ordered[:, 1:] != ordered[:, :-1]
+            new_run &= ~np.isnan(ordered[:, :-1])  # the NaN tail is one run
+            run = np.zeros(ordered.shape, dtype=np.int64)
+            np.cumsum(new_run, axis=1, out=run[:, 1:])
+            # (run, column) pairs are distinct: one unstable sort orders them.
+            pairs = run * n + (flat[tied] - start)
+            pairs.sort(axis=1)
+            flat[tied] = pairs % n + start
+    # flat runs row by row, so the repeated 0..N-1 gives each column its rank.
+    np.put(rank, flat, np.arange(n, dtype=dtype))
     return rank
 
 

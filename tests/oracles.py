@@ -31,7 +31,7 @@ from adsbplace import geo
 from adsbplace.evaluator import RawScores
 from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched
 from adsbplace.objectives import JammerModel, ObjectiveRequirements, knapsack_penalty
-from adsbplace.scenario import AirspaceGrid, PlacementProblem, nearest_rank
+from adsbplace.scenario import AirspaceGrid, PlacementProblem
 
 from conftest import random_geodetic
 
@@ -239,6 +239,12 @@ def precompute_reference(
         jlos = np.zeros((0, cand_lat.size), dtype=bool)
         affected = np.zeros((0, cand_lat.size), dtype=bool)
 
+    # Each column's place in its row's stable order of the LOS-masked
+    # distances: the inverse permutation of the stable argsort.
+    order = np.argsort(np.where(los, dist, np.inf), axis=1, kind="stable")
+    rank = np.empty(order.shape, dtype=np.int16 if order.shape[1] <= 32768 else np.int32)
+    np.put_along_axis(rank, order, np.arange(order.shape[1])[None, :], axis=1)
+
     cdiff = cand_ecef[:, None, :] - cand_ecef[None, :, :]
     cap = requirements.range_cap_km
     if cap is None:
@@ -251,7 +257,7 @@ def precompute_reference(
         dist_point_cand=dist,
         dc_point_cand=dc,
         los_point_cand=los,
-        rank_point_cand=nearest_rank(np.where(los, dist, np.inf)),
+        rank_point_cand=rank,
         dist_jam_cand=jdist,
         los_jam_cand=jlos,
         affected_jam_cand=affected,

@@ -168,6 +168,8 @@ NAN = float("nan")
     ("jammers", "count", -3, "jammers.count"),
     ("jammers", "count", 5, "jammers.count"),
     ("ga", "n_max", -1, "ga: n_max must be >= 0"),
+    # Repeated heights: every grid jammer would count twice in d2 and d3.
+    ("jammers", "heights_m", [6000.0, 6000.0], "jammers.heights_m"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
     """Rejected before the search starts, with a message naming the field."""

@@ -466,3 +466,46 @@ class TestNearestRank:
         order = np.argsort(masked, axis=1, kind="stable")
         assert np.array_equal(np.take_along_axis(rank, order, axis=1),
                               np.broadcast_to(np.arange(40000), (2, 40000)))
+
+    @staticmethod
+    def assert_stable_inverse(masked):
+        rank = nearest_rank(masked)
+        order = np.argsort(masked, axis=1, kind="stable")
+        want = np.empty(order.shape, dtype=rank.dtype)
+        np.put_along_axis(want, order, np.arange(order.shape[1])[None, :], axis=1)
+        assert np.array_equal(rank, want)
+
+    @pytest.mark.parametrize("rows", [
+        # Distinct finite values and +inf: the unstable sort's order stands.
+        [[5.0, np.inf, 1.0, np.inf, 3.0, np.inf], [np.inf, 2.5, 0.5, 7.0, np.inf, 1.5]],
+        # Exact finite ties, and 0.0 against -0.0.
+        [[2.0, 1.0, 2.0, np.inf, 1.0, 2.0], [0.0, -0.0, 1.0, -0.0, 0.0, np.inf]],
+        [[np.inf] * 6, [np.inf] * 6],
+        [[3.0, np.nan, 1.0, np.inf, np.nan, -np.inf]],
+        # Finite values at and above the +inf keys 2**52 + column.
+        [[2.0**52 + 5, 3.0, np.inf, np.inf, 2.0**60, 1.0]],
+        [[2.0**53, 2.0**52, 1e300, 4.0, 2.0**52 + 1, 0.0]],
+    ], ids=["distinct-and-inf", "ties-and-signed-zeros", "all-inf", "nan",
+            "huge-beside-inf", "huge-without-inf"])
+    def test_inverse_of_stable_argsort(self, rows):
+        self.assert_stable_inverse(np.array(rows))
+
+    def test_block_mixing_tied_and_untied_rows(self):
+        rng = np.random.default_rng(5)
+        masked = rng.random((40, 400)) * 1e5
+        masked[rng.random(masked.shape) < 0.4] = np.inf
+        masked[::3, 7] = masked[::3, 300]
+        masked[1::5, 11] = -0.0
+        masked[1::5, 12] = 0.0
+        masked[2, ::7] = np.nan
+        self.assert_stable_inverse(masked)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e6, 2.0**52, 2.0**52 + 1, 1e300,
+                                  math.inf, -math.inf, math.nan]),
+                 min_size=7, max_size=7),
+        min_size=1, max_size=6,
+    ))
+    def test_inverse_of_stable_argsort_on_drawn_rows(self, rows):
+        self.assert_stable_inverse(np.array(rows))
