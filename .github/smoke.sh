@@ -3,7 +3,8 @@
 # clustered21.csv: augment, evaluate on the free-standing and the matched
 # path, the matched scores against the front's row, report, a malformed
 # sensor file, a jammer count the grid pattern cannot place, a repeated
-# jammer height, and a JSR run whose jammer sits on a candidate site. A
+# jammer height, two runs of one seedless seeded-uniform config, and a JSR
+# run whose jammer sits on a candidate site. A
 # RuntimeWarning (a NaN or a division by zero the code does not expect)
 # fails the run. Run it from an empty directory outside the checkout, so
 # that the installed package is the one imported:
@@ -67,6 +68,12 @@ adsbplace optimize --config heights.json --out heights --threads 1 2> heights.er
 cat heights.err
 test "$code" -eq 2
 grep -q "^error: jammers.heights_m: " heights.err
+# Seeded-uniform candidates and jammers without a seed draw from seed 0:
+# two runs of one such config write the same front.
+python -c "import json; doc = json.load(open('smoke.json')); doc['candidates'] = {'count': 9, 'pattern': 'seeded-uniform'}; doc['jammers'] = {'count': 4, 'heights_m': [6000.0], 'pattern': 'seeded-uniform'}; json.dump(doc, open('uniform.json', 'w'))"
+adsbplace optimize --config uniform.json --out uniform1 --threads 1
+adsbplace optimize --config uniform.json --out uniform2 --threads 1
+cmp uniform1/pareto.csv uniform2/pareto.csv
 # One ground jammer under the JSR rule with a nominal signal distance of 0,
 # at the area centre, where the centre candidate sits too: its JSR there is
 # 0 / 0.

@@ -179,7 +179,7 @@ def cmd_evaluate(args) -> int:
     values = (scores.of1, scores.of2, scores.of3, *scores.of3_components, scores.penalty)
     _write_json(out_dir / "scores.json", {
         **meta,
-        "n_sensors": int(chromosome.popcount()),
+        "n_sensors": int(chromosome.genes.sum()),
         **{key: float(fmt(value)) for key, value in zip(SCORE_FIELDS, values)},
         "normalized": {key: float(fmt(value)) for key, value in scores.normalized.items()},
     })

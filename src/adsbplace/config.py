@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .nsga2 import GaConfig
@@ -35,7 +35,7 @@ class ConfigError(ValueError):
     """Invalid run configuration; carries the offending field path."""
 
     def __init__(self, field_path: str, message: str):
-        super().__init__(f"{field_path}: {message}")
+        super().__init__(f"{field_path}: {message}" if field_path else message)
         self.field_path = field_path
 
 
@@ -66,15 +66,26 @@ def _get(data: dict, path: str, key: str, kind, default=None, required=False):
     return value
 
 
-def _fields(data: dict, path: str, table) -> dict:
-    """The checked values of the ``(key, kind)`` pairs of ``table`` that
-    ``data`` sets; unset keys keep the defaults of the class they build."""
-    return {key: _get(data, path, key, kind) for key, kind in table if key in data}
+_KINDS = {"float": float, "int": int, "str": str}
+
+
+def _record(cls, data: dict, path: str):
+    """``cls`` built from the fields of it that ``data`` sets, each checked
+    by ``_get`` against its annotation (``"float"``, ``"int"``, ``"str"``,
+    or one of them with ``" | None"``, which JSON null does not satisfy);
+    unset fields keep their defaults. The class's own checks raise
+    ``ConfigError`` naming ``path``."""
+    kwargs = {f.name: _get(data, path, f.name, _KINDS[f.type.removesuffix(" | None")])
+              for f in fields(cls) if f.name in data}
+    try:
+        return cls(**kwargs)
+    except InvalidConfigError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _non_negative(where: str, value):
-    """Seeds and heights: None (unset) or at least 0."""
-    if value is not None and value < 0:
+    """Seeds and heights: at least 0."""
+    if value < 0:
         raise ConfigError(where, f"must be >= 0, got {value}")
     return value
 
@@ -131,12 +142,12 @@ class RunConfig:
     lon_count: int
     candidate_count: int
     candidate_pattern: str
-    candidate_seed: int | None
+    candidate_seed: int
     antenna_height_m: float
     jammer_count: int
     jammer_heights_m: tuple[float, ...]
     jammer_pattern: str
-    jammer_seed: int | None
+    jammer_seed: int
     jammer_model: JammerModel
     requirements: ObjectiveRequirements
     of3_weights: tuple[float, float, float]
@@ -218,7 +229,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     cand = _get(data, "", "candidates", dict, default={})
     candidate_count = _get(cand, "candidates", "count", int, default=400)
     candidate_pattern = _get(cand, "candidates", "pattern", str, default="lattice")
-    candidate_seed = _non_negative("candidates.seed", _get(cand, "candidates", "seed", int))
+    candidate_seed = _non_negative("candidates.seed", _get(cand, "candidates", "seed", int, default=0))
     antenna_height_m = _non_negative(
         "candidates.antenna_height_m",
         _get(cand, "candidates", "antenna_height_m", float, default=0.0),
@@ -246,36 +257,12 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
             "jammers.count",
             f"{jammer_count} is not a multiple of the {len(heights)} heights_m of the grid pattern",
         )
-    jammer_seed = _non_negative("jammers.seed", _get(jam, "jammers", "seed", int))
-    link_budget = _fields(jam, "jammers", (
-        ("power_w", float),
-        ("antenna_gain", float),
-        ("transmitter_power_w", float),
-        ("transmitter_antenna_gain", float),
-        ("affect_rule", str),
-        ("jsr_threshold", float),
-        ("nominal_signal_distance_km", float),
-    ))
-    if link_budget.get("affect_rule") not in (None, "los", "jsr"):
+    jammer_seed = _non_negative("jammers.seed", _get(jam, "jammers", "seed", int, default=0))
+    if _get(jam, "jammers", "affect_rule", str, default="los") not in ("los", "jsr"):
         raise ConfigError("jammers.affect_rule", "must be los or jsr")
-    try:
-        jammer_model = JammerModel(**link_budget)
-    except InvalidConfigError as exc:
-        raise ConfigError("jammers", str(exc)) from exc
-
-    req_data = _get(data, "", "requirements", dict, default={})
-    try:
-        requirements = ObjectiveRequirements(**_fields(req_data, "requirements", (
-            ("required_gdop", float),
-            ("required_range_km", float),
-            ("min_sensor_spacing_km", float),
-            ("min_jammer_distance_km", float),
-            ("max_sensors_in_jammer_los", int),
-            ("gdop_cap", float),
-            ("range_cap_km", float),
-        )))
-    except InvalidConfigError as exc:
-        raise ConfigError("requirements", str(exc)) from exc
+    jammer_model = _record(JammerModel, jam, "jammers")
+    requirements = _record(ObjectiveRequirements, _get(data, "", "requirements", dict, default={}),
+                           "requirements")
 
     weights = _numbers(data, "", "of3_weights", default=[1 / 3, 1 / 3, 1 / 3])
     try:
@@ -283,23 +270,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     except InvalidConfigError as exc:
         raise ConfigError("of3_weights", str(exc)) from exc
 
-    ga_data = _get(data, "", "ga", dict, default={})
-    ga_kwargs = _fields(ga_data, "ga", (
-        ("population_size", int),
-        ("generations", int),
-        ("crossover_rate", float),
-        ("mutation_rate", float),
-        ("tournament_size", int),
-        ("rng_seed", int),
-        ("n_max", int),
-        ("pareto_weight_a", float),
-        ("gdop_subset_cap", int),
-    ))
-    _non_negative("ga.rng_seed", ga_kwargs.get("rng_seed"))
-    try:
-        ga = GaConfig(**ga_kwargs)
-    except InvalidConfigError as exc:
-        raise ConfigError("ga", str(exc)) from exc
+    ga = _record(GaConfig, _get(data, "", "ga", dict, default={}), "ga")
+    _non_negative("ga.rng_seed", ga.rng_seed)
 
     scen = _get(data, "", "scenario", dict, default={})
     kind = _get(scen, "scenario", "kind", str, default="scratch")

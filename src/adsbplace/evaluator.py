@@ -152,10 +152,6 @@ class JamReport:
     affected_count: np.ndarray   # sensors hit
     min_distance_km: np.ndarray  # distance to the nearest sensor
 
-    @property
-    def max_affected(self) -> int:
-        return int(self.affected_count.max()) if self.affected_count.size else 0
-
 
 class PlacementEvaluator:
     """Scores binary site-selection chromosomes against one problem. With

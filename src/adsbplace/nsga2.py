@@ -39,9 +39,6 @@ class Chromosome:
     def key(self) -> bytes:
         return np.packbits(self.genes).tobytes()
 
-    def popcount(self) -> int:
-        return int(self.genes.sum())
-
 
 @dataclass(frozen=True)
 class GaConfig:

@@ -92,7 +92,7 @@ def candidate_sites(
     count: int,
     deployed: Sequence[tuple[str, float, float, float]] = (),
     pattern: str = "lattice",
-    seed: int | None = None,
+    seed: int = 0,
     antenna_height_m: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The candidate sites, as a (3, N) array of latitudes, longitudes and
@@ -128,7 +128,7 @@ def generate_jammers(
     count: int,
     heights_m: Sequence[float],
     pattern: str = "grid",
-    seed: int | None = None,
+    seed: int = 0,
 ) -> np.ndarray:
     """Jammers spread over the area at the given height levels, as a
     (3, J) array of latitudes, longitudes and heights: on a lattice at
@@ -547,7 +547,7 @@ def build_problem(
     jammer_model: JammerModel = JammerModel(),
     deployed: Sequence[tuple[str, float, float, float]] = (),
     candidate_pattern: str = "lattice",
-    candidate_seed: int | None = None,
+    candidate_seed: int = 0,
     antenna_height_m: float = 0.0,
 ) -> PlacementProblem:
     """Assemble and precompute a placement problem over the sites of

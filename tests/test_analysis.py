@@ -42,7 +42,7 @@ class TestEvaluatePlacement:
         req = small_problem.requirements
         assert scores.of1 == pytest.approx((req.required_gdop - req.gdop_cap) ** 2)
         assert scores.penalty == 0.0
-        assert report.max_affected == 0
+        assert report.affected_count.max() == 0
         # No sensors: OF1 and d1 saturate, d2 and d3 vanish.
         assert scores.normalized["of1"] == 1.0
         assert scores.of3 == pytest.approx(1 / 3)

@@ -170,6 +170,8 @@ NAN = float("nan")
     ("ga", "n_max", -1, "ga: n_max must be >= 0"),
     # Repeated heights: every grid jammer would count twice in d2 and d3.
     ("jammers", "heights_m", [6000.0, 6000.0], "jammers.heights_m"),
+    (None, "requirements", {"max_sensors_in_jammer_los": -1},
+     "requirements: max_sensors_in_jammer_los must be >= 0"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
     """Rejected before the search starts, with a message naming the field."""
@@ -182,6 +184,16 @@ def test_malformed_config_exit_2(tmp_path, capsys, section, key, value, field):
     assert code == EXIT_USAGE
     assert field in err
     assert '"gen"' not in err
+
+
+@pytest.mark.parametrize("root", [[], "config", 1, None])
+def test_config_root_not_an_object_exit_2(tmp_path, capsys, root):
+    """The message of a document that is not an object has no field path."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(root))
+    code = main(["optimize", "--config", str(p), "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: config root must be a JSON object\n"
 
 
 def exit_code_and_err(tmp_path, capsys, doc):
@@ -429,6 +441,22 @@ def test_input_file_error_names_file(tmp_path, capsys, command, broken, fault):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["augment", "evaluate"])
+def test_oversized_sensor_field_exit_2(config_file, tmp_path, capsys, command):
+    """A field above the csv module's 131072-character limit exits 2
+    naming the file and line."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"id,lat_deg,lon_deg,alt_m\n{'x' * 131073},48.0,7.0,0\n")
+    code = main([
+        command, "--config", str(config_file), "--sensors", str(bad), "--out", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {bad}: line 2: field larger than field limit" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestEvaluate:
     def test_fixture_scores_finite(self, config_file, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -646,7 +674,9 @@ class TestReport:
         (lambda text: text.replace("0,5,0,1", "0,x,0,1"), "line 4: column n_sensors: 'x'"),
         (lambda text: text.replace(",0.01\n", "\n"), "line 4: column penalty: ''"),
         (lambda text: text.replace("0.01", "0.\udcff1"), "line 4: not UTF-8: byte 0xff"),
-    ], ids=["missing-column", "text-cell", "text-count", "short-row", "not-utf8"])
+        (lambda text: text.replace("0,5,0,1", "0,5,0," + "1" * 131073),
+         "line 4: field larger than field limit"),
+    ], ids=["missing-column", "text-cell", "text-count", "short-row", "not-utf8", "oversized-field"])
     def test_malformed_pareto_exit_2(self, tmp_path, capsys, edit, message):
         """A broken pareto.csv exits 2 naming the file and the bad column or
         line, without a traceback."""

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from adsbplace.config import ConfigError, load_config, parse_config, section8_preset
 from adsbplace.evaluator import PlacementEvaluator
+from adsbplace.nsga2 import evolve
 from adsbplace.objectives import InvalidConfigError, JammerModel, saturation_normalization
 
 
@@ -164,6 +165,26 @@ class TestBuildFromConfig:
         prob = cfg.build_problem()
         assert cfg.ga_for_problem(prob, seed_override=77).rng_seed == 77
 
+    def test_seedless_uniform_patterns_are_deterministic(self):
+        """Seeded-uniform candidates and jammers without a seed draw from
+        seed 0, so one document gives the same sites, jammers and front
+        each time it is built."""
+        data = minimal_config(
+            candidates={"count": 9, "pattern": "seeded-uniform"},
+            jammers={"count": 4, "heights_m": [3000.0, 6000.0], "pattern": "seeded-uniform"},
+        )
+        runs = []
+        for _ in range(2):
+            cfg = parse_config(copy.deepcopy(data))
+            assert cfg.candidate_seed == cfg.jammer_seed == 0
+            prob = cfg.build_problem()
+            front = evolve(prob, cfg.ga_for_problem(prob), cfg.of3_weights)
+            runs.append((prob.cand_lat, prob.cand_lon, prob.jammers,
+                         np.array([m.chromosome.genes for m in front.members]),
+                         np.array([m.objectives for m in front.members])))
+        for first, second in zip(*runs):
+            np.testing.assert_array_equal(first, second)
+
 
 class TestLoadConfig:
     def test_round_trip_file(self, tmp_path):
@@ -192,7 +213,7 @@ class TestPreset:
 
 
 # Every field the schema knows, set: at its default, or where that is None
-# (seeds, mutation rate, range cap), at a value of the section-8 scale.
+# (mutation rate, range cap), at a value of the section-8 scale.
 DEFAULT_DOCUMENT = {
     "area": section8_preset()["area"],
     "grid": {"lat_count": 20, "lon_count": 20},

@@ -349,7 +349,7 @@ class TestEvolve:
         config = GaConfig(population_size=12, generations=6, rng_seed=1, n_max=8,
                           gdop_subset_cap=6)
         front = evolve(small_problem, config)
-        assert all(m.chromosome.popcount() <= 8 for m in front.members)
+        assert all(m.chromosome.genes.sum() <= 8 for m in front.members)
 
     def test_n_max_below_forced_rejected(self, area_bounds):
         from adsbplace.objectives import ObjectiveRequirements
