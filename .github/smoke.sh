@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end run of the installed `adsbplace` console script and its bundled
 # clustered21.csv: augment, evaluate on the free-standing and the matched
-# path, the matched scores against the front's row, report, a malformed
-# sensor file, a jammer count the grid pattern cannot place, a repeated
-# jammer height, two runs of one seedless seeded-uniform config, and a JSR
-# run whose jammer sits on a candidate site. A
-# RuntimeWarning (a NaN or a division by zero the code does not expect)
-# fails the run. Run it from an empty directory outside the checkout, so
-# that the installed package is the one imported:
+# path, the matched scores against the front's row, report, an unknown
+# OSP_LOG level, a front with a nan cell, a malformed sensor file, a
+# jammer count the grid pattern cannot place, a repeated jammer height, two
+# runs of one seedless seeded-uniform config, and a JSR run whose jammer
+# sits on a candidate site. A RuntimeWarning (a NaN or a division by zero
+# the code does not expect) fails the run. Run it from an empty directory
+# outside the checkout, so that the installed package is the one imported:
 #
 #     cd "$(mktemp -d)" && bash /path/to/checkout/.github/smoke.sh
 #
@@ -46,6 +46,28 @@ print(f"scores.json against pareto.csv row 0: {len(columns)} columns, differing:
 sys.exit(1 if differ else 0)
 PY
 adsbplace report front
+# An OSP_LOG that names no logging level is a usage error, not a traceback.
+code=0
+OSP_LOG=bogus adsbplace report front 2> log.err || code=$?
+cat log.err
+test "$code" -eq 2
+grep -q "^error: OSP_LOG: " log.err
+# A copy of the front whose row 0 has of1_norm set to nan: report rejects
+# the cell, naming its line and column.
+mkdir -p nan_front
+python - <<'PY'
+import csv
+lines = [line for line in open("front/pareto.csv") if not line.startswith("#")]
+rows = list(csv.reader(lines))
+rows[1][rows[0].index("of1_norm")] = "nan"
+with open("nan_front/pareto.csv", "w", newline="") as fh:
+    csv.writer(fh, lineterminator="\n").writerows(rows)
+PY
+code=0
+adsbplace report nan_front 2> nan.err || code=$?
+cat nan.err
+test "$code" -eq 2
+grep -q "^error: nan_front/pareto.csv: line 2: column of1_norm: 'nan' is not finite" nan.err
 printf 'id,lat_deg,lon_deg,alt_m\nx,abc,7.0,0\n' > bad.csv
 code=0
 adsbplace evaluate --config smoke.json --sensors bad.csv --out bad 2> bad.err || code=$?

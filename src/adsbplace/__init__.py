@@ -7,7 +7,7 @@ from .objectives import (
     knapsack_penalty,
     weighted_fitness,
 )
-from .scenario import AreaBounds, AirspaceGrid, PlacementProblem, build_problem
+from .scenario import AreaBounds, PlacementProblem, build_problem
 from .nsga2 import Chromosome, GaConfig, ParetoFront, evolve
 from .analysis import evaluate_placement, gdop_distribution, pareto_summary
 from .config import RunConfig, load_config, parse_config, section8_preset
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AreaBounds",
-    "AirspaceGrid",
     "Chromosome",
     "GaConfig",
     "JammerModel",

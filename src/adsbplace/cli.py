@@ -87,8 +87,7 @@ def _write_front(cfg: RunConfig, problem, front, out_dir: Path) -> None:
             out_dir / f"solution_{sol_id}.csv",
             dict(meta, solution_id=sol_id, total_cells=problem.n_candidates),
             ["id", "lat_deg", "lon_deg", "alt_m", "forced"],
-            zip(idx, problem.cand_lat[idx], problem.cand_lon[idx], problem.cand_alt[idx],
-                member.chromosome.forced_mask[idx].astype(int)),
+            zip(idx, *problem.sites[:, idx], member.chromosome.forced_mask[idx].astype(int)),
         )
 
 
@@ -128,12 +127,11 @@ def _map_to_candidates(sites: np.ndarray, rows) -> tuple[np.ndarray | None, int 
     of the first row that does not match exactly one site in latitude,
     longitude and altitude, up to ``fmt``'s rounding to 9 significant
     digits."""
-    cand_lat, cand_lon, cand_alt = sites
-    genes = np.zeros(cand_lat.size, dtype=bool)
+    genes = np.zeros(sites.shape[1], dtype=bool)
     for i, (_, lat, lon, alt) in enumerate(rows):
         close = np.flatnonzero(
-            (np.abs(cand_lat - lat) < 1e-6) & (np.abs(cand_lon - lon) < 1e-6)
-            & np.isclose(cand_alt, alt, rtol=1e-8, atol=1e-6)
+            (np.abs(sites[0] - lat) < 1e-6) & (np.abs(sites[1] - lon) < 1e-6)
+            & np.isclose(sites[2], alt, rtol=1e-8, atol=1e-6)
         )
         if close.size != 1:
             return None, i
@@ -200,7 +198,8 @@ def cmd_evaluate(args) -> int:
 def read_pareto_csv(path: Path) -> list[dict]:
     """``pareto.csv``'s rows as dicts over PARETO_COLUMNS. An unreadable
     file, text that is not UTF-8 or CSV, a missing column and a cell that
-    is not a number raise ``DeployedFileError`` naming the file and line."""
+    is not a finite number raise ``DeployedFileError`` naming the file and
+    line."""
     records = ((line_no, row) for line_no, row in csv_rows(path) if row)
     line_no, header = next(records, (1, []))
     missing = [key for key in PARETO_COLUMNS if key not in header]
@@ -216,6 +215,8 @@ def read_pareto_csv(path: Path) -> list[dict]:
                 rec[key] = (int if key in ("solution_id", "n_sensors", "n_forced") else float)(cell)
             except ValueError:
                 raise DeployedFileError(path, line_no, f"column {key}: {cell!r} is not a number") from None
+            if not math.isfinite(rec[key]):
+                raise DeployedFileError(path, line_no, f"column {key}: {cell!r} is not finite")
         rows.append(rec)
     return rows
 
@@ -307,7 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("OSP_LOG", "WARNING").upper())
+    level = os.environ.get("OSP_LOG", "WARNING")
+    # getLevelName maps a level's name to its number, other text to a string.
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: OSP_LOG: unknown log level {level!r}; expected DEBUG, INFO, WARNING, "
+              "ERROR or CRITICAL", file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level.upper())
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -270,8 +270,10 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     except InvalidConfigError as exc:
         raise ConfigError("of3_weights", str(exc)) from exc
 
-    ga = _record(GaConfig, _get(data, "", "ga", dict, default={}), "ga")
-    _non_negative("ga.rng_seed", ga.rng_seed)
+    ga_doc = _get(data, "", "ga", dict, default={})
+    # Named by its field path, like the other seeds, ahead of GaConfig's check.
+    _non_negative("ga.rng_seed", _get(ga_doc, "ga", "rng_seed", int, default=0))
+    ga = _record(GaConfig, ga_doc, "ga")
 
     scen = _get(data, "", "scenario", dict, default={})
     kind = _get(scen, "scenario", "kind", str, default="scratch")

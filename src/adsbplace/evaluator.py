@@ -165,6 +165,7 @@ class PlacementEvaluator:
         self.problem = problem
         self.cap = int(gdop_subset_cap)
         n = problem.n_candidates
+        self.n_points = problem.points.shape[1]
         self.dc_flat = problem.dc_point_cand.reshape(3, -1)  # (3, N * m)
         # Penalty by sensor count from the scalar formula: numpy squares by a
         # multiply, Python's ``**`` by pow(); they can differ in the last bit.
@@ -208,7 +209,7 @@ class PlacementEvaluator:
         the minimal GDOP over the subsets inside the first j of them, and
         ``forced_values`` (2, C(kf, 3), m), the D and Q of their triples."""
         problem = self.problem
-        m, n = len(problem.grid), problem.n_candidates
+        m, n = self.n_points, problem.n_candidates
         forced = np.flatnonzero(problem.forced_mask)
         kf = min(self.cap, forced.size)
         key = np.multiply(problem.rank_point_cand[:, forced], n, dtype=self._key_dtype)
@@ -233,7 +234,7 @@ class PlacementEvaluator:
             raise ValueError("diagnostics are computed for one chromosome, not a batch")
         batch = genes.reshape(-1, problem.n_candidates)
         req = problem.requirements
-        m = len(problem.grid)
+        m = self.n_points
         counts = batch.sum(axis=1)
         # Chromosomes in order of their sensor count n, so each group of
         # equal n is scored together and, as k = min(cap, n) rises with n,
@@ -296,8 +297,7 @@ class PlacementEvaluator:
         if not diagnostics:
             return scores.row(0)
         vis_counts, second_km, jam_counts, min_dist = (a[:, 0] for a in detail)
-        grid = problem.grid
-        coverage = CoverageGrid(grid.lat_deg, grid.lon_deg, grid.alt_m, vis_counts, best_gdop,
+        coverage = CoverageGrid(*problem.points, vis_counts, best_gdop,
                                 np.where(vis_counts >= 2, second_km, np.inf))
         return scores.row(0), coverage, JamReport(*problem.jammers, jam_counts, min_dist)
 
@@ -311,10 +311,9 @@ class PlacementEvaluator:
         usable sensors keep their inf."""
         if fprime is None:
             return self._kernel_jobs(k, 0, out, near, valid)
-        m = len(self.problem.grid)
         tabled = (fprime > 0) & (fprime == valid)
         rows = np.flatnonzero(tabled)
-        out[rows] = self.best_forced[rows % m, fprime[rows]]
+        out[rows] = self.best_forced[rows % self.n_points, fprime[rows]]
         rest = ~tabled & (valid >= 4)
         jobs = []
         for f in np.unique(fprime[rest]).tolist():
@@ -338,7 +337,7 @@ class PlacementEvaluator:
             past = slice(math.comb(f, 4), None)
             subsets, index = subsets[past], index[past]
             known = math.comb(f, 3)
-        m = len(self.problem.grid)
+        m = self.n_points
         size = valid.size if rows is None else rows.size
         budget = max(_MIN_ROWS, _ROW_BYTES // (8 * max(len(table), len(subsets))))
         chunk = budget - budget % m if budget >= m else budget
@@ -351,7 +350,7 @@ class PlacementEvaluator:
     def _kernel(self, f, out, at, near, valid, subsets, table, known) -> None:
         """Minimal GDOP of the rows ``at`` (a slice or indices) into their
         places in ``out``."""
-        m = len(self.problem.grid)
+        m = self.n_points
         point = (np.arange(*at.indices(valid.size)) if isinstance(at, slice) else at) % m
         # Flat (candidate, point) indices into the component-major
         # direction cosines, and one contiguous (3, k, rows) gather, whose
@@ -377,7 +376,7 @@ class PlacementEvaluator:
         and (J, G) per jammer."""
         problem = self.problem
         req = problem.requirements
-        m = len(problem.grid)
+        m = self.n_points
         g, n = sel.shape
         n_cand = problem.n_candidates
 

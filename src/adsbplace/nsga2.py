@@ -64,6 +64,8 @@ class GaConfig:
             raise InvalidConfigError("mutation_rate must lie in [0, 1]")
         if not 1 <= self.tournament_size <= self.population_size:
             raise InvalidConfigError("tournament_size must lie in [1, population_size]")
+        if self.rng_seed < 0:
+            raise InvalidConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.gdop_subset_cap < 4:
             raise InvalidConfigError("gdop_subset_cap must be >= 4")
         if self.n_max is not None and self.n_max < 0:

@@ -47,23 +47,12 @@ class AreaBounds:
         return self.lat_low <= lat <= self.lat_up and self.lon_low <= lon <= self.lon_up
 
 
-@dataclass
-class AirspaceGrid:
-    """Sampled airspace points."""
+def sample_grid(bounds: AreaBounds, lat_count: int, lon_count: int) -> np.ndarray:
+    """Regular lat x lon lattice at each altitude level, as a (3, m) array
+    of latitudes, longitudes and altitudes.
 
-    lat_deg: np.ndarray
-    lon_deg: np.ndarray
-    alt_m: np.ndarray
-
-    def __len__(self) -> int:
-        return self.lat_deg.size
-
-
-def sample_grid(bounds: AreaBounds, lat_count: int, lon_count: int) -> AirspaceGrid:
-    """Regular lat x lon lattice at each altitude level.
-
-    Points come out sorted by longitude, ties broken by latitude, so the
-    node-uniqueness ordering holds by construction.
+    Points come out sorted by longitude, ties broken by latitude, then
+    altitude, so the node-uniqueness ordering holds by construction.
     """
     if lat_count < 2 or lon_count < 2:
         raise InvalidConfigError("grid counts must be >= 2")
@@ -71,7 +60,7 @@ def sample_grid(bounds: AreaBounds, lat_count: int, lon_count: int) -> AirspaceG
     lons = np.linspace(bounds.lon_low, bounds.lon_up, lon_count)
     alts = np.asarray(bounds.altitude_levels_m, dtype=float)
     lon_g, lat_g, alt_g = np.meshgrid(lons, lats, alts, indexing="ij")
-    return AirspaceGrid(lat_deg=lat_g.ravel(), lon_deg=lon_g.ravel(), alt_m=alt_g.ravel())
+    return np.stack([lat_g.ravel(), lon_g.ravel(), alt_g.ravel()])
 
 
 def _lattice_centers(bounds: AreaBounds, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,15 +144,14 @@ def generate_jammers(
 @dataclass(frozen=True)
 class PlacementProblem:
     """A problem instance with all its geometry, as ``precompute`` builds
-    it. Its jammers are a (3, J) array of latitudes, longitudes and
-    heights, each following ``jammer_model``. Point-candidate matrices
-    are (m, N) except the direction cosines, which are component-major
+    it. Its airspace points, candidate sites and jammers are (3, m),
+    (3, N) and (3, J) arrays of latitudes, longitudes and altitudes, the
+    jammers each following ``jammer_model``. Point-candidate matrices are
+    (m, N) except the direction cosines, which are component-major
     (3, N, m)."""
 
-    grid: AirspaceGrid
-    cand_lat: np.ndarray
-    cand_lon: np.ndarray
-    cand_alt: np.ndarray
+    points: np.ndarray
+    sites: np.ndarray
     forced_mask: np.ndarray
     jammers: np.ndarray
     jammer_model: JammerModel
@@ -180,7 +168,7 @@ class PlacementProblem:
 
     @property
     def n_candidates(self) -> int:
-        return self.cand_lat.size
+        return self.sites.shape[1]
 
 
 # Bytes of one float64 plane of a block in precompute's blocked passes. A
@@ -194,36 +182,32 @@ _PLANE_BYTES = 128 << 10
 
 
 def precompute(
-    grid: AirspaceGrid,
+    points: np.ndarray,
     sites: np.ndarray,
     forced_mask: np.ndarray,
     jammers: np.ndarray,
     jammer_model: JammerModel,
     requirements: ObjectiveRequirements,
 ) -> PlacementProblem:
-    """The problem over the (3, N) candidate sites and (3, J) jammers,
-    with every distance / direction-cosine / LOS matrix computed and the
-    OF2 range cap resolved: the requirement's, else the grid's diagonal.
+    """The problem over the (3, m) points, (3, N) candidate sites and
+    (3, J) jammers, with every distance / direction-cosine / LOS matrix
+    computed and the OF2 range cap resolved: the requirement's, else the
+    points' diagonal.
 
     Each value is computed once. NED vectors, their lengths and the unit
     scaling run in one blocked pass. Ground distances are computed per
-    distinct (lat, lon) of the grid and of the jammers, and LOS and the
+    distinct (lat, lon) of the points and of the jammers, and LOS and the
     nearest ranks per block of points, each block gathering its ground
     distances from that table; so beyond the matrices it keeps, precompute
     holds no (m, N) array. Candidate-to-candidate distances sum their
     squared ECEF component planes. The matrices keep the bits of the
     whole-array computation (``tests/oracles.precompute_reference``).
     """
-    cand_lat, cand_lon, cand_alt = sites
-    cand_ecef = geo.geodetic_to_ecef_arrays(cand_lat, cand_lon, cand_alt)
-    grid_ecef = geo.geodetic_to_ecef_arrays(grid.lat_deg, grid.lon_deg, grid.alt_m)
-    dist, dc = _ned_geometry(grid_ecef, grid.lat_deg, grid.lon_deg, cand_ecef, unit=True)
-    los, rank = _visibility(sites, grid.lat_deg, grid.lon_deg, grid.alt_m, dist)
-
-    jam_lat, jam_lon, jam_alt = jammers
-    jam_ecef = geo.geodetic_to_ecef_arrays(jam_lat, jam_lon, jam_alt)
-    jdist, _ = _ned_geometry(jam_ecef, jam_lat, jam_lon, cand_ecef, unit=False)
-    jlos, _ = _visibility(sites, jam_lat, jam_lon, jam_alt)
+    cand_ecef = geo.geodetic_to_ecef_arrays(*sites)
+    dist, dc = _ned_geometry(points, cand_ecef, unit=True)
+    los, rank = _visibility(sites, points, dist)
+    jdist, _ = _ned_geometry(jammers, cand_ecef, unit=False)
+    jlos, _ = _visibility(sites, jammers)
     affected = jlos.copy()
     model = jammer_model
     if model.affect_rule == "jsr":
@@ -237,8 +221,8 @@ def precompute(
 
     cap = requirements.range_cap_km
     return PlacementProblem(
-        grid, cand_lat, cand_lon, cand_alt, forced_mask, jammers, jammer_model, requirements,
-        range_cap_km=_area_diagonal(grid) if cap is None else float(cap),
+        points, sites, forced_mask, jammers, jammer_model, requirements,
+        range_cap_km=_area_diagonal(points) if cap is None else float(cap),
         dist_point_cand=dist,
         dc_point_cand=dc,
         los_point_cand=los,
@@ -250,10 +234,11 @@ def precompute(
     )
 
 
-def _ned_geometry(origin_ecef, origin_lat, origin_lon, target_ecef, unit: bool):
-    """Length of the NED vector from each origin to each target, as
-    (origins, targets), and with ``unit`` the unit vectors component-major
-    (3, targets, origins), zero where the length is zero; else None.
+def _ned_geometry(origins, target_ecef, unit: bool):
+    """Length of the NED vector from each of the (3, n) geodetic origins
+    to each ECEF target, as (origins, targets), and with ``unit`` the unit
+    vectors component-major (3, targets, origins), zero where the length
+    is zero; else None.
 
     One pass over blocks of targets rotates, measures and scales each
     block while it is in cache. Each component sums as
@@ -263,11 +248,11 @@ def _ned_geometry(origin_ecef, origin_lat, origin_lon, target_ecef, unit: bool):
     matrices and so of every score.
     """
     rot = np.ascontiguousarray(
-        geo.ned_rotation_arrays(origin_lat, origin_lon).transpose(1, 2, 0)
+        geo.ned_rotation_arrays(origins[0], origins[1]).transpose(1, 2, 0)
     )  # (3, 3, origins)
-    n_origins, n_targets = origin_ecef.shape[0], target_ecef.shape[0]
+    n_origins, n_targets = origins.shape[1], target_ecef.shape[0]
     # Component rows, so each difference below reads unit-stride memory.
-    origin_xyz = np.ascontiguousarray(origin_ecef.T)
+    origin_xyz = np.ascontiguousarray(geo.geodetic_to_ecef_arrays(*origins).T)
     target_xyz = np.ascontiguousarray(target_ecef.T)
     dist = np.empty((n_origins, n_targets))
     dc = np.empty((3, n_targets, n_origins)) if unit else None
@@ -302,45 +287,45 @@ def _ned_geometry(origin_ecef, origin_lat, origin_lon, target_ecef, unit: bool):
     return dist, dc
 
 
-def _visibility(sites, lat_deg, lon_deg, alt_m, dist=None):
-    """LOS from each origin to each of the (3, N) candidate sites, as
-    (origins, N) bools, and with ``dist`` the ``nearest_rank`` of the
-    LOS-masked distances, else None. Both are filled per block of origins,
-    each gathering its ground distances from ``_ground_km``'s table, so
-    their temporaries take a block's rows, not the matrix's. Every step is
-    elementwise or per row, so the blocks keep the whole-matrix bits."""
-    cand_lat, cand_lon, cand_alt = sites
-    table, inverse = _ground_km(lat_deg, lon_deg, cand_lat, cand_lon)
-    m, n = inverse.size, cand_lat.size
+def _visibility(sites, origins, dist=None):
+    """LOS from each of the (3, n) geodetic origins to each of the (3, N)
+    candidate sites, as (n, N) bools, and with ``dist`` the
+    ``nearest_rank`` of the LOS-masked distances, else None. Both are
+    filled per block of origins, each gathering its ground distances from
+    ``_ground_km``'s table, so their temporaries take a block's rows, not
+    the matrix's. Every step is elementwise or per row, so the blocks keep
+    the whole-matrix bits."""
+    table, inverse = _ground_km(origins, sites)
+    m, n = inverse.size, sites.shape[1]
     los = np.empty((m, n), dtype=bool)
     rank = None if dist is None else np.empty((m, n), dtype=index_dtype(n - 1))
     rows = max(1, _PLANE_BYTES // (8 * n))
-    cand_alt = cand_alt[None, :]
+    origin_alt, site_alt = origins[2, :, None], sites[2, None, :]
     for start in range(0, m, rows):
         block = slice(start, start + rows)
-        los[block] = geo.visibility_mask_arrays(alt_m[block, None], table[inverse[block]], cand_alt)
+        los[block] = geo.visibility_mask_arrays(origin_alt[block], table[inverse[block]], site_alt)
         if rank is not None:
             rank[block] = nearest_rank(np.where(los[block], dist[block], np.inf))
     return los, rank
 
 
-def _ground_km(lat_deg, lon_deg, cand_lat, cand_lon) -> tuple[np.ndarray, np.ndarray]:
-    """Great-circle km from each distinct (lat, lon) origin to each
-    candidate, as (distinct origins, candidates), by
-    ``geo.haversine_km_arrays``'s formula and operand order, and the row
-    of each origin in it. Its sin^2(dlat / 2), cos(lat1) cos(lat2) and
+def _ground_km(origins, sites) -> tuple[np.ndarray, np.ndarray]:
+    """Great-circle km from each distinct (lat, lon) of the (3, n) origins
+    to each of the (3, N) candidate sites, as (distinct origins,
+    candidates), by ``geo.haversine_km_arrays``'s formula and operand
+    order, and the row of each origin in it. Its sin^2(dlat / 2), cos(lat1) cos(lat2) and
     sin^2(dlon / 2) terms each depend on two latitudes or two longitudes
     only, so they are tabled over the distinct ones and gathered per
     pair."""
-    pairs = np.stack([lat_deg, lon_deg], axis=1, dtype=float)
+    pairs = np.stack(origins[:2], axis=1, dtype=float)
     # Positions of equal bits share a row. Unique over 16-byte keys sorts
     # them several times faster than unique(axis=0) does.
     keys, inverse = np.unique(pairs.view(np.dtype((np.void, 16))).ravel(), return_inverse=True)
     where = keys.view(float).reshape(-1, 2)
     lat1, i = _distinct_radians(where[:, 0])
     lon1, u = _distinct_radians(where[:, 1])
-    lat2, j = _distinct_radians(cand_lat)
-    lon2, v = _distinct_radians(cand_lon)
+    lat2, j = _distinct_radians(sites[0])
+    lon2, v = _distinct_radians(sites[1])
     sin_lat = np.sin((lat2 - lat1[:, None]) / 2.0) ** 2
     sin_lon = np.sin((lon2 - lon1[:, None]) / 2.0) ** 2
     cos_cos = np.cos(lat1)[:, None] * np.cos(lat2)
@@ -432,12 +417,9 @@ def index_dtype(n: int) -> np.dtype:
     return next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if n <= np.iinfo(t).max)
 
 
-def _area_diagonal(grid: AirspaceGrid) -> float:
-    return float(
-        geo.haversine_km_arrays(
-            grid.lat_deg.min(), grid.lon_deg.min(), grid.lat_deg.max(), grid.lon_deg.max()
-        )
-    )
+def _area_diagonal(points: np.ndarray) -> float:
+    (lat_low, lon_low, _), (lat_up, lon_up, _) = points.min(axis=1), points.max(axis=1)
+    return float(geo.haversine_km_arrays(lat_low, lon_low, lat_up, lon_up))
 
 
 class DeployedFileError(ValueError):
@@ -564,13 +546,13 @@ def build_problem(
     sites, forced = candidate_sites(
         bounds, candidate_count, deployed, candidate_pattern, candidate_seed, antenna_height_m
     )
-    grid = sample_grid(bounds, lat_count, lon_count)
+    points = sample_grid(bounds, lat_count, lon_count)
     if jammers is None:
         jammers = np.empty((3, 0))
     for _, lat, lon, _alt in deployed:
         if not bounds.contains(lat, lon):
             log.warning("deployed sensor (%.4f, %.4f) lies outside the area bounds", lat, lon)
-    return precompute(grid, sites, forced, jammers, jammer_model, requirements)
+    return precompute(points, sites, forced, jammers, jammer_model, requirements)
 
 
 def clustered21_path() -> Path:

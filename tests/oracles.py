@@ -31,7 +31,7 @@ from adsbplace import geo
 from adsbplace.evaluator import RawScores
 from adsbplace.gdop import SINGULARITY_COND, gdop_min_batched
 from adsbplace.objectives import JammerModel, ObjectiveRequirements, knapsack_penalty
-from adsbplace.scenario import AirspaceGrid, PlacementProblem
+from adsbplace.scenario import PlacementProblem
 
 from conftest import random_geodetic
 
@@ -54,7 +54,7 @@ class GeodeticPosition:
 
 def positions(sites: np.ndarray) -> list[GeodeticPosition]:
     """The columns of a (3, n) array of latitudes, longitudes and heights,
-    such as a problem's jammers, as positions."""
+    such as a problem's points, sites or jammers, as positions."""
     return [GeodeticPosition(float(la), float(lo), float(al)) for la, lo, al in np.asarray(sites).T]
 
 
@@ -162,10 +162,6 @@ def is_visible(transmitter: GeodeticPosition, receiver: GeodeticPosition) -> boo
     return bool(geo.visibility_mask_arrays(transmitter.altitude_m, d, receiver.altitude_m))
 
 
-def grid_points(grid: AirspaceGrid) -> list[GeodeticPosition]:
-    return positions([grid.lat_deg, grid.lon_deg, grid.alt_m])
-
-
 # --- Problem matrices -----------------------------------------------------
 
 
@@ -188,7 +184,7 @@ def ned_vectors_reference(origin_ecef, origin_lat, origin_lon, target_ecef):
 
 
 def precompute_reference(
-    grid: AirspaceGrid,
+    points: np.ndarray,
     sites: np.ndarray,
     forced_mask: np.ndarray,
     jammers: np.ndarray,
@@ -199,19 +195,20 @@ def precompute_reference(
     points of one horizontal position, blocked its NED pass and built the
     candidate distances plane by plane: the bit-exact reference for the
     nine values it computes."""
+    lat, lon, alt = points
     cand_lat, cand_lon, cand_alt = sites
-    grid_ecef = geo.geodetic_to_ecef_arrays(grid.lat_deg, grid.lon_deg, grid.alt_m)
+    point_ecef = geo.geodetic_to_ecef_arrays(lat, lon, alt)
     cand_ecef = geo.geodetic_to_ecef_arrays(cand_lat, cand_lon, cand_alt)
 
-    dc, dist = ned_vectors_reference(grid_ecef, grid.lat_deg, grid.lon_deg, cand_ecef)
+    dc, dist = ned_vectors_reference(point_ecef, lat, lon, cand_ecef)
     pos = dist > 0.0
     np.divide(dc, dist, out=dc, where=pos)
     dc[:, ~pos] = 0.0
     dist = np.ascontiguousarray(dist.T)
     ground = geo.haversine_km_arrays(
-        grid.lat_deg[:, None], grid.lon_deg[:, None], cand_lat[None, :], cand_lon[None, :],
+        lat[:, None], lon[:, None], cand_lat[None, :], cand_lon[None, :],
     )
-    los = geo.visibility_mask_arrays(grid.alt_m[:, None], ground, cand_alt[None, :])
+    los = geo.visibility_mask_arrays(alt[:, None], ground, cand_alt[None, :])
 
     if jammers.size:
         jam_lat, jam_lon, jam_alt = jammers
@@ -248,11 +245,9 @@ def precompute_reference(
     cdiff = cand_ecef[:, None, :] - cand_ecef[None, :, :]
     cap = requirements.range_cap_km
     if cap is None:
-        cap = geo.haversine_km_arrays(
-            grid.lat_deg.min(), grid.lon_deg.min(), grid.lat_deg.max(), grid.lon_deg.max()
-        )
+        cap = geo.haversine_km_arrays(lat.min(), lon.min(), lat.max(), lon.max())
     return PlacementProblem(
-        grid, cand_lat, cand_lon, cand_alt, forced_mask, jammers, jammer_model, requirements,
+        points, sites, forced_mask, jammers, jammer_model, requirements,
         range_cap_km=float(cap),
         dist_point_cand=dist,
         dc_point_cand=dc,
@@ -472,18 +467,19 @@ def _visible_sensors(
 
 
 def of1_gdop_msd(
-    grid: AirspaceGrid,
+    points: np.ndarray,
     sensors_geo: Sequence[GeodeticPosition],
     sensors_ecef: Sequence[EcefPosition],
     req: ObjectiveRequirements,
     cap: int | None = None,
 ) -> float:
-    """Mean squared deviation of achieved vs required GDOP over the grid.
+    """Mean squared deviation of achieved vs required GDOP over the (3, m)
+    points.
 
     Points where GDOP cannot be evaluated contribute the saturated
     deviation (required - gdop_cap)^2.
     """
-    points = grid_points(grid)
+    points = positions(points)
     if not points:
         raise ValueError("empty airspace grid")
     total = 0.0
@@ -497,7 +493,7 @@ def of1_gdop_msd(
 
 
 def of2_range_msd(
-    grid: AirspaceGrid,
+    points: np.ndarray,
     sensors_geo: Sequence[GeodeticPosition],
     sensors_ecef: Sequence[EcefPosition],
     req: ObjectiveRequirements,
@@ -509,7 +505,7 @@ def of2_range_msd(
     visible sensor; fewer than two visible sensors saturate at
     range_cap_km.
     """
-    points = grid_points(grid)
+    points = positions(points)
     if not points:
         raise ValueError("empty airspace grid")
     total = 0.0
@@ -612,7 +608,7 @@ def masked_sort_of1_of2(problem: PlacementProblem, genes: np.ndarray, cap: int):
     distance. Returns (of1, of2, best_gdop, second_range_km, k_visible)
     as ``PlacementEvaluator.evaluate`` computes them."""
     req = problem.requirements
-    m = len(problem.grid)
+    m = problem.points.shape[1]
     sel = np.flatnonzero(genes)
     n = sel.size
     los = problem.los_point_cand[:, sel]
@@ -648,7 +644,7 @@ def score_one(problem: PlacementProblem, genes: np.ndarray, cap: int) -> RawScor
     1-D means, an (m, n) key sort for the nearest sensors and one kernel
     call over the chromosome's m points."""
     req = problem.requirements
-    m = len(problem.grid)
+    m = problem.points.shape[1]
     sel = np.flatnonzero(genes)
     n = sel.size
 
@@ -708,7 +704,7 @@ def jsr(model: JammerModel, jammer_sensor_km: float, transmitter_sensor_km: floa
 
 
 def single_point_grid(lat=48.0, lon=7.0, alt=10000.0):
-    return AirspaceGrid(lat_deg=np.array([lat]), lon_deg=np.array([lon]), alt_m=np.array([alt]))
+    return np.array([[lat], [lon], [alt]], dtype=float)
 
 
 def sensors_at(coords):

@@ -1,6 +1,9 @@
 """Command-line surface: runs, files, exit codes, reports."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -315,6 +318,32 @@ def test_threads_default_is_affinity_mask(monkeypatch, command):
     assert build_parser().parse_args(argv).threads == 64
 
 
+@pytest.mark.parametrize("level", ["bogus", "10"])
+def test_unknown_log_level_exit_2(tmp_path, level):
+    """An OSP_LOG that names no logging level is a usage error with one
+    line, no traceback, in a fresh interpreter whose logging is not yet
+    configured."""
+    src = Path(scenario.__file__).parents[1]
+    env = dict(os.environ, OSP_LOG=level, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-m", "adsbplace.cli", "report", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == EXIT_USAGE
+    assert run.stderr == (f"error: OSP_LOG: unknown log level {level!r}; expected DEBUG, INFO, "
+                          "WARNING, ERROR or CRITICAL\n")
+    assert run.stdout == ""
+
+
+def test_log_level_name_case_insensitive(tmp_path, monkeypatch, capsys):
+    """A level name in any case still sets the level."""
+    (tmp_path / "pareto.csv").write_text(
+        "solution_id,n_sensors,n_forced,of1,of2,of3,of1_norm,of2_norm,of3_norm,"
+        "d1,d2,d3,penalty\n0,5,0,1,1,1,0.5,0.5,0.5,0,0,0,0.01\n"
+    )
+    monkeypatch.setenv("OSP_LOG", "debug")
+    assert main(["report", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 class TestAugment:
     def test_forced_sensors_in_every_solution(self, config_file, tmp_path, capsys):
         out = tmp_path / "aug"
@@ -547,7 +576,7 @@ class TestEvaluate:
         for shift, alt in ((0.0, 0.0), (0.0, 2000.0), (1e-5, 2000.0)):
             sensors = tmp_path / "sensors.csv"
             sensors.write_text("\n".join(["id,lat_deg,lon_deg,alt_m", *(
-                f"s{i},{fmt(problem.cand_lat[i] + shift)},{fmt(problem.cand_lon[i])},{fmt(alt)}"
+                f"s{i},{fmt(problem.sites[0, i] + shift)},{fmt(problem.sites[1, i])},{fmt(alt)}"
                 for i in (0, 3, 5, 10, 15)
             )]) + "\n")
             out = tmp_path / f"eval{shift}_{alt}"
@@ -555,7 +584,7 @@ class TestEvaluate:
                          "--out", str(out)])
             assert code == EXIT_OK
             scores[shift, alt] = json.loads((out / "scores.json").read_text())
-        assert problem.cand_alt.tolist() == [0.0] * 16
+        assert problem.sites[2].tolist() == [0.0] * 16
         assert all(s["n_sensors"] == 5 for s in scores.values())
         assert scores[0.0, 0.0]["of1"] != scores[0.0, 2000.0]["of1"]
         assert scores[0.0, 2000.0]["of1"] == pytest.approx(scores[1e-5, 2000.0]["of1"], rel=1e-3)
@@ -676,7 +705,12 @@ class TestReport:
         (lambda text: text.replace("0.01", "0.\udcff1"), "line 4: not UTF-8: byte 0xff"),
         (lambda text: text.replace("0,5,0,1", "0,5,0," + "1" * 131073),
          "line 4: field larger than field limit"),
-    ], ids=["missing-column", "text-cell", "text-count", "short-row", "not-utf8", "oversized-field"])
+        (lambda text: text.replace("0.5,0.5,0.5", "nan,0.5,0.5"),
+         "line 4: column of1_norm: 'nan' is not finite"),
+        (lambda text: text.replace(",0.01\n", ",inf\n"),
+         "line 4: column penalty: 'inf' is not finite"),
+    ], ids=["missing-column", "text-cell", "text-count", "short-row", "not-utf8", "oversized-field",
+            "nan-cell", "inf-cell"])
     def test_malformed_pareto_exit_2(self, tmp_path, capsys, edit, message):
         """A broken pareto.csv exits 2 naming the file and the bad column or
         line, without a traceback."""

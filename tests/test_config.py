@@ -115,7 +115,7 @@ class TestBuildFromConfig:
         cfg = parse_config(minimal_config())
         prob = cfg.build_problem()
         assert prob.n_candidates == 9
-        assert len(prob.grid) == 4 * 4 * 3
+        assert prob.points.shape == (3, 4 * 4 * 3)
         assert prob.jammers.shape == (3, 4)
 
     def test_augment_requires_deployed_file(self):
@@ -179,7 +179,7 @@ class TestBuildFromConfig:
             assert cfg.candidate_seed == cfg.jammer_seed == 0
             prob = cfg.build_problem()
             front = evolve(prob, cfg.ga_for_problem(prob), cfg.of3_weights)
-            runs.append((prob.cand_lat, prob.cand_lon, prob.jammers,
+            runs.append((prob.sites, prob.jammers,
                          np.array([m.chromosome.genes for m in front.members]),
                          np.array([m.objectives for m in front.members])))
         for first, second in zip(*runs):

@@ -46,12 +46,12 @@ from oracles import (
 def reference_scores(problem, genes, cap):
     """Score a chromosome through the scalar objective implementations."""
     sel = np.flatnonzero(genes)
-    geos = positions([problem.cand_lat[sel], problem.cand_lon[sel], problem.cand_alt[sel]])
+    geos = positions(problem.sites[:, sel])
     ecefs = [geodetic_to_ecef(g) for g in geos]
     req = problem.requirements
     jammers = positions(problem.jammers)
-    of1 = of1_gdop_msd(problem.grid, geos, ecefs, req, cap)
-    of2 = of2_range_msd(problem.grid, geos, ecefs, req, problem.range_cap_km)
+    of1 = of1_gdop_msd(problem.points, geos, ecefs, req, cap)
+    of2 = of2_range_msd(problem.points, geos, ecefs, req, problem.range_cap_km)
     d1 = of3_direction1_spacing(ecefs, req) if len(ecefs) >= 2 else None
     d2 = of3_direction2_jammer_distance(geos, ecefs, jammers, req)
     d3 = of3_direction3_sensors_in_range(geos, ecefs, jammers, req, problem.jammer_model)
@@ -99,11 +99,9 @@ class TestEvaluatorAgainstReference:
         genes[rng.choice(small_problem.n_candidates, 9, replace=False)] = True
         raw, coverage, report = evaluator.evaluate(genes, diagnostics=True)
         assert raw == evaluator.evaluate(genes)
-        grid = small_problem.grid
-        m = len(grid)
-        assert coverage.k_visible.shape == (m,)
-        assert np.array_equal([coverage.lat_deg, coverage.lon_deg, coverage.alt_m],
-                              [grid.lat_deg, grid.lon_deg, grid.alt_m])
+        points = small_problem.points
+        assert coverage.k_visible.shape == (points.shape[1],)
+        assert np.array_equal([coverage.lat_deg, coverage.lon_deg, coverage.alt_m], points)
         # Finite best GDOP requires at least 4 visible sensors.
         assert np.all(coverage.k_visible[np.isfinite(coverage.best_gdop)] >= 4)
         # Fewer than 2 visible sensors leaves the range undefined.

@@ -1,5 +1,6 @@
 """Genetic-algorithm machinery: dominance, sorting, operators, evolve."""
 
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -330,6 +331,15 @@ class TestGaConfig:
             GaConfig(crossover_rate=1.5)
         with pytest.raises(InvalidConfigError):
             GaConfig(mutation_rate=-0.1)
+
+    def test_negative_seed_rejected(self):
+        """A negative seed fails when the config is built, before ``evolve``
+        hands it to numpy, and so does one set through ``replace``."""
+        with pytest.raises(InvalidConfigError, match="rng_seed must be >= 0, got -1"):
+            GaConfig(population_size=8, generations=1, rng_seed=-1)
+        with pytest.raises(InvalidConfigError, match="rng_seed"):
+            dataclasses.replace(GaConfig(), rng_seed=-5)
+        assert GaConfig(rng_seed=0).rng_seed == 0
 
 
 class TestEvolve:

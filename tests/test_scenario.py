@@ -14,7 +14,6 @@ from adsbplace import scenario as scenario_module
 from adsbplace.config import parse_config, section8_preset
 from adsbplace.objectives import InvalidConfigError, JammerModel, ObjectiveRequirements
 from adsbplace.scenario import (
-    AirspaceGrid,
     AreaBounds,
     DeployedFileError,
     PlacementProblem,
@@ -33,8 +32,8 @@ from oracles import (
     direction_cosines,
     euclidean_distance,
     geodetic_to_ecef,
-    grid_points,
     ground_distance_km,
+    positions,
     precompute_reference,
 )
 
@@ -62,21 +61,33 @@ class TestAreaBounds:
 
 class TestSampleGrid:
     def test_size_and_levels(self, area_bounds):
-        grid = sample_grid(area_bounds, 20, 20)
-        assert len(grid) == 20 * 20 * 3
-        assert set(np.unique(grid.alt_m)) == {3000.0, 6000.0, 10000.0}
+        points = sample_grid(area_bounds, 20, 20)
+        assert points.shape == (3, 20 * 20 * 3)
+        assert set(np.unique(points[2])) == {3000.0, 6000.0, 10000.0}
 
     def test_covers_bounds(self, area_bounds):
-        grid = sample_grid(area_bounds, 5, 5)
-        assert grid.lat_deg.min() == area_bounds.lat_low
-        assert grid.lat_deg.max() == area_bounds.lat_up
-        assert grid.lon_deg.min() == area_bounds.lon_low
-        assert grid.lon_deg.max() == area_bounds.lon_up
+        lat, lon, _ = sample_grid(area_bounds, 5, 5)
+        assert lat.min() == area_bounds.lat_low
+        assert lat.max() == area_bounds.lat_up
+        assert lon.min() == area_bounds.lon_low
+        assert lon.max() == area_bounds.lon_up
 
     def test_sorted_by_lon_then_lat(self, area_bounds):
-        grid = sample_grid(area_bounds, 4, 4)
-        order = np.lexsort((grid.alt_m, grid.lat_deg, grid.lon_deg))
-        assert np.array_equal(order, np.arange(len(grid)))
+        lat, lon, alt = sample_grid(area_bounds, 4, 4)
+        order = np.lexsort((alt, lat, lon))
+        assert np.array_equal(order, np.arange(lat.size))
+
+    def test_points_are_lon_lat_alt_major_columns(self, area_bounds):
+        """A (3, m) float array of latitudes, longitudes and altitudes,
+        one column per point: longitude outermost, then latitude, then
+        altitude."""
+        lats = np.linspace(area_bounds.lat_low, area_bounds.lat_up, 3)
+        lons = np.linspace(area_bounds.lon_low, area_bounds.lon_up, 4)
+        points = sample_grid(area_bounds, 3, 4)
+        assert points.dtype == np.float64
+        want = [(la, lo, al) for lo in lons for la in lats for al in area_bounds.altitude_levels_m]
+        assert points.shape == (3, len(want))
+        assert points.T.tolist() == [list(p) for p in want]
 
 
 class TestCandidates:
@@ -252,7 +263,7 @@ def test_deployed_csv_fuzz(tmp_path_factory, data):
 
 class TestBuildProblem:
     def test_matrix_shapes(self, small_problem):
-        m = len(small_problem.grid)
+        m = small_problem.points.shape[1]
         n = small_problem.n_candidates
         k = small_problem.jammers.shape[1]
         assert small_problem.dist_point_cand.shape == (m, n)
@@ -270,14 +281,11 @@ class TestBuildProblem:
 
     def test_point_matrices_match_scalar_geometry(self, small_problem):
         p = small_problem
-        sensors = [
-            geodetic_to_ecef(GeodeticPosition(float(la), float(lo), float(al)))
-            for la, lo, al in zip(p.cand_lat, p.cand_lon, p.cand_alt)
-        ]
+        sensors = [geodetic_to_ecef(site) for site in positions(p.sites)]
         m, n = p.dist_point_cand.shape
         dist = np.empty((m, n))
         dc = np.empty((3, n, m))
-        for j, point in enumerate(grid_points(p.grid)):
+        for j, point in enumerate(positions(p.points)):
             origin = geodetic_to_ecef(point)
             for i, sensor in enumerate(sensors):
                 dist[j, i] = euclidean_distance(origin, sensor)
@@ -307,10 +315,10 @@ class TestBuildProblem:
             assert field.default_factory is dataclasses.MISSING, field.name
 
     def test_range_cap_defaults_to_diagonal(self, small_problem):
-        # The great-circle diagonal of the grid's extent, not of the area.
-        grid = small_problem.grid
-        low = GeodeticPosition(float(grid.lat_deg.min()), float(grid.lon_deg.min()), 0.0)
-        high = GeodeticPosition(float(grid.lat_deg.max()), float(grid.lon_deg.max()), 0.0)
+        # The great-circle diagonal of the points' extent, not of the area.
+        lat, lon, _ = small_problem.points
+        low = GeodeticPosition(float(lat.min()), float(lon.min()), 0.0)
+        high = GeodeticPosition(float(lat.max()), float(lon.max()), 0.0)
         assert small_problem.requirements.range_cap_km is None
         assert small_problem.range_cap_km == pytest.approx(ground_distance_km(low, high), rel=1e-12)
 
@@ -324,7 +332,7 @@ class TestBuildProblem:
         assert prob.n_candidates == 11
         assert prob.forced_mask.sum() == 2
         assert np.all(prob.forced_mask[-2:])
-        assert prob.cand_lat[-2] == 48.0 and prob.cand_lon[-1] == 8.0
+        assert prob.sites[0, -2] == 48.0 and prob.sites[1, -1] == 8.0
 
     def test_out_of_bounds_deployed_warns_but_kept(self, area_bounds, caplog):
         req = ObjectiveRequirements()
@@ -345,7 +353,7 @@ class TestBuildProblem:
         )
         assert prob.n_candidates == 2
         assert np.all(prob.forced_mask)
-        assert prob.cand_lat.tolist() == [48.0, 49.0] and prob.cand_lon.tolist() == [7.0, 8.0]
+        assert prob.sites.tolist() == [[48.0, 49.0], [7.0, 8.0], [0.0, 0.0]]
 
     def test_from_sites_empty_rejected(self, area_bounds):
         with pytest.raises(InvalidConfigError, match="need at least one sensor site"):
@@ -353,6 +361,21 @@ class TestBuildProblem:
                 bounds=area_bounds, lat_count=4, lon_count=4, candidate_count=0,
                 requirements=ObjectiveRequirements(),
             )
+
+    @pytest.mark.parametrize("pattern", ["lattice", "seeded-uniform"])
+    def test_sites_are_candidate_sites_array(self, area_bounds, pattern):
+        """The problem keeps the (3, N) sites and the forced mask that
+        ``candidate_sites`` gives for the same arguments."""
+        deployed = [("d0", 48.0, 7.0, 12.0), ("d1", 49.0, 8.0, 0.0)]
+        prob = build_problem(
+            bounds=area_bounds, lat_count=3, lon_count=3, candidate_count=6,
+            requirements=ObjectiveRequirements(), deployed=deployed,
+            candidate_pattern=pattern, candidate_seed=5, antenna_height_m=30.0,
+        )
+        sites, forced = candidate_sites(area_bounds, 6, deployed, pattern, 5, 30.0)
+        assert prob.sites.shape == (3, 8) and prob.sites.dtype == np.float64
+        assert prob.sites.tobytes() == sites.tobytes()
+        assert np.array_equal(prob.forced_mask, forced)
 
 
 _PRECOMPUTED = ("dist_point_cand", "dc_point_cand", "los_point_cand", "rank_point_cand",
@@ -374,17 +397,17 @@ def _small_problems(draw) -> tuple:
                            min_size=1, max_size=3, unique=True))
     bounds = AreaBounds(47.4, 51.4, 5.71, 9.71, tuple(sorted(levels)))
     if draw(st.booleans()):
-        grid = sample_grid(bounds, draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+        points = sample_grid(bounds, draw(st.integers(2, 4)), draw(st.integers(2, 4)))
     else:
         lat = rng.uniform(47.4, 51.4, draw(st.integers(1, 5)))
         lon = rng.uniform(5.71, 9.71, lat.size)
         pick = rng.integers(0, lat.size, draw(st.integers(1, 15)))
-        grid = AirspaceGrid(lat[pick], lon[pick], rng.choice(levels, pick.size))
+        points = np.stack([lat[pick], lon[pick], rng.choice(levels, pick.size)])
     count = draw(st.integers(0, 9))
     cand = candidate_sites(bounds, count, (), draw(st.sampled_from(["lattice", "seeded-uniform"])),
                            seed, draw(st.sampled_from([0.0, 30.0])))[0] if count else [[]] * 3
-    p = int(rng.integers(len(grid)))
-    sites = [(grid.lat_deg[p], grid.lon_deg[p], grid.alt_m[p])]
+    p = int(rng.integers(points.shape[1]))
+    sites = [tuple(points[:, p])]
     sites += [(la, lo, 0.0) for la, lo in rng.uniform((47.4, 5.71), (51.4, 9.71), (2, 2))]
     cand = np.array([np.append(c, [s[i] for s in sites]) for i, c in enumerate(cand)])
     jammers = [(*rng.uniform((47.4, 5.71), (51.4, 9.71)), 6000.0)
@@ -394,7 +417,7 @@ def _small_problems(draw) -> tuple:
     # With a nominal signal distance of 0, a JSR jammer on a site is 0 / 0.
     model = JammerModel(power_w=100.0, affect_rule=draw(st.sampled_from(["los", "jsr"])),
                         nominal_signal_distance_km=draw(st.sampled_from([150.0, 0.0])))
-    return (grid, cand, np.arange(cand.shape[1]) >= count,
+    return (points, cand, np.arange(cand.shape[1]) >= count,
             np.array(jammers, dtype=float).reshape(-1, 3).T, model, ObjectiveRequirements())
 
 
