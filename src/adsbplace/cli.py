@@ -122,41 +122,38 @@ def cmd_augment(args) -> int:
     return _run_optimization(cfg, out_dir, args.seed, args.threads)
 
 
-def _map_to_candidates(sites: np.ndarray, rows) -> tuple[np.ndarray | None, int | None]:
+def _map_to_candidates(sites: np.ndarray,
+                       positions: np.ndarray) -> tuple[np.ndarray | None, int | None]:
     """Chromosome over the (3, N) candidate sites, or None and the index
-    of the first row that does not match exactly one site in latitude,
-    longitude and altitude, up to ``fmt``'s rounding to 9 significant
-    digits."""
-    genes = np.zeros(sites.shape[1], dtype=bool)
-    for i, (_, lat, lon, alt) in enumerate(rows):
-        close = np.flatnonzero(
-            (np.abs(sites[0] - lat) < 1e-6) & (np.abs(sites[1] - lon) < 1e-6)
-            & np.isclose(sites[2], alt, rtol=1e-8, atol=1e-6)
-        )
-        if close.size != 1:
-            return None, i
-        genes[close[0]] = True
-    return genes, None
+    of the first of the (3, d) positions that does not match exactly one
+    site in latitude, longitude and altitude, up to ``fmt``'s rounding to
+    9 significant digits."""
+    match = ((np.abs(sites[0, :, None] - positions[0]) < 1e-6)
+             & (np.abs(sites[1, :, None] - positions[1]) < 1e-6)
+             & np.isclose(sites[2, :, None], positions[2], rtol=1e-8, atol=1e-6))
+    miss = np.flatnonzero(match.sum(axis=0) != 1)
+    if miss.size:
+        return None, int(miss[0])
+    return match.any(axis=1), None
 
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    rows, seed = load_deployed_csv(args.sensors)
+    positions, seed = load_deployed_csv(args.sensors)
     deployed = cfg.deployed_sites()
     sites, forced = candidate_sites(cfg.bounds, cfg.candidate_count, deployed,
                                     cfg.candidate_pattern, cfg.candidate_seed, cfg.antenna_height_m)
     # The config's sites set the normalization, on the fallback too.
     n_max = forced.size if cfg.ga.n_max is None else cfg.ga.n_max + int(forced.sum())
-    genes, miss = _map_to_candidates(sites, rows)
+    genes, miss = _map_to_candidates(sites, positions)
     if genes is None:
-        sensor_id, lat, lon, alt = rows[miss]
         log.warning(
-            "sensor %r (%s, %s, %s m), row %d of %s, matches no single candidate site of the "
+            "sensor (%s, %s, %s m), row %d of %s, matches no single candidate site of the "
             "config; scoring the file's %d sites as a free-standing problem, so penalty "
             "and of3 are relative to the file's own sites",
-            sensor_id, fmt(lat), fmt(lon), fmt(alt), miss + 1, args.sensors, len(rows),
+            *map(fmt, positions[:, miss]), miss + 1, args.sensors, positions.shape[1],
         )
-        problem = cfg.build_problem(candidate_count=0, deployed=rows)
+        problem = cfg.build_problem(candidate_count=0, deployed=positions)
         genes = problem.forced_mask
     else:
         problem = cfg.build_problem(deployed=deployed)
@@ -183,14 +180,13 @@ def cmd_evaluate(args) -> int:
     })
     _write_table(
         out_dir / "coverage.csv", meta, ["lat_deg", "lon_deg", "alt_m", "k", "gdop", "range2_km"],
-        zip(coverage.lat_deg, coverage.lon_deg, coverage.alt_m, coverage.k_visible,
-            coverage.best_gdop, coverage.second_range_km),
+        zip(*coverage.points, coverage.k_visible, coverage.best_gdop, coverage.second_range_km),
     )
     _write_table(
         out_dir / "jam_report.csv", meta,
         ["jammer_id", "lat_deg", "lon_deg", "alt_m", "affected", "min_dist_km"],
-        zip(range(report.affected_count.size), report.jammer_lat, report.jammer_lon,
-            report.jammer_alt, report.affected_count, report.min_distance_km),
+        zip(range(report.affected_count.size), *report.jammers, report.affected_count,
+            report.min_distance_km),
     )
     return EXIT_OK
 

@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .nsga2 import GaConfig
 from .objectives import InvalidConfigError, JammerModel, ObjectiveRequirements, of3_weight_vector
 from .scenario import (
@@ -161,16 +163,17 @@ class RunConfig:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
-    def deployed_sites(self) -> list[tuple[str, float, float, float]]:
-        """The rows of ``scenario.deployed_file`` under an augment config, else none."""
+    def deployed_sites(self) -> np.ndarray:
+        """The (3, d) positions of ``scenario.deployed_file`` under an
+        augment config, else none."""
         if self.scenario_kind != "augment":
-            return []
+            return np.empty((3, 0))
         if not self.deployed_file:
             raise ConfigError("scenario.deployed_file", "required for augment runs")
         return load_deployed_csv(self.deployed_file)[0]
 
     def build_problem(self, candidate_count: int | None = None, deployed=None) -> PlacementProblem:
-        """The config's problem. ``deployed`` stands for the rows of
+        """The config's problem. ``deployed`` stands for the positions of
         ``scenario.deployed_file``, already read; with ``candidate_count=0``
         too, it is the free-standing problem of those sites alone."""
         if deployed is None:

@@ -134,9 +134,7 @@ class RawScores:
 class CoverageGrid:
     """Per-point coverage of one placement on the evaluation grid."""
 
-    lat_deg: np.ndarray
-    lon_deg: np.ndarray
-    alt_m: np.ndarray
+    points: np.ndarray           # (3, m) latitudes, longitudes, altitudes
     k_visible: np.ndarray        # sensors in LOS
     best_gdop: np.ndarray        # minimal subset GDOP, may be inf
     second_range_km: np.ndarray  # distance to the 2nd-nearest visible, inf if < 2
@@ -146,9 +144,7 @@ class CoverageGrid:
 class JamReport:
     """Per-jammer impact of one placement."""
 
-    jammer_lat: np.ndarray
-    jammer_lon: np.ndarray
-    jammer_alt: np.ndarray
+    jammers: np.ndarray          # (3, J) latitudes, longitudes, heights
     affected_count: np.ndarray   # sensors hit
     min_distance_km: np.ndarray  # distance to the nearest sensor
 
@@ -297,9 +293,9 @@ class PlacementEvaluator:
         if not diagnostics:
             return scores.row(0)
         vis_counts, second_km, jam_counts, min_dist = (a[:, 0] for a in detail)
-        coverage = CoverageGrid(*problem.points, vis_counts, best_gdop,
+        coverage = CoverageGrid(problem.points, vis_counts, best_gdop,
                                 np.where(vis_counts >= 2, second_km, np.inf))
-        return scores.row(0), coverage, JamReport(*problem.jammers, jam_counts, min_dist)
+        return scores.row(0), coverage, JamReport(problem.jammers, jam_counts, min_dist)
 
     def _gdop_jobs(self, k: int, out: np.ndarray, near: np.ndarray, valid: np.ndarray,
                    fprime: np.ndarray | None = None) -> list:

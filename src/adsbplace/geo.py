@@ -27,7 +27,8 @@ HORIZON_KM_PER_SQRT_M = 3.57
 
 
 def geodetic_to_ecef_arrays(lat_deg, lon_deg, alt_m):
-    """Vectorized WGS-84 geodetic -> ECEF conversion (meters)."""
+    """Vectorized WGS-84 geodetic -> ECEF conversion (meters), as x, y
+    and z stacked component-major: (3, ...) for inputs of shape (...)."""
     lat = np.radians(np.asarray(lat_deg, dtype=float))
     lon = np.radians(np.asarray(lon_deg, dtype=float))
     alt = np.asarray(alt_m, dtype=float)
@@ -37,11 +38,13 @@ def geodetic_to_ecef_arrays(lat_deg, lon_deg, alt_m):
     x = (n + alt) * cos_lat * np.cos(lon)
     y = (n + alt) * cos_lat * np.sin(lon)
     z = (n * (1.0 - WGS84_E2) + alt) * sin_lat
-    return np.stack([x, y, z], axis=-1)
+    return np.stack([x, y, z])
 
 
 def ned_rotation_arrays(lat_deg, lon_deg) -> np.ndarray:
-    """Stacked 3x3 rotation matrices mapping ECEF displacements to NED."""
+    """The 3x3 rotations mapping ECEF displacements to NED, component-major:
+    (3, 3, ...) for inputs of shape (...), entry [i, j] the weight of
+    ECEF component j in NED component i."""
     lat = np.radians(np.asarray(lat_deg, dtype=float))
     lon = np.radians(np.asarray(lon_deg, dtype=float))
     sp, cp = np.sin(lat), np.cos(lat)
@@ -52,7 +55,7 @@ def ned_rotation_arrays(lat_deg, lon_deg) -> np.ndarray:
         [-sl, cl * np.ones_like(sp), zeros],
         [-cp * cl, -cp * sl, -sp],
     ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return np.stack([np.stack(r) for r in rows])
 
 
 def haversine_km_arrays(lat1_deg, lon1_deg, lat2_deg, lon2_deg):

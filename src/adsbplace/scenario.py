@@ -43,8 +43,10 @@ class AreaBounds:
         if not alts or any(a <= 0 for a in alts) or list(alts) != sorted(set(alts)):
             raise InvalidConfigError("altitudes must be strictly increasing and > 0")
 
-    def contains(self, lat: float, lon: float) -> bool:
-        return self.lat_low <= lat <= self.lat_up and self.lon_low <= lon <= self.lon_up
+    def contains(self, lat, lon):
+        """Whether each latitude-longitude pair lies in the box."""
+        return ((self.lat_low <= lat) & (lat <= self.lat_up)
+                & (self.lon_low <= lon) & (lon <= self.lon_up))
 
 
 def sample_grid(bounds: AreaBounds, lat_count: int, lon_count: int) -> np.ndarray:
@@ -79,17 +81,17 @@ def _lattice_centers(bounds: AreaBounds, count: int) -> tuple[np.ndarray, np.nda
 def candidate_sites(
     bounds: AreaBounds,
     count: int,
-    deployed: Sequence[tuple[str, float, float, float]] = (),
+    deployed: np.ndarray = np.empty((3, 0)),
     pattern: str = "lattice",
     seed: int = 0,
     antenna_height_m: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The candidate sites, as a (3, N) array of latitudes, longitudes and
     altitudes, and their forced mask: ``count`` generated ground sites,
-    ordering sorted, then the ``deployed`` sites, forced."""
+    ordering sorted, then the (3, d) ``deployed`` sites, forced."""
     if count < 0:
         raise InvalidConfigError("candidate count must be >= 0")
-    if not count and not deployed:
+    if not count and not deployed.shape[1]:
         raise InvalidConfigError("need at least one sensor site")
     if pattern not in ("lattice", "seeded-uniform"):
         raise InvalidConfigError(f"unknown candidate pattern: {pattern}")
@@ -105,9 +107,8 @@ def candidate_sites(
         lon_arr = rng.uniform(bounds.lon_low, bounds.lon_up, count)
         order = np.lexsort((lat_arr, lon_arr))
         lat_arr, lon_arr = lat_arr[order], lon_arr[order]
-    sites = np.array([site[1:] for site in deployed], dtype=float).reshape(-1, 3)
     sites = np.concatenate(
-        [[lat_arr, lon_arr, np.full(count, float(antenna_height_m))], sites.T], axis=1
+        [[lat_arr, lon_arr, np.full(count, float(antenna_height_m))], deployed], axis=1
     )
     return sites, np.arange(sites.shape[1]) >= count
 
@@ -236,9 +237,9 @@ def precompute(
 
 def _ned_geometry(origins, target_ecef, unit: bool):
     """Length of the NED vector from each of the (3, n) geodetic origins
-    to each ECEF target, as (origins, targets), and with ``unit`` the unit
-    vectors component-major (3, targets, origins), zero where the length
-    is zero; else None.
+    to each of the (3, N) ECEF targets, as (origins, targets), and with
+    ``unit`` the unit vectors component-major (3, targets, origins), zero
+    where the length is zero; else None.
 
     One pass over blocks of targets rotates, measures and scales each
     block while it is in cache. Each component sums as
@@ -247,13 +248,9 @@ def _ned_geometry(origins, target_ecef, unit: bool):
     (n0 n0 + n1 n1) + n2 n2; another order changes the low bits of the
     matrices and so of every score.
     """
-    rot = np.ascontiguousarray(
-        geo.ned_rotation_arrays(origins[0], origins[1]).transpose(1, 2, 0)
-    )  # (3, 3, origins)
-    n_origins, n_targets = origins.shape[1], target_ecef.shape[0]
-    # Component rows, so each difference below reads unit-stride memory.
-    origin_xyz = np.ascontiguousarray(geo.geodetic_to_ecef_arrays(*origins).T)
-    target_xyz = np.ascontiguousarray(target_ecef.T)
+    rot = geo.ned_rotation_arrays(origins[0], origins[1])
+    origin_xyz = geo.geodetic_to_ecef_arrays(*origins)
+    n_origins, n_targets = origins.shape[1], target_ecef.shape[1]
     dist = np.empty((n_origins, n_targets))
     dc = np.empty((3, n_targets, n_origins)) if unit else None
     rows = max(1, min(n_targets, _PLANE_BYTES // (8 * max(n_origins, 1))))
@@ -266,7 +263,7 @@ def _ned_geometry(origins, target_ecef, unit: bool):
         k = stop - start
         d, t, r = diff[:, :k], term[:k], norm[:k]
         for c in range(3):
-            np.subtract(target_xyz[c, start:stop, None], origin_xyz[c], out=d[c])
+            np.subtract(target_ecef[c, start:stop, None], origin_xyz[c], out=d[c])
         ned = dc[:, start:stop] if unit else ned_block[:, :k]
         for i, out in enumerate(ned):
             np.multiply(rot[i, 0], d[0], out=out)
@@ -346,9 +343,10 @@ def _distinct_radians(deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairwise_distance(ecef: np.ndarray) -> np.ndarray:
-    """Euclidean distance between every pair of ECEF rows, summing the
-    squared x, y and z planes in the order of a length-3 ``sum(axis=-1)``."""
-    x, y, z = ecef.T
+    """Euclidean distance between every pair of the (3, N) ECEF positions,
+    summing the squared x, y and z planes in the order of a length-3
+    ``sum(axis=0)``."""
+    x, y, z = ecef
     dist = np.subtract.outer(x, x)
     dist *= dist
     plane = np.subtract.outer(y, y)
@@ -468,18 +466,20 @@ def csv_rows(path: str | Path, comments: dict | None = None) -> Iterator[tuple[i
         raise DeployedFileError(path, reader.line_num, str(exc)) from None
 
 
-def load_deployed_csv(path: str | Path) -> tuple[list[tuple[str, float, float, float]], int | None]:
+def load_deployed_csv(path: str | Path) -> tuple[np.ndarray, int | None]:
     """Parse a sensor CSV with header id,lat_deg,lon_deg,alt_m in one read:
-    its rows, and the seed of a ``# seed=`` line above the header or None.
+    its positions, as a (3, d) array of latitudes, longitudes and
+    altitudes in row order, and the seed of a ``# seed=`` line above the
+    header or None.
 
-    Other ``#`` lines and columns after the fourth are ignored, so emitted
-    solution files parse too. Rows repeating an earlier position are
-    skipped with a warning. A file that cannot be read, text that is not
-    UTF-8 or CSV, a seed that is not an integer and unparsable, non-finite
-    or out-of-range coordinates raise ``DeployedFileError``.
+    The ids, other ``#`` lines and columns after the fourth are ignored,
+    so emitted solution files parse too. Rows repeating an earlier
+    position are skipped with a warning. A file that cannot be read, text
+    that is not UTF-8 or CSV, a seed that is not an integer and
+    unparsable, non-finite or out-of-range coordinates raise
+    ``DeployedFileError``.
     """
-    rows: list[tuple[str, float, float, float]] = []
-    seen: set[tuple[float, float, float]] = set()
+    positions: dict[tuple[float, float, float], None] = {}
     comments: dict[str, tuple[int, str]] = {}
     reader = csv_rows(path, comments)
     line_no, header = next(((n, row) for n, row in reader if row), (0, None))
@@ -491,7 +491,7 @@ def load_deployed_csv(path: str | Path) -> tuple[list[tuple[str, float, float, f
         except ValueError:
             raise DeployedFileError(path, seed_line, f"seed {value.strip()!r} is not an integer") from None
     if header is None:
-        return rows, seed
+        return np.empty((3, 0)), seed
     expected = ["id", "lat_deg", "lon_deg", "alt_m"]
     if [h.strip() for h in header[:4]] != expected:
         raise DeployedFileError(path, line_no, f"expected header {','.join(expected)}")
@@ -510,13 +510,10 @@ def load_deployed_csv(path: str | Path) -> tuple[list[tuple[str, float, float, f
             raise DeployedFileError(path, line_no, f"latitude {lat} outside [-90, 90]")
         if not -180.0 <= lon <= 180.0:
             raise DeployedFileError(path, line_no, f"longitude {lon} outside [-180, 180]")
-        key = (lat, lon, alt)
-        if key in seen:
+        if (lat, lon, alt) in positions:
             log.warning("deployed sensor on line %d duplicates an earlier row; skipped", line_no)
-            continue
-        seen.add(key)
-        rows.append((row[0].strip(), lat, lon, alt))
-    return rows, seed
+        positions[lat, lon, alt] = None
+    return np.array(list(zip(*positions)), dtype=float).reshape(3, -1), seed
 
 
 def build_problem(
@@ -527,7 +524,7 @@ def build_problem(
     requirements: ObjectiveRequirements,
     jammers: np.ndarray | None = None,
     jammer_model: JammerModel = JammerModel(),
-    deployed: Sequence[tuple[str, float, float, float]] = (),
+    deployed: np.ndarray = np.empty((3, 0)),
     candidate_pattern: str = "lattice",
     candidate_seed: int = 0,
     antenna_height_m: float = 0.0,
@@ -537,7 +534,7 @@ def build_problem(
 
     ``jammers`` is a (3, J) array of positions, as ``generate_jammers``
     gives, all following ``jammer_model``; None means no jammers.
-    ``deployed`` sites are appended to the candidate list with their
+    The (3, d) ``deployed`` sites are appended to the candidate list with their
     forced-mask bits set (Scenario 2); leave it empty for Scenario 1.
     With ``candidate_count=0`` no candidates are generated: the deployed
     sites are the whole candidate set and all forced, a free-standing
@@ -549,9 +546,8 @@ def build_problem(
     points = sample_grid(bounds, lat_count, lon_count)
     if jammers is None:
         jammers = np.empty((3, 0))
-    for _, lat, lon, _alt in deployed:
-        if not bounds.contains(lat, lon):
-            log.warning("deployed sensor (%.4f, %.4f) lies outside the area bounds", lat, lon)
+    for lat, lon in deployed[:2, ~bounds.contains(deployed[0], deployed[1])].T:
+        log.warning("deployed sensor (%.4f, %.4f) lies outside the area bounds", lat, lon)
     return precompute(points, sites, forced, jammers, jammer_model, requirements)
 
 

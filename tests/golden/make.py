@@ -56,7 +56,7 @@ def build(doc: dict, name: str, matrices=None):
     """The config and problem of ``name``; with ``matrices`` (a mapping of
     FIELDS) the problem's precomputed fields are replaced by them."""
     cfg = parse_config(json.loads(json.dumps(doc)))
-    deployed = load_deployed_csv(clustered21_path())[0] if name == "forced" else []
+    deployed = load_deployed_csv(clustered21_path())[0] if name == "forced" else np.empty((3, 0))
     problem = cfg.build_problem(deployed=deployed)
     if matrices is not None:
         problem = dataclasses.replace(problem, **{

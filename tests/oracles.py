@@ -76,13 +76,13 @@ class EcefPosition:
 
 
 def ecef_to_geodetic_arrays(xyz):
-    """Vectorized ECEF -> geodetic inverse.
+    """Vectorized ECEF -> geodetic inverse of component-major (3, ...)
+    positions.
 
     Iterative latitude refinement; converges well below 1e-9 deg for
     near-Earth points. Longitude at the poles is returned as 0.
     """
-    xyz = np.asarray(xyz, dtype=float)
-    x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
+    x, y, z = np.asarray(xyz, dtype=float)
     p = np.hypot(x, y)
     lon = np.where(p > 0.0, np.arctan2(y, x), 0.0)
     # Bowring's initial guess, then fixed-point iteration on latitude.
@@ -173,8 +173,8 @@ def ned_vectors_reference(origin_ecef, origin_lat, origin_lon, target_ecef):
     Each component sums as (r0 d0 + r2 d2) + r1 d1, the order that
     np.einsum("mij,mnj->mni", rot, diff) uses.
     """
-    rot = geo.ned_rotation_arrays(origin_lat, origin_lon).transpose(1, 2, 0)  # (3, 3, m)
-    d0, d1, d2 = (target_ecef[:, c, None] - origin_ecef[None, :, c] for c in range(3))
+    rot = geo.ned_rotation_arrays(origin_lat, origin_lon)  # (3, 3, m)
+    d0, d1, d2 = (target_ecef[c, :, None] - origin_ecef[c, None, :] for c in range(3))
     ned = np.empty((3,) + d0.shape)
     for i, out in enumerate(ned):
         np.multiply(rot[i, 0], d0, out=out)
@@ -242,7 +242,7 @@ def precompute_reference(
     rank = np.empty(order.shape, dtype=np.int16 if order.shape[1] <= 32768 else np.int32)
     np.put_along_axis(rank, order, np.arange(order.shape[1])[None, :], axis=1)
 
-    cdiff = cand_ecef[:, None, :] - cand_ecef[None, :, :]
+    cdiff = cand_ecef[:, :, None] - cand_ecef[:, None, :]
     cap = requirements.range_cap_km
     if cap is None:
         cap = geo.haversine_km_arrays(lat.min(), lon.min(), lat.max(), lon.max())
@@ -256,7 +256,7 @@ def precompute_reference(
         dist_jam_cand=jdist,
         los_jam_cand=jlos,
         affected_jam_cand=affected,
-        dist_cand_cand=np.sqrt((cdiff**2).sum(axis=-1)),
+        dist_cand_cand=np.sqrt((cdiff**2).sum(axis=0)),
     )
 
 

@@ -73,7 +73,7 @@ class TestCriterion1GeodesyOracle:
         sample_lat = np.concatenate([rng.uniform(-90, 90, 200), [-90.0, 90.0]])
         sample_lon = np.concatenate([rng.uniform(-180, 180, 200), [13.0, -77.0]])
         rots = geo.ned_rotation_arrays(sample_lat, sample_lon)
-        residual = np.abs(np.einsum("nij,nkj->nik", rots, rots) - np.eye(3))
+        residual = np.abs(np.einsum("ijn,kjn->nik", rots, rots) - np.eye(3))
         assert residual.max() < 1e-12
 
         assert time.perf_counter() - start < 1.0

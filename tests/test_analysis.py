@@ -27,7 +27,7 @@ def coverage_with_gdop(values):
     n = len(values)
     z = np.zeros(n)
     return CoverageGrid(
-        lat_deg=z, lon_deg=z, alt_m=z,
+        points=np.zeros((3, n)),
         k_visible=np.zeros(n, dtype=int),
         best_gdop=np.asarray(values, dtype=float),
         second_range_km=z,

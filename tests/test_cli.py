@@ -611,7 +611,8 @@ class TestEvaluate:
                      str(clustered21_path()), "--out", str(out), "--threads", "1"]) == EXIT_OK
         solution = out / "solution_0.csv"
         lines = [l for l in solution.read_text().splitlines() if not l.startswith("#")]
-        first_forced = next(l.split(",")[0] for l in lines[1:] if l.endswith(",1"))
+        rows = [l.split(",") for l in lines[1:]]
+        first_forced = next(i for i, row in enumerate(rows) if row[-1] == "1")
         augment_config = tmp_path / "augment.json"
         augment_config.write_text(json.dumps(dict(
             SMALL_CONFIG, scenario={"kind": "augment", "deployed_file": str(clustered21_path())})))
@@ -634,7 +635,8 @@ class TestEvaluate:
             if warns:
                 assert len(records) == 1 and records[0].levelname == "WARNING"
                 message = records[0].getMessage()
-                assert f"sensor {first_forced!r}" in message
+                lat, lon, alt = rows[first_forced][1:4]
+                assert f"sensor ({lat}, {lon}, {alt} m), row {first_forced + 1} of " in message
                 assert "penalty and of3 are relative to the file's own sites" in message
             else:
                 assert records == []

@@ -101,13 +101,12 @@ class TestEvaluatorAgainstReference:
         assert raw == evaluator.evaluate(genes)
         points = small_problem.points
         assert coverage.k_visible.shape == (points.shape[1],)
-        assert np.array_equal([coverage.lat_deg, coverage.lon_deg, coverage.alt_m], points)
+        assert np.array_equal(coverage.points, points)
         # Finite best GDOP requires at least 4 visible sensors.
         assert np.all(coverage.k_visible[np.isfinite(coverage.best_gdop)] >= 4)
         # Fewer than 2 visible sensors leaves the range undefined.
         assert np.all(np.isinf(coverage.second_range_km[coverage.k_visible < 2]))
-        assert np.array_equal(
-            [report.jammer_lat, report.jammer_lon, report.jammer_alt], small_problem.jammers)
+        assert np.array_equal(report.jammers, small_problem.jammers)
         assert report.affected_count.shape == (small_problem.jammers.shape[1],)
         assert np.all(report.affected_count <= int(genes.sum()))
         # evaluate_placement reports the same values, bit for bit.

@@ -87,7 +87,7 @@ class TestGeodeticEcef:
     def test_surface_norm_plausible(self, rng):
         lat, lon, _ = random_geodetic(rng, 100)
         xyz = geo.geodetic_to_ecef_arrays(lat, lon, np.zeros(100))
-        norms = np.linalg.norm(xyz, axis=-1)
+        norms = np.linalg.norm(xyz, axis=0)
         assert np.all(norms >= 6.35e6) and np.all(norms <= 6.40e6)
 
 
@@ -102,7 +102,7 @@ class TestNedFrame:
         lons = np.concatenate([rng.uniform(-180.0, 180.0, 100), [0.0, 45.0]])
         rots = geo.ned_rotation_arrays(lats, lons)
         eye = np.eye(3)
-        for r in rots:
+        for r in rots.transpose(2, 0, 1):
             assert np.max(np.abs(r @ r.T - eye)) < 1e-12
 
     def test_radially_below_maps_to_down(self):

@@ -368,7 +368,7 @@ class TestEvolve:
         prob = build_problem(
             bounds=area_bounds, lat_count=4, lon_count=4, candidate_count=4,
             requirements=ObjectiveRequirements(),
-            deployed=[("a", 48.0, 7.0, 0.0), ("b", 49.0, 8.0, 0.0)],
+            deployed=np.array([[48.0, 49.0], [7.0, 8.0], [0.0, 0.0]]),
         )
         with pytest.raises(InvalidConfigError):
             evolve(prob, GaConfig(population_size=4, generations=1, n_max=1))

@@ -150,10 +150,9 @@ class TestJammers:
 
 class TestDeployedCsv:
     def test_fixture_loads(self):
-        rows, seed = load_deployed_csv(clustered21_path())
-        assert len(rows) == 21
+        positions, seed = load_deployed_csv(clustered21_path())
+        assert positions.shape == (3, 21) and positions.dtype == np.float64
         assert seed is None
-        assert all(len(r) == 4 for r in rows)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -182,17 +181,19 @@ class TestDeployedCsv:
     def test_trailing_columns_ignored(self, tmp_path):
         p = tmp_path / "solution.csv"
         p.write_text("# seed=1\nid,lat_deg,lon_deg,alt_m,forced\n3,48.0,7.0,0,yes\n")
-        assert load_deployed_csv(p) == ([("3", 48.0, 7.0, 0.0)], 1)
+        positions, seed = load_deployed_csv(p)
+        assert positions.tolist() == [[48.0], [7.0], [0.0]] and seed == 1
 
     def test_duplicates_skipped(self, tmp_path):
         p = tmp_path / "dup.csv"
         p.write_text("id,lat_deg,lon_deg,alt_m\na,48.0,7.0,0\nb,48.0,7.0,0\n")
-        assert len(load_deployed_csv(p)[0]) == 1
+        assert load_deployed_csv(p)[0].shape == (3, 1)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
-        assert load_deployed_csv(p) == ([], None)
+        positions, seed = load_deployed_csv(p)
+        assert positions.shape == (3, 0) and seed is None
 
     def test_non_utf8_line_numbered(self, tmp_path):
         p = tmp_path / "latin1.csv"
@@ -244,21 +245,21 @@ def _sensor_files(draw) -> bytes:
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(data=_sensor_files())
 def test_deployed_csv_fuzz(tmp_path_factory, data):
-    """Any file gives valid rows or a DeployedFileError naming one of its
-    lines; no other exception escapes."""
+    """Any file gives valid positions or a DeployedFileError naming one of
+    its lines; no other exception escapes."""
     p = tmp_path_factory.getbasetemp() / "fuzz.csv"
     p.write_bytes(data)
     try:
-        rows, _ = load_deployed_csv(p)
+        positions, _ = load_deployed_csv(p)
     except DeployedFileError as exc:
         assert 1 <= exc.line_no <= len(data.splitlines())
         assert str(exc).startswith(f"{p}: line {exc.line_no}: ")
         return
-    for sensor_id, lat, lon, alt in rows:
-        assert isinstance(sensor_id, str)
+    assert positions.shape[0] == 3 and positions.dtype == np.float64
+    for lat, lon, alt in positions.T:
         assert all(map(math.isfinite, (lat, lon, alt)))
         assert -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
-    assert len(set((lat, lon, alt) for _, lat, lon, alt in rows)) == len(rows)
+    assert len(set(map(tuple, positions.T.tolist()))) == positions.shape[1]
 
 
 class TestBuildProblem:
@@ -324,7 +325,7 @@ class TestBuildProblem:
 
     def test_deployed_become_forced(self, area_bounds):
         req = ObjectiveRequirements()
-        deployed = [("d0", 48.0, 7.0, 0.0), ("d1", 49.0, 8.0, 0.0)]
+        deployed = np.array([[48.0, 49.0], [7.0, 8.0], [0.0, 0.0]])
         prob = build_problem(
             bounds=area_bounds, lat_count=4, lon_count=4, candidate_count=9,
             requirements=req, deployed=deployed,
@@ -339,7 +340,7 @@ class TestBuildProblem:
         with caplog.at_level("WARNING"):
             prob = build_problem(
                 bounds=area_bounds, lat_count=4, lon_count=4, candidate_count=4,
-                requirements=req, deployed=[("x", 45.0, 7.0, 0.0)],
+                requirements=req, deployed=np.array([[45.0], [7.0], [0.0]]),
             )
         assert prob.n_candidates == 5
         assert "outside" in caplog.text
@@ -349,7 +350,7 @@ class TestBuildProblem:
         prob = build_problem(
             bounds=area_bounds, lat_count=4, lon_count=4, candidate_count=0,
             requirements=ObjectiveRequirements(),
-            deployed=[("a", 48.0, 7.0, 0.0), ("b", 49.0, 8.0, 0.0)],
+            deployed=np.array([[48.0, 49.0], [7.0, 8.0], [0.0, 0.0]]),
         )
         assert prob.n_candidates == 2
         assert np.all(prob.forced_mask)
@@ -366,7 +367,7 @@ class TestBuildProblem:
     def test_sites_are_candidate_sites_array(self, area_bounds, pattern):
         """The problem keeps the (3, N) sites and the forced mask that
         ``candidate_sites`` gives for the same arguments."""
-        deployed = [("d0", 48.0, 7.0, 12.0), ("d1", 49.0, 8.0, 0.0)]
+        deployed = np.array([[48.0, 49.0], [7.0, 8.0], [12.0, 0.0]])
         prob = build_problem(
             bounds=area_bounds, lat_count=3, lon_count=3, candidate_count=6,
             requirements=ObjectiveRequirements(), deployed=deployed,
@@ -404,8 +405,10 @@ def _small_problems(draw) -> tuple:
         pick = rng.integers(0, lat.size, draw(st.integers(1, 15)))
         points = np.stack([lat[pick], lon[pick], rng.choice(levels, pick.size)])
     count = draw(st.integers(0, 9))
-    cand = candidate_sites(bounds, count, (), draw(st.sampled_from(["lattice", "seeded-uniform"])),
-                           seed, draw(st.sampled_from([0.0, 30.0])))[0] if count else [[]] * 3
+    cand = candidate_sites(
+        bounds, count, np.empty((3, 0)), draw(st.sampled_from(["lattice", "seeded-uniform"])),
+        seed, draw(st.sampled_from([0.0, 30.0])),
+    )[0] if count else [[]] * 3
     p = int(rng.integers(points.shape[1]))
     sites = [tuple(points[:, p])]
     sites += [(la, lo, 0.0) for la, lo in rng.uniform((47.4, 5.71), (51.4, 9.71), (2, 2))]
