@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end run of the installed `adsbplace` console script and its bundled
 # clustered21.csv: augment, evaluate on the free-standing and the matched
-# path, the matched scores against the front's row, report, an unknown
+# path, the matched scores against the front's row, the same for a
+# deployment with a sensor on a lattice candidate, report, an unknown
 # OSP_LOG level, a front with a nan cell, a malformed sensor file, a
 # jammer count the grid pattern cannot place, a repeated jammer height, two
 # runs of one seedless seeded-uniform config, and a JSR run whose jammer
@@ -34,17 +35,31 @@ cat matched.err
 if grep -q "free-standing" matched.err; then exit 1; fi
 # The matched evaluate scores solution 0 by the map the search used, so its
 # scores.json holds pareto.csv row 0's values, as both files print them.
-python - <<'PY'
+row0_matches() {
+python - "$1" "$2" <<'PY'
 import csv, json, sys
-scores = json.load(open("audit_augment/scores.json"))
+front, audit = sys.argv[1:]
+scores = json.load(open(f"{audit}/scores.json"))
 scores.update({f"{key}_norm": value for key, value in scores.pop("normalized").items()})
-lines = [line for line in open("front/pareto.csv") if not line.startswith("#")]
+lines = [line for line in open(f"{front}/pareto.csv") if not line.startswith("#")]
 header, row0 = list(csv.reader(lines))[:2]
 columns = header[header.index("of1"):header.index("penalty") + 1] + ["n_sensors"]
 differ = [key for key in columns if scores[key] != float(row0[header.index(key)])]
 print(f"scores.json against pareto.csv row 0: {len(columns)} columns, differing: {differ}")
 sys.exit(1 if differ else 0)
 PY
+}
+row0_matches front audit_augment
+# A deployment with a sensor on smoke.json's centre lattice candidate: the
+# deployed sensor replaces that candidate, so the matched evaluate maps
+# every row of solution 0 to one site and reproduces its row as well.
+{ head -5 "$sensors"; echo "c,49.4,7.71,0"; } > centre.csv
+python -c "import json; doc = json.load(open('smoke.json')); doc['scenario'] = {'kind': 'augment', 'deployed_file': 'centre.csv'}; json.dump(doc, open('centre.json', 'w'))"
+adsbplace augment --config smoke.json --sensors centre.csv --out centre_front --threads 1
+adsbplace evaluate --config centre.json --sensors centre_front/solution_0.csv --out centre_audit 2> centre.err
+cat centre.err
+if grep -q "free-standing" centre.err; then exit 1; fi
+row0_matches centre_front centre_audit
 adsbplace report front
 # An OSP_LOG that names no logging level is a usage error, not a traceback.
 code=0

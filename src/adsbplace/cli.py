@@ -18,7 +18,7 @@ from . import analysis
 from .config import ConfigError, RunConfig, load_config
 from .nsga2 import Chromosome, evolve
 from .objectives import InvalidConfigError, of3_weight_vector, saturation_normalization
-from .scenario import DeployedFileError, candidate_sites, csv_rows, load_deployed_csv
+from .scenario import DeployedFileError, candidate_sites, csv_rows, load_deployed_csv, site_matches
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -125,12 +125,9 @@ def cmd_augment(args) -> int:
 def _map_to_candidates(sites: np.ndarray,
                        positions: np.ndarray) -> tuple[np.ndarray | None, int | None]:
     """Chromosome over the (3, N) candidate sites, or None and the index
-    of the first of the (3, d) positions that does not match exactly one
-    site in latitude, longitude and altitude, up to ``fmt``'s rounding to
-    9 significant digits."""
-    match = ((np.abs(sites[0, :, None] - positions[0]) < 1e-6)
-             & (np.abs(sites[1, :, None] - positions[1]) < 1e-6)
-             & np.isclose(sites[2, :, None], positions[2], rtol=1e-8, atol=1e-6))
+    of the first of the (3, d) positions that ``site_matches`` does not
+    pair with exactly one site."""
+    match = site_matches(sites, positions)
     miss = np.flatnonzero(match.sum(axis=0) != 1)
     if miss.size:
         return None, int(miss[0])
@@ -153,7 +150,8 @@ def cmd_evaluate(args) -> int:
             "and of3 are relative to the file's own sites",
             *map(fmt, positions[:, miss]), miss + 1, args.sensors, positions.shape[1],
         )
-        problem = cfg.build_problem(candidate_count=0, deployed=positions)
+        problem = replace(cfg, deployed_file=args.sensors).build_problem(
+            candidate_count=0, deployed=positions)
         genes = problem.forced_mask
     else:
         problem = cfg.build_problem(deployed=deployed)

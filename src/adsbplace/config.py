@@ -92,8 +92,9 @@ def _non_negative(where: str, value):
     return value
 
 
-def _check_footprint(counts: dict[str, int]) -> None:
-    """Reject counts whose matrices would exceed MAX_FOOTPRINT_BYTES:
+def _check_footprint(cfg: RunConfig, n_candidates: int, where: str | None = None) -> None:
+    """Reject a run of ``cfg`` over ``n_candidates`` sites whose matrices
+    would exceed MAX_FOOTPRINT_BYTES:
     precompute's (m, N) float64 distances, bool LOS and ranks (int32 at
     most) and (3, N, m) float64 direction cosines, its (J, N) float64
     distances and two bool masks and (N, N) float64 distances, the GA's
@@ -101,9 +102,18 @@ def _check_footprint(counts: dict[str, int]) -> None:
     evaluated batch's (P, m) float64 best GDOPs and its kernel rows: at
     most min(cap, N) candidates and two counts per (chromosome, point),
     in ``scenario.index_dtype(N)``. Here m is the grid points, N the
-    generated candidates, J the jammers, P the population and cap the
-    GDOP subset cap. The message names the largest count of the largest
-    term."""
+    ``n_candidates`` sites, J the jammers, P the population and cap the
+    GDOP subset cap. The message names ``where``, else the largest count
+    of the largest term."""
+    counts = {
+        "grid.lat_count": cfg.lat_count,
+        "grid.lon_count": cfg.lon_count,
+        "area.altitudes_m": len(cfg.bounds.altitude_levels_m),
+        "candidates.count": n_candidates,
+        "jammers.count": cfg.jammer_count,
+        "ga.population_size": cfg.ga.population_size,
+        "ga.gdop_subset_cap": cfg.ga.gdop_subset_cap,
+    }
     points = ("grid.lat_count", "grid.lon_count", "area.altitudes_m")
     n = counts["candidates.count"]
     row_bytes = 8 + index_dtype(n).itemsize * (min(counts["ga.gdop_subset_cap"], n) + 2)
@@ -120,7 +130,7 @@ def _check_footprint(counts: dict[str, int]) -> None:
     if total > MAX_FOOTPRINT_BYTES:
         keys = max(sizes)[1]
         raise ConfigError(
-            max(keys, key=counts.get),
+            where or max(keys, key=counts.get),
             f"the run would hold {total:.3g} bytes of matrices, above the "
             f"{MAX_FOOTPRINT_BYTES:.3g}-byte limit",
         )
@@ -175,9 +185,16 @@ class RunConfig:
     def build_problem(self, candidate_count: int | None = None, deployed=None) -> PlacementProblem:
         """The config's problem. ``deployed`` stands for the positions of
         ``scenario.deployed_file``, already read; with ``candidate_count=0``
-        too, it is the free-standing problem of those sites alone."""
+        too, it is the free-standing problem of those sites alone. Parse
+        time checked the footprint of the generated candidates only, so it
+        is checked again with the deployed sites, naming the file."""
         if deployed is None:
             deployed = self.deployed_sites()
+        if candidate_count is None:
+            candidate_count = self.candidate_count
+        # At least the problem's site count: candidate_sites may drop
+        # generated sites that deployed ones match.
+        _check_footprint(self, candidate_count + deployed.shape[1], self.deployed_file)
         jammers = generate_jammers(
             self.bounds, self.jammer_count, self.jammer_heights_m, self.jammer_pattern,
             self.jammer_seed,
@@ -186,7 +203,7 @@ class RunConfig:
             bounds=self.bounds,
             lat_count=self.lat_count,
             lon_count=self.lon_count,
-            candidate_count=self.candidate_count if candidate_count is None else candidate_count,
+            candidate_count=candidate_count,
             requirements=self.requirements,
             jammers=jammers,
             jammer_model=self.jammer_model,
@@ -287,17 +304,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         deployed_file = str(base_dir / deployed_file)
 
     output_dir = _get(data, "", "output_dir", str, default="out")
-    _check_footprint({
-        "grid.lat_count": lat_count,
-        "grid.lon_count": lon_count,
-        "area.altitudes_m": len(bounds.altitude_levels_m),
-        "candidates.count": candidate_count,
-        "jammers.count": jammer_count,
-        "ga.population_size": ga.population_size,
-        "ga.gdop_subset_cap": ga.gdop_subset_cap,
-    })
-
-    return RunConfig(
+    cfg = RunConfig(
         bounds=bounds,
         lat_count=lat_count,
         lon_count=lon_count,
@@ -318,6 +325,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         output_dir=output_dir,
         raw=data,
     )
+    _check_footprint(cfg, candidate_count)
+    return cfg
 
 
 def load_config(path: str | Path) -> RunConfig:

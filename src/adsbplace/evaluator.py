@@ -28,7 +28,8 @@ operations and a few kernel calls, not a set of each per chromosome. A
 batch's scores come back as one ``RawScores`` of (B,) columns. With
 ``diagnostics``, a single chromosome's scores come with its per-point
 ``CoverageGrid`` and per-jammer ``JamReport``, the detail that the
-scoring computes anyway.
+scoring computes anyway; they carry the problem's (3, m) points and
+(3, J) jammers as they are.
 
 With ``threads > 1`` the groups are still scored on the calling thread;
 only the kernel calls, over every k and f' group of the batch, are dealt

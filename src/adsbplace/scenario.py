@@ -1,6 +1,14 @@
 """Problem construction: airspace sampling, candidate sites, jammers,
-and ``precompute``, which builds the frozen ``PlacementProblem`` once with
-every geometry matrix that the evaluations share."""
+deployed-sensor files, and ``precompute``, which builds the frozen
+``PlacementProblem`` once with every geometry matrix that the evaluations
+share.
+
+Every set of positions is one component-major array: the (3, m)
+airspace points, the (3, N) candidate sites, the (3, d) deployed sensors
+of a file and the (3, J) jammers hold latitudes, longitudes and
+altitudes as rows, and ``geo`` gives ECEF positions as (3, n) and NED
+rotations as (3, 3, n). ``site_matches`` is the one rule that pairs
+sites with positions."""
 
 from __future__ import annotations
 
@@ -88,7 +96,8 @@ def candidate_sites(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The candidate sites, as a (3, N) array of latitudes, longitudes and
     altitudes, and their forced mask: ``count`` generated ground sites,
-    ordering sorted, then the (3, d) ``deployed`` sites, forced."""
+    ordering sorted, less those that ``site_matches`` pairs with a
+    deployed site, then the (3, d) ``deployed`` sites, forced."""
     if count < 0:
         raise InvalidConfigError("candidate count must be >= 0")
     if not count and not deployed.shape[1]:
@@ -107,10 +116,21 @@ def candidate_sites(
         lon_arr = rng.uniform(bounds.lon_low, bounds.lon_up, count)
         order = np.lexsort((lat_arr, lon_arr))
         lat_arr, lon_arr = lat_arr[order], lon_arr[order]
-    sites = np.concatenate(
-        [[lat_arr, lon_arr, np.full(count, float(antenna_height_m))], deployed], axis=1
-    )
-    return sites, np.arange(sites.shape[1]) >= count
+    generated = np.stack([lat_arr, lon_arr, np.full(lat_arr.size, float(antenna_height_m))])
+    # A generated site that a deployed one matches would be a second copy of it.
+    generated = generated[:, ~site_matches(generated, deployed).any(axis=1)]
+    sites = np.concatenate([generated, deployed], axis=1)
+    return sites, np.arange(sites.shape[1]) >= generated.shape[1]
+
+
+def site_matches(sites: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Which of the (3, N) sites each of the (3, d) positions matches, as
+    (N, d) bools: within 1e-6 degrees in latitude and longitude and
+    ``np.isclose`` in altitude, so a position written with 9 significant
+    digits still matches its site."""
+    return ((np.abs(sites[0, :, None] - positions[0]) < 1e-6)
+            & (np.abs(sites[1, :, None] - positions[1]) < 1e-6)
+            & np.isclose(sites[2, :, None], positions[2], rtol=1e-8, atol=1e-6))
 
 
 def generate_jammers(

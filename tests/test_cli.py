@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from adsbplace.cli import (
@@ -17,7 +19,7 @@ from adsbplace.cli import (
     main,
     read_pareto_csv,
 )
-from adsbplace import scenario
+from adsbplace import config as config_module, scenario
 from adsbplace.config import parse_config
 from adsbplace.scenario import clustered21_path
 
@@ -218,6 +220,34 @@ def test_evaluator_footprint_exit_2(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "ga.population_size" in err and "7.23e+11 bytes" in err
     assert '"gen"' not in err
+
+
+@pytest.mark.parametrize("run", ["augment", "deployed_file", "evaluate"])
+def test_deployed_sites_footprint_exit_2(tmp_path, capsys, monkeypatch, run):
+    """Parse time counts the generated candidates only. The 200 sites of
+    an augment --sensors file, of a scenario.deployed_file and of
+    evaluate's free-standing fallback count when the problem is built:
+    with a limit between the two footprints, each run exits 2 naming the
+    file, before precompute builds any matrix."""
+    monkeypatch.setattr(config_module, "MAX_FOOTPRINT_BYTES", 200_000)
+    monkeypatch.setattr(scenario, "precompute", mock.Mock(side_effect=AssertionError))
+    sensors = tmp_path / "sensors.csv"
+    lat, lon = np.meshgrid(np.linspace(47.5, 51.3, 10), np.linspace(5.8, 9.6, 20))
+    sensors.write_text("id,lat_deg,lon_deg,alt_m\n" + "".join(
+        f"s{i},{a},{o},0\n" for i, (a, o) in enumerate(zip(lat.ravel(), lon.ravel()))))
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    if run == "deployed_file":
+        doc["scenario"] = {"kind": "augment", "deployed_file": str(sensors)}
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(doc))
+    args = {"augment": ["augment", "--config", p, "--sensors", sensors, "--threads", "1"],
+            "deployed_file": ["optimize", "--config", p, "--threads", "1"],
+            "evaluate": ["evaluate", "--config", p, "--sensors", sensors]}[run]
+    code = main([str(a) for a in args] + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {sensors}: the run would hold ")
+    assert "above the 2e+05-byte limit" in err
 
 
 @pytest.mark.parametrize("section,key,field", [
@@ -640,6 +670,39 @@ class TestEvaluate:
                 assert "penalty and of3 are relative to the file's own sites" in message
             else:
                 assert records == []
+
+    @pytest.mark.parametrize("centre", ["49.4,7.71,0", "49.4000004,7.7099996,0"])
+    def test_deployed_sensor_on_candidate_round_trips(self, tmp_path, capsys, caplog, centre):
+        """A deployed sensor on (or within 1e-6 degrees of) the 3x3
+        lattice's centre candidate replaces that candidate, so evaluate of
+        solution 0 under the augment config maps every row to one site and
+        reproduces pareto.csv row 0."""
+        sensors = tmp_path / "sensors.csv"
+        clustered = clustered21_path().read_text().splitlines()
+        sensors.write_text("\n".join(clustered[:5] + [f"c,{centre}"]) + "\n")
+        doc = {"area": {**SMALL_CONFIG["area"], "altitudes_m": [6000.0]},
+               "grid": {"lat_count": 3, "lon_count": 3}, "candidates": {"count": 9},
+               "jammers": {"count": 4, "heights_m": [6000.0]},
+               "ga": {"population_size": 8, "generations": 2, "rng_seed": 1, "n_max": 4}}
+        plain, augment = tmp_path / "plain.json", tmp_path / "augment.json"
+        plain.write_text(json.dumps(doc))
+        augment.write_text(json.dumps(
+            dict(doc, scenario={"kind": "augment", "deployed_file": str(sensors)})))
+        front = tmp_path / "front"
+        assert main(["augment", "--config", str(plain), "--sensors", str(sensors),
+                     "--out", str(front), "--threads", "1"]) == EXIT_OK
+        with caplog.at_level("WARNING", logger="adsbplace.cli"):
+            assert main(["evaluate", "--config", str(augment), "--sensors",
+                         str(front / "solution_0.csv"), "--out", str(tmp_path / "audit")]) == EXIT_OK
+        assert [r for r in caplog.records if r.name == "adsbplace.cli"] == []
+        scores = json.loads((tmp_path / "audit" / "scores.json").read_text())
+        row0 = read_pareto_csv(front / "pareto.csv")[0]
+        for key in ("of1", "of2", "of3", "d1", "d2", "d3", "penalty", "n_sensors"):
+            assert scores[key] == float(fmt(row0[key])), key
+        for key, value in scores["normalized"].items():
+            assert value == float(fmt(row0[f"{key}_norm"])), key
+        # The deployed copy replaced the centre candidate.
+        assert json.loads((front / "run_meta.json").read_text())["total_cells"] == 8 + 5
 
     @pytest.mark.parametrize("flag", ["--threads", "--seed"])
     def test_search_flags_rejected(self, config_file, tmp_path, capsys, flag):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adsbplace import nsga2
 from adsbplace.nsga2 import (
     Chromosome,
     GaConfig,
@@ -24,6 +25,7 @@ from adsbplace.nsga2 import (
 )
 from adsbplace.evaluator import PlacementEvaluator
 from adsbplace.objectives import InvalidConfigError, weighted_fitness
+from adsbplace.scenario import build_problem, clustered21_path, load_deployed_csv
 
 from oracles import dominates
 
@@ -354,6 +356,35 @@ class TestEvolve:
         vecs = [m.objectives for m in front1.members]
         for a, b in itertools.permutations(vecs, 2):
             assert not dominates(a, b)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_archive_is_non_dominated_set_of_everything_evaluated(
+            self, small_problem, area_bounds, monkeypatch, forced):
+        """The final archive holds, key for key, the entries that no entry
+        evaluated during the run dominates; with clustered21 forced too."""
+        problem = small_problem
+        if forced:
+            problem = build_problem(
+                bounds=area_bounds, lat_count=6, lon_count=6, candidate_count=25,
+                requirements=small_problem.requirements, jammers=small_problem.jammers,
+                deployed=load_deployed_csv(clustered21_path())[0],
+            )
+        evaluated = {}
+        update_archive = nsga2._update_archive
+
+        def collect(archive, entries):
+            evaluated.update(entries)
+            return update_archive(archive, entries)
+
+        monkeypatch.setattr(nsga2, "_update_archive", collect)
+        n_max = int(problem.forced_mask.sum()) + 8
+        front = evolve(problem, GaConfig(population_size=12, generations=8, rng_seed=3,
+                                         n_max=n_max, gdop_subset_cap=6))
+        vecs = [vec for _, vec in evaluated.values()]
+        expected = {key for key, (_, vec) in evaluated.items()
+                    if not any(dominates(other, vec) for other in vecs)}
+        assert len(evaluated) > len(expected) > 1
+        assert {m.chromosome.key() for m in front.members} == expected
 
     def test_n_max_respected(self, small_problem):
         config = GaConfig(population_size=12, generations=6, rng_seed=1, n_max=8,

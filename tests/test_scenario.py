@@ -115,6 +115,20 @@ class TestCandidates:
         with pytest.raises(InvalidConfigError):
             candidate_sites(area_bounds, 10, pattern="spiral")
 
+    @pytest.mark.parametrize("height", [0.0, 30.0])
+    def test_generated_site_matched_by_deployed_is_dropped(self, area_bounds, height):
+        """A deployed site within 1e-6 degrees of the 3x3 lattice's centre
+        site, at its altitude, replaces it, so the list holds one copy of
+        that position, the deployed one. On a 30 m mast the centre site
+        differs in altitude and stays."""
+        lattice, _ = candidate_sites(area_bounds, 9, antenna_height_m=height)
+        assert np.allclose(lattice[:2, 4], [49.4, 7.71])
+        deployed = np.array([[49.4 + 4e-7, 48.0], [7.71 - 4e-7, 7.0], [0.0, 0.0]])
+        sites, forced = candidate_sites(area_bounds, 9, deployed, antenna_height_m=height)
+        kept = lattice if height else np.delete(lattice, 4, axis=1)
+        assert sites.tobytes() == np.concatenate([kept, deployed], axis=1).tobytes()
+        assert np.array_equal(forced, np.arange(sites.shape[1]) >= kept.shape[1])
+
 
 class TestJammers:
     def test_grid_per_height_level(self, area_bounds):
